@@ -7,32 +7,20 @@ Exit codes: 0 success, 1 verification mismatch, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import tempfile
 
-from . import ENGINE_VERSION
-from .curves import (
-    CurveSpec, HYPERELLIPTIC_G2, OmegaAlgTable, WindingData, parse_spec,
-)
-from .document import (
-    RelationDocument, export_document, poly_from_json, poly_json, render_relation,
-)
+from .curves import CurveSpec, HYPERELLIPTIC_G2, parse_spec
+from .document import RelationDocument, export_document, render_relation
 from .engine import (
     RelationDB, classify, derive_at_weight, kummer_quartic, reduce_mod_db,
 )
-from .errors import (
-    ConfigError, ConventionError, InconsistentSystemError, KleinianError, ReductionError,
-)
+from .errors import ConfigError, ConventionError, InconsistentSystemError, ReductionError
 from .klein import jacobi_inversion_extract
 from .poly import monomial_str
 from .tables import relation_table, trigonal_weight12_quartic
 from .taucalc import AbelianContext, TauModel
-
-DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "kleinian")
-CACHE_ENV = "KLEINIAN_CACHE_DIR"
 
 
 def _atomic_write(path: str, text: str):
@@ -49,62 +37,12 @@ def _atomic_write(path: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# tau-model disk cache
-
-
-def _cache_key(curve: CurveSpec, k: int) -> str:
-    blob = "%s|%s|K=%d" % (ENGINE_VERSION, curve.fingerprint(), k)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def _model_to_json(model: TauModel) -> str:
-    doc = {
-        "engine_version": ENGINE_VERSION,
-        "curve": model.curve.fingerprint(),
-        "max_time_index": model.max_time_index,
-        "winding": [[poly_json(c) for c in vec] for vec in model.winding.vectors],
-        "omega": {"%d,%d" % kl: poly_json(c) for kl, c in sorted(model.omega.entries.items())},
-        "omega_size": model.omega.size,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def _model_from_json(text: str, curve: CurveSpec) -> TauModel:
-    data = json.loads(text)
-    ctx = AbelianContext(curve.gap_weights)
-    vectors = tuple(tuple(poly_from_json(c, curve, ctx) for c in vec)
-                    for vec in data["winding"])
-    entries = {}
-    for key, val in data["omega"].items():
-        k, l = key.split(",")
-        entries[(int(k), int(l))] = poly_from_json(val, curve, ctx)
-    winding = WindingData(curve, vectors)
-    omega = OmegaAlgTable(curve, data["omega_size"], entries)
-    return TauModel(curve, winding, omega, data["max_time_index"])
-
-
-def cached_tau_model(curve: CurveSpec, max_weight: int, cache_dir: str | None) -> TauModel:
-    if cache_dir is None:
-        return TauModel.build(curve, max_weight)
-    path = os.path.join(cache_dir, "tau-%s.json" % _cache_key(curve, max_weight + 1))
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                return _model_from_json(fh.read(), curve)
-        except (KleinianError, KeyError, ValueError, json.JSONDecodeError):
-            pass  # stale or corrupt cache entry; rebuild
-    model = TauModel.build(curve, max_weight)
-    _atomic_write(path, _model_to_json(model))
-    return model
-
-
-# ---------------------------------------------------------------------------
 # derive
 
 
 def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
                enable_weight16: bool = False, rank3: bool = False,
-               fold: str = "auto", cache_dir: str | None = None) -> RelationDocument:
+               fold: str = "auto") -> RelationDocument:
     if max_weight < 4:
         raise ConfigError("max-weight must be at least 4 (no rank-2 partitions below)")
     if method not in ("plucker", "classical", "both"):
@@ -117,7 +55,7 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
     classical = []
     if method in ("plucker", "both"):
         top = max_weight if enable_weight16 else min(max_weight, 15)
-        model = cached_tau_model(curve, top, cache_dir)
+        model = TauModel.build(curve, top)
         db = RelationDB(curve)
         for w in range(4, top + 1):
             db.add_layer(w, derive_at_weight(w, db, model, rank3=rank3, fold=fold))
@@ -206,7 +144,7 @@ def _read_curve(path: str) -> CurveSpec:
     try:
         with open(path) as fh:
             return parse_spec(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read curve spec %s: %s" % (path, exc))
 
 
@@ -214,7 +152,7 @@ def _read_document(path: str) -> RelationDocument:
     try:
         with open(path) as fh:
             return RelationDocument.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read document %s: %s" % (path, exc))
 
 
@@ -235,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include rank-3 hook-determinant rows (extension)")
     d.add_argument("--fold-transposes", choices=("auto", "always", "never"),
                    default="auto", help="override the transpose-pair policy")
-    d.add_argument("--no-cache", action="store_true", help="disable the table cache")
 
     v = sub.add_parser("verify", help="check a document against the built-in tables")
     v.add_argument("--doc", required=True)
@@ -256,11 +193,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "derive":
             curve = _read_curve(args.curve)
-            cache_dir = None if args.no_cache else os.environ.get(CACHE_ENV, DEFAULT_CACHE)
             doc = run_derive(curve, args.max_weight, args.method,
                              enable_weight16=args.enable_weight16,
-                             rank3=args.enable_rank3, fold=args.fold_transposes,
-                             cache_dir=cache_dir)
+                             rank3=args.enable_rank3, fold=args.fold_transposes)
             _atomic_write(args.out, doc.to_json())
             print("wrote %s (%d relations, curve %s)"
                   % (args.out, len(doc.relations) + len(doc.classical),

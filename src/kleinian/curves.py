@@ -18,9 +18,9 @@ relation of the derivation engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
-from .errors import ConfigError, ConventionError, SeriesError, TruncationError
+from .errors import ConfigError, ConventionError, TruncationError
 from .poly import MultiPoly, Symbol, param
 from .rationals import Q, QType, q_str, qify
 from .series import BiSeries, LaurentSeries, divide_homogeneous
@@ -146,12 +146,29 @@ def parse_spec(text: str) -> CurveSpec:
 
 @dataclass(frozen=True)
 class LocalExpansion:
-    """Exact Puiseux data x(xi), y(xi) with f(x(xi), y(xi)) = 0 mod xi^order."""
+    """Exact Puiseux data x(xi), y(xi) with f(x(xi), y(xi)) = 0 mod xi^order.
+
+    y = lead * xi^(-s) * unit^(1/n) with unit = phi(x(xi)) / (lead^n
+    xi^(-ns)) = 1 + O(xi); every power of y comes from this closed form.
+    """
 
     curve: CurveSpec
-    x: LaurentSeries
-    y: LaurentSeries
     order: int
+    lead: QType
+    unit: LaurentSeries
+
+    @property
+    def x(self) -> LaurentSeries:
+        return LaurentSeries.xi_power(-self.curve.n)
+
+    @cached_property
+    def y(self) -> LaurentSeries:
+        return self.y_power(1)
+
+    def y_power(self, b: int) -> LaurentSeries:
+        """y^b = lead^b xi^(-sb) unit^(b/n), to the relative precision of y."""
+        g = self.unit.unit_power(Q(b, self.curve.n))
+        return (g * self.lead ** b).shift(-self.curve.s * b)
 
 
 def _curve_value(curve: CurveSpec, x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
@@ -165,46 +182,34 @@ def _curve_value(curve: CurveSpec, x: LaurentSeries, y: LaurentSeries) -> Lauren
     return acc
 
 
-def newton_puiseux_at_infinity(curve: CurveSpec, order: int) -> LocalExpansion:
-    """Solve y from f(x, y) = 0 with x = xi^(-n), exactly to the given order.
+def _unit_part(curve: CurveSpec, order: int) -> LaurentSeries:
+    """phi(xi^(-n)) / (c_s xi^(-ns)) = 1 + sum_j (c_{s-j}/c_s) xi^(nj) mod xi^order."""
+    rhs = curve.rhs_coeffs()
+    inv_top = Q(1) / rhs[curve.s].rational_value()
+    return LaurentSeries({curve.n * j: rhs[curve.s - j] * inv_top for j in range(curve.s + 1)},
+                         order)
+
+
+def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
+    """x = xi^(-n) and y from the closed power recurrence, exactly to the given order.
 
     The y-branch is the rational one; for the hyperelliptic curve the sign
     is chosen so the normalized differentials have +1 leading coefficients.
+    The curve equation y^n - phi(x) is checked through xi^order.
     """
-    if order < curve.n + curve.s:
-        raise TruncationError("order must be at least n+s = %d" % (curve.n + curve.s))
     n, s = curve.n, curve.s
-    work = order + (n - 1) * s + 2
-    x = LaurentSeries.xi_power(-n)
+    if order < n + s:
+        raise TruncationError("order must be at least n+s = %d" % (n + s))
+    work = order + (n - 1) * s + 2  # y^n is then known to order + 2
     lead = Q(-2) if curve.family == HYPERELLIPTIC_G2 else Q(1)
-    y = LaurentSeries.xi_power(-s, lead, order=work)
-    prev_val = None
-    for _ in range(64):
-        defect = _curve_value(curve, x, y)
-        val = defect.valuation()
-        if defect.is_zero() or val >= order:
-            break
-        if prev_val is not None and val <= prev_val:
-            raise SeriesError("Newton iteration stalled at valuation %d" % val)
-        prev_val = val
-        fy = y ** (n - 1) * n
-        y = (y - defect * fy.inverse()).truncate(work)
-    defect = _curve_value(curve, x, y)
+    loc = LocalExpansion(curve, order, lead, _unit_part(curve, work + s))
+    defect = _curve_value(curve, loc.x, loc.y)
     for k in sorted(defect.coeffs):
         if k < order and not defect.coeffs[k].is_zero():
             raise ConventionError("curve-equation defect at xi^%d: %s" % (k, defect.coeffs[k]))
     if min(defect.order, work) < order:
         raise TruncationError("defect only verified to order %d" % defect.order)
-    return LocalExpansion(curve, x, y, order)
-
-
-@lru_cache(maxsize=32)
-def _expansion_cached(curve: CurveSpec, order: int) -> LocalExpansion:
-    return newton_puiseux_at_infinity(curve, order)
-
-
-def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
-    return _expansion_cached(curve, order)
+    return loc
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +218,14 @@ def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
 
 def differentials(curve: CurveSpec, loc: LocalExpansion) -> list[LaurentSeries]:
     """Densities du_i/dxi at infinity, normalized to leading coefficient +1."""
-    x, y = loc.x, loc.y
+    x = loc.x
     dx = x.differentiate()
     if curve.family == HYPERELLIPTIC_G2:
-        inv_y = y.inverse()
+        inv_y = loc.y_power(-1)
         dus = [x * dx * inv_y, dx * inv_y]
     else:
-        inv_3y = (y * 3).inverse()
-        inv_3y2 = (y * y * 3).inverse()
+        inv_3y = loc.y_power(-1) * Q(1, 3)
+        inv_3y2 = loc.y_power(-2) * Q(1, 3)
         # global sign flipped so the leading coefficients come out +1
         dus = [-(dx * inv_3y), -(x * dx * inv_3y2), -(dx * inv_3y2)]
     for i, du in enumerate(dus):
@@ -364,24 +369,18 @@ def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) ->
     if loc is None:
         loc = local_expansion(curve, required_expansion_order(curve, size))
     n = curve.n
-    x, y = loc.x, loc.y
-    dx = x.differentiate()
-    fy = y ** (n - 1) * n
-    base = dx * LaurentSeries.xi_power(2 * n) * fy.inverse()
-
-    xs, ys, zs, ws = polar_vars(curve.n, curve.s)
-    xpow = {0: LaurentSeries.const(1)}
-    ypow = {0: LaurentSeries.const(1)}
     polar = kleinian_polar(curve)
     shift_deg = 2 * curve.n - 2
     deg_cap = 2 * (size - 1) + 2 + shift_deg  # largest total degree ever read
 
-    def upow(table, series, e):
-        while len(table) <= e:
-            table[len(table)] = table[len(table) - 1] * series
-        return table[e]
+    ypow: dict[int, LaurentSeries] = {}
 
-    def capped(series: LaurentSeries) -> LaurentSeries:
+    def factor(a: int, b: int) -> LaurentSeries:
+        """x^a y^b dx xi^(2n) / f_y = -xi^(n-1-na) y^(b+1-n), capped at deg_cap."""
+        e = b + 1 - n
+        if e not in ypow:
+            ypow[e] = loc.y_power(e)
+        series = -ypow[e].shift(n - 1 - n * a)
         if series.order <= deg_cap + 1:
             return series
         return series.truncate(deg_cap + 1)
@@ -391,8 +390,8 @@ def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) ->
     for mono, coeff in polar.terms.items():
         exps = {s.name: e for s, e in mono}
         pcoeff = MultiPoly.monomial(tuple((s, e) for s, e in mono if s.kind == "param"), coeff)
-        u = capped(upow(xpow, x, exps.get("x", 0)) * upow(ypow, y, exps.get("y", 0)) * base * pcoeff)
-        v = capped(upow(xpow, x, exps.get("z", 0)) * upow(ypow, y, exps.get("w", 0)) * base)
+        u = factor(exps.get("x", 0), exps.get("y", 0)) * pcoeff
+        v = factor(exps.get("z", 0), exps.get("w", 0))
         orders += [u.order, v.order]
         for i, a in u.coeffs.items():
             for j, b in v.coeffs.items():

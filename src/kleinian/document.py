@@ -45,8 +45,15 @@ def _monomial_json(m: Monomial) -> list:
     return [[s.name, e] for s, e in m]
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    if type(value) is not int or value < minimum:
+        raise ConfigError("%s must be an integer >= %d, got %r" % (what, minimum, value))
+    return value
+
+
 def _monomial_from_json(data, curve, ctx) -> Monomial:
-    return tuple(sorted((symbol_from_name(name, curve, ctx), e) for name, e in data))
+    return tuple(sorted((symbol_from_name(name, curve, ctx), _integer(e, "exponent", 1))
+                        for name, e in data))
 
 
 def poly_json(p: MultiPoly) -> list:
@@ -77,7 +84,7 @@ def relation_from_json(data, curve, ctx) -> Relation:
     solved = data["solved_monomial"]
     return Relation(
         expr=poly_from_json(data["terms"], curve, ctx),
-        weight=data["weight"],
+        weight=_integer(data["weight"], "weight", 0),
         cls=data["class"],
         solved_monomial=_monomial_from_json(solved, curve, ctx) if solved else None,
         source=tuple(Partition(tuple(p)) for p in data["source_partitions"]),
@@ -119,7 +126,15 @@ class RelationDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "RelationDocument":
-        data = json.loads(text)
+        """Parse a document; any malformed input raises :class:`ConfigError`."""
+        try:
+            return cls._from_data(json.loads(text))
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+                ZeroDivisionError, RecursionError) as exc:
+            raise ConfigError("malformed document: %s: %s" % (type(exc).__name__, exc)) from exc
+
+    @classmethod
+    def _from_data(cls, data) -> "RelationDocument":
         if data.get("format") != FORMAT:
             raise ConfigError("unrecognized document format %r" % data.get("format"))
         params = {k: v for k, v in data["curve"]["parameters"].items() if v != "symbolic"}
@@ -127,7 +142,7 @@ class RelationDocument:
         ctx = AbelianContext(curve.gap_weights)
         return cls(
             curve=curve,
-            max_weight=data["max_weight"],
+            max_weight=_integer(data["max_weight"], "max_weight", 0),
             method=data["method"],
             relations=[relation_from_json(r, curve, ctx) for r in data["relations"]],
             classical=[relation_from_json(r, curve, ctx) for r in data["classical_relations"]],

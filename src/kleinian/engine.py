@@ -190,9 +190,6 @@ class RelationDB:
             out.extend(self.layers[w])
         return out
 
-    def max_complete(self) -> int:
-        return max(self.layers, default=3)
-
     def find_solved(self, mono: Monomial) -> Relation | None:
         for r in self.relations():
             if r.solved_monomial == mono:

@@ -70,7 +70,7 @@ def klein_expand(curve: CurveSpec, order: int) -> list[tuple[int, MultiPoly]]:
     ord_series = order + 1
     ord_taylor = ord_series + curve.n  # absorb the pole of U_1 = 2x
     loc = local_expansion(curve, ord_taylor + curve.n + curve.s + 4)
-    x, y = loc.x, loc.y
+    x = loc.x
     winding = winding_vectors(curve, ord_taylor + 4, loc)
     # holomorphic integrals, integration constant zero
     deltas = []
@@ -92,19 +92,11 @@ def klein_expand(curve: CurveSpec, order: int) -> list[tuple[int, MultiPoly]]:
     xs, ys, zs, ws = polar_vars(curve.n, curve.s)
     polar = kleinian_polar(curve).substitute(
         {zs: MultiPoly.sym(XP), ws: MultiPoly.sym(YP)})
-    xpow = {0: LaurentSeries.const(1)}
-    ypow = {0: LaurentSeries.const(1)}
-
-    def upow(table, series, e):
-        while len(table) <= e:
-            table[len(table)] = table[len(table) - 1] * series
-        return table[e]
-
     numer = LaurentSeries.zero(ord_series + 10)
     for mono, c in polar.terms.items():
         exps = {s.name: e for s, e in mono}
         rest = tuple((s, e) for s, e in mono if s.name not in ("x", "y"))
-        piece = upow(xpow, x, exps.get("x", 0)) * upow(ypow, y, exps.get("y", 0))
+        piece = LaurentSeries.xi_power(-curve.n * exps.get("x", 0)) * loc.y_power(exps.get("y", 0))
         numer = numer + piece * MultiPoly.monomial(rest, c)
     dx2 = x - LaurentSeries.const(MultiPoly.sym(XP))
     # the numerator has a pole of order 3n at worst; invert far enough

@@ -14,7 +14,7 @@ by (symbol name, exponent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .rationals import Q, QType, q_str, qify
 
@@ -282,24 +282,7 @@ class MultiPoly:
             out.update(s for s, _ in m)
         return out
 
-    def has_kind(self, kind: str) -> bool:
-        return any(s.kind == kind for s, _ in _iter_factors(self.terms))
-
-    def max_degree(self, sym: Symbol) -> int:
-        deg = 0
-        for m in self.terms:
-            for s, e in m:
-                if s == sym:
-                    deg = max(deg, e)
-        return deg
-
     # -- weight grading ----------------------------------------------------
-
-    def weight_components(self) -> dict[int, "MultiPoly"]:
-        out: dict[int, dict[Monomial, QType]] = {}
-        for m, c in self.terms.items():
-            out.setdefault(monomial_weight(m), {})[m] = c
-        return {w: MultiPoly(t) for w, t in sorted(out.items())}
 
     def is_homogeneous(self, weight: int | None = None) -> bool:
         weights = {monomial_weight(m) for m in self.terms}
@@ -308,13 +291,6 @@ class MultiPoly:
         if len(weights) > 1:
             return False
         return weight is None or weights == {weight}
-
-    def weight(self) -> int:
-        """Weight of a nonzero homogeneous polynomial."""
-        weights = {monomial_weight(m) for m in self.terms}
-        if len(weights) != 1:
-            raise ValueError("polynomial is zero or not weight-homogeneous")
-        return weights.pop()
 
     # -- substitution and derivation ---------------------------------------
 
@@ -386,18 +362,3 @@ def _coerce(x) -> MultiPoly:
     if isinstance(x, (int, QType)):
         return MultiPoly.const(x)
     raise TypeError("cannot coerce %r to MultiPoly" % (x,))
-
-
-def _iter_factors(terms) -> Iterator[Symbol]:
-    for m in terms:
-        for s, _ in m:
-            yield s
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Total add/mul entry point on canonical polynomials."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % op)

@@ -145,21 +145,10 @@ class LaurentSeries:
             order = max_order
         elif order > max_order:
             raise TruncationError("inverse known only to order %d, requested %d" % (max_order, order))
-        c0 = lead.rational_value()
-        inv_c0 = Q(1) / c0
-        # unit part u = 1 + m with val(m) >= 1; invert by coefficient recursion
+        inv_c0 = Q(1) / lead.rational_value()
         n_target = order + v  # unit-part inverse needed mod xi^n_target
-        m = {k - v: c * inv_c0 for k, c in self.coeffs.items() if k != v and k - v < n_target}
-        w: dict[int, MultiPoly] = {0: MultiPoly.one()}
-        for k in range(1, n_target):
-            acc = MultiPoly.zero()
-            for j, mj in m.items():
-                if 0 < j <= k and (k - j) in w:
-                    acc = acc + mj * w[k - j]
-            if not acc.is_zero():
-                w[k] = -acc
-        inv_unit = LaurentSeries(w, n_target)
-        return inv_unit.shift(-v) * inv_c0
+        unit = LaurentSeries({k - v: c * inv_c0 for k, c in self.coeffs.items()}, n_target)
+        return unit.unit_power(-1).shift(-v) * inv_c0
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if n == 0:
@@ -177,8 +166,29 @@ class LaurentSeries:
                 base = base * base
         return result
 
-    def divide(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self * other.inverse()
+    def unit_power(self, alpha) -> "LaurentSeries":
+        """f^alpha for a unit f = 1 + O(xi) and any rational alpha, to f's order.
+
+        J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7):
+        g_0 = 1, g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) f_j g_{k-j}.
+        """
+        if self.valuation() != 0 or self.coeff(0) != MultiPoly.one() or self.order >= _INF:
+            raise SeriesError("unit_power needs a truncated series 1 + O(xi)")
+        a1 = qify(alpha) + 1
+        f = sorted((j, c) for j, c in self.coeffs.items() if j)
+        g: dict[int, MultiPoly] = {0: MultiPoly.one()}
+        for k in range(1, self.order):
+            acc = MultiPoly.zero()
+            for j, fj in f:
+                if j > k:
+                    break
+                gk = g.get(k - j)
+                c = a1 * j - k
+                if gk is not None and c:
+                    acc = acc + (fj * c) * gk
+            if not acc.is_zero():
+                g[k] = acc * Q(1, k)
+        return LaurentSeries(g, self.order)
 
     # -- calculus -------------------------------------------------------------
 
@@ -202,7 +212,7 @@ class LaurentSeries:
         return LaurentSeries(out, self.order + 1)
 
     def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
-        """Substitute ``inner`` for xi.  See :func:`series_compose`."""
+        """Substitute ``inner`` for xi, with pessimistic truncation tracking."""
         v_in = inner.valuation()
         if v_in < 1:
             if any(k < 0 for k in self.coeffs):
@@ -224,19 +234,6 @@ class LaurentSeries:
         for k in sorted(self.coeffs):
             result = result + power(k) * self.coeffs[k]
         return result
-
-    def map_coeffs(self, fn) -> "LaurentSeries":
-        return LaurentSeries({k: fn(c) for k, c in self.coeffs.items()}, self.order)
-
-
-def series_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
-    """Composition outer(inner(xi)) with pessimistic truncation tracking."""
-    return outer.compose(inner)
-
-
-def series_integrate(s: LaurentSeries) -> LaurentSeries:
-    """Termwise integral of ``s dxi`` with zero integration constant."""
-    return s.integrate()
 
 
 # ---------------------------------------------------------------------------

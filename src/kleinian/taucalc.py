@@ -101,10 +101,6 @@ def ladder_reduce(expr: "SigmaDerivExpr") -> MultiPoly:
     return out
 
 
-def parity_involution(expr: MultiPoly, ctx: AbelianContext) -> MultiPoly:
-    return ctx.parity(expr)
-
-
 @dataclass
 class SigmaDerivExpr:
     """Polynomial over the parameter ring in formal ratios sigma_J/sigma.

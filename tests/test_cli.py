@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kleinian.cli import main, run_derive, verify_document
-from kleinian.document import RelationDocument
+from kleinian.document import RelationDocument, export_document
+from kleinian.errors import ConfigError
 from kleinian.rationals import Q
 
 G2_SPEC = "family = hyperelliptic_g2\n"
@@ -23,8 +25,7 @@ def run(argv):
     return main(argv)
 
 
-def test_derive_verify_show_export_roundtrip(tmp_path, g2_spec_file, monkeypatch):
-    monkeypatch.setenv("KLEINIAN_CACHE_DIR", str(tmp_path / "cache"))
+def test_derive_verify_show_export_roundtrip(tmp_path, g2_spec_file):
     out = str(tmp_path / "doc.json")
     assert run(["derive", "--curve", g2_spec_file, "--max-weight", "6",
                 "--out", out]) == 0
@@ -43,7 +44,7 @@ def test_derive_verify_show_export_roundtrip(tmp_path, g2_spec_file, monkeypatch
 
 
 def test_document_json_roundtrip(g2, tmp_path):
-    doc = run_derive(g2, 6, cache_dir=None)
+    doc = run_derive(g2, 6)
     text = doc.to_json()
     again = RelationDocument.from_json(text)
     assert again.to_json() == text
@@ -52,34 +53,35 @@ def test_document_json_roundtrip(g2, tmp_path):
         assert a.expr == b.expr and a.weight == b.weight and a.cls == b.cls
 
 
-def test_determinism_and_cache_transparency(g2, tmp_path):
-    cold = run_derive(g2, 6, cache_dir=str(tmp_path / "c"))
-    warm = run_derive(g2, 6, cache_dir=str(tmp_path / "c"))
-    none = run_derive(g2, 6, cache_dir=None)
-    assert cold.to_json() == warm.to_json() == none.to_json()
+def test_derivation_is_byte_deterministic(tmp_path, g2_spec_file):
+    outs = [str(tmp_path / ("doc%d.json" % i)) for i in range(2)]
+    for out in outs:
+        assert run(["derive", "--curve", g2_spec_file, "--max-weight", "6", "--out", out]) == 0
+    first, second = (open(out, "rb").read() for out in outs)
+    assert first == second
 
 
 def test_derive_weight6_exact_content(g2):
-    doc = run_derive(g2, 6, cache_dir=None)
+    doc = run_derive(g2, 6)
     assert sorted(r.weight for r in doc.relations) == [4, 6, 6]
     ok, lines = verify_document(doc)
     assert ok and all(line.startswith("PASS") for line in lines)
 
 
 def test_method_both_agreement(g2):
-    doc = run_derive(g2, 7, method="both", cache_dir=None)
+    doc = run_derive(g2, 7, method="both")
     assert len(doc.classical) == 3
     ok, lines = verify_document(doc)
     assert ok
 
 
 def test_method_classical_only(g2):
-    doc = run_derive(g2, 7, method="classical", cache_dir=None)
+    doc = run_derive(g2, 7, method="classical")
     assert doc.relations == [] and len(doc.classical) == 3
 
 
 def test_verify_detects_corruption(g2):
-    doc = run_derive(g2, 4, cache_dir=None)
+    doc = run_derive(g2, 4)
     data = json.loads(doc.to_json())
     # corrupt the 1/2*a3 constant of the weight-4 relation to a3
     for rel in data["relations"]:
@@ -93,7 +95,7 @@ def test_verify_detects_corruption(g2):
 
 
 def test_trigonal_verify_reports_quartic_residual(trig):
-    doc = run_derive(trig, 6, cache_dir=None)
+    doc = run_derive(trig, 6)
     ok, lines = verify_document(doc)
     assert ok
     assert any(line.startswith("NOTE weight-12 quartic") for line in lines)
@@ -120,8 +122,71 @@ def test_specialized_curve_derivation(tmp_path):
     spec.write_text("family = hyperelliptic_g2\nalpha4 = 2\nalpha3 = -4\n")
     out = str(tmp_path / "s.json")
     assert run(["derive", "--curve", str(spec), "--max-weight", "4",
-                "--out", out, "--no-cache"]) == 0
+                "--out", out]) == 0
     doc = RelationDocument.from_json(open(out).read())
     # p1111 = 6 p11^2 + 2 p11 + 4 p12 - 2 with the parameters substituted
     (rel,) = doc.relations
     assert rel.rhs.coeff(()) == Q(-2)
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '{"format": "kleinian-relations-v1"}'])
+def test_malformed_document_exits_2(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(["verify", "--doc", str(bad)]) == 2
+    assert run(["show", "--doc", str(bad)]) == 2
+
+
+@pytest.fixture(scope="module")
+def doc4_data():
+    from kleinian.curves import HYPERELLIPTIC_G2, curve_by_family
+    return json.loads(run_derive(curve_by_family(HYPERELLIPTIC_G2), 4).to_json())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+def _parses_or_config_error(text):
+    try:
+        doc = RelationDocument.from_json(text)
+    except ConfigError:
+        return
+    # whatever parses can be verified and rendered without a traceback
+    verify_document(doc)
+    export_document(doc, "latex")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_from_json_fuzz_text(text):
+    _parses_or_config_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_from_json_fuzz_json_values(value):
+    _parses_or_config_error(json.dumps(value))
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_json_fuzz_mutated_document(doc4_data, data):
+    # replace one subtree of a valid document by an arbitrary JSON value
+    doc = json.loads(json.dumps(doc4_data))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES)
+    _parses_or_config_error(json.dumps(doc))

@@ -2,14 +2,15 @@
 
 import pytest
 
+from kleinian import curves
 from kleinian.curves import (
     CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, curve_by_family, differentials,
-    kleinian_polar, local_expansion, newton_puiseux_at_infinity, omega_alg,
-    parse_spec, polar_vars, winding_vectors,
+    kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars, winding_vectors,
 )
-from kleinian.errors import ConfigError, TruncationError
+from kleinian.errors import ConfigError, ConventionError, TruncationError
 from kleinian.poly import MultiPoly
 from kleinian.rationals import Q
+from kleinian.series import LaurentSeries
 
 G2 = curve_by_family(HYPERELLIPTIC_G2)
 TRIG = curve_by_family(CYCLIC_TRIGONAL_34)
@@ -44,7 +45,7 @@ def test_parse_specialization_and_errors():
 # -- Puiseux -----------------------------------------------------------------
 
 def test_puiseux_genus2():
-    loc = newton_puiseux_at_infinity(G2, 14)
+    loc = local_expansion(G2, 14)
     ps = params(G2)
     assert loc.x.coeff(-2) == MultiPoly.one()
     # y = -2 xi^-5 (1 + a4/8 xi^2 + ...)
@@ -54,7 +55,7 @@ def test_puiseux_genus2():
 
 
 def test_puiseux_trigonal():
-    loc = newton_puiseux_at_infinity(TRIG, 14)
+    loc = local_expansion(TRIG, 14)
     ps = params(TRIG)
     assert loc.y.coeff(-4) == MultiPoly.one()
     assert loc.y.coeff(-1) == ps["m3"] * Q(1, 3)
@@ -63,13 +64,13 @@ def test_puiseux_trigonal():
 
 def test_puiseux_monomial_curve_exact():
     c = curve_by_family(HYPERELLIPTIC_G2, {"a%d" % k: 0 for k in range(5)})
-    loc = newton_puiseux_at_infinity(c, 12)
+    loc = local_expansion(c, 12)
     assert loc.y.coeffs == {-5: MultiPoly.const(-2)}
 
 
 def test_puiseux_defect_check_via_compose():
     # substituting x(xi), y(xi) into the curve really is 0 mod xi^order
-    loc = newton_puiseux_at_infinity(G2, 12)
+    loc = local_expansion(G2, 12)
     ps = params(G2)
     val = loc.y * loc.y
     xp = {0: MultiPoly.one()}
@@ -87,7 +88,40 @@ def test_puiseux_defect_check_via_compose():
 
 def test_order_precondition():
     with pytest.raises(TruncationError):
-        newton_puiseux_at_infinity(G2, 5)
+        local_expansion(G2, 5)
+
+
+G2_SPECIAL = curve_by_family(HYPERELLIPTIC_G2, {"a4": "3/2"})
+
+
+@pytest.mark.parametrize("curve", [G2, TRIG, G2_SPECIAL], ids=["g2", "trigonal", "g2-a4=3/2"])
+def test_y_power_closed_form(curve):
+    loc = local_expansion(curve, 16)
+    one = LaurentSeries.const(1)
+    for b in (1, 2, 3, 5):
+        prod = loc.y_power(b) * loc.y_power(-b)
+        assert prod.order >= loc.order
+        assert prod.truncate(loc.order) == one.truncate(loc.order), b
+    # y^n = phi(x) through the expansion order
+    phi = LaurentSeries.zero()
+    for deg, c in curve.rhs_coeffs().items():
+        phi = phi + LaurentSeries.xi_power(-curve.n * deg, c)
+    diff = loc.y_power(curve.n) - phi
+    assert diff.order >= loc.order
+    assert all(k >= loc.order for k in diff.coeffs)
+
+
+def test_defect_check_fires_on_corrupted_recurrence_input(monkeypatch):
+    honest = curves._unit_part
+
+    def corrupted(curve, order):
+        unit = honest(curve, order)
+        unit.coeffs[4] = unit.coeffs[4] + MultiPoly.one()
+        return unit
+
+    monkeypatch.setattr(curves, "_unit_part", corrupted)
+    with pytest.raises(ConventionError, match="curve-equation defect"):
+        local_expansion(G2, 14)
 
 
 def test_reparametrization_invariance_via_compose():

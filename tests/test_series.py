@@ -5,9 +5,7 @@ import pytest
 from kleinian.errors import ResidueError, SeriesError
 from kleinian.poly import MultiPoly, param
 from kleinian.rationals import Q
-from kleinian.series import (
-    BiSeries, LaurentSeries, divide_homogeneous, series_compose, series_integrate,
-)
+from kleinian.series import BiSeries, LaurentSeries, divide_homogeneous
 
 A = param("a4", 2)
 
@@ -36,6 +34,17 @@ def test_inverse_roundtrip():
         assert one.coeff(k).is_zero()
 
 
+def test_unit_power_binomial_series():
+    # (1 + xi)^(1/2) = 1 + xi/2 - xi^2/8 + xi^3/16 - 5 xi^4/128 + ...
+    root = LaurentSeries({0: 1, 1: 1}, order=6).unit_power(Q(1, 2))
+    assert [root.coeff(k) for k in range(5)] == [
+        MultiPoly.const(c) for c in (1, Q(1, 2), Q(-1, 8), Q(1, 16), Q(-5, 128))]
+    f = LaurentSeries({0: 1, 2: MultiPoly.sym(A), 3: 5}, order=9)
+    assert f.unit_power(Q(-2, 3)) ** 3 * f ** 2 == LaurentSeries.const(1, 9)
+    with pytest.raises(SeriesError):
+        LaurentSeries({0: 2, 1: 1}, order=4).unit_power(Q(1, 2))
+
+
 def test_inverse_needs_rational_lead():
     s = LaurentSeries({0: MultiPoly.sym(A)}, order=4)
     with pytest.raises(SeriesError):
@@ -52,7 +61,7 @@ def test_compose_pole_with_geometric_check():
     # compose(1/xi, xi + xi^2) = 1/xi - 1 + xi - xi^2 + ...; check by product
     outer = LaurentSeries({-1: 1}, order=6)
     inner = LaurentSeries({1: 1, 2: 1}, order=8)
-    comp = series_compose(outer, inner)
+    comp = outer.compose(inner)
     assert comp.coeff(-1) == MultiPoly.one()
     assert comp.coeff(0) == MultiPoly.const(-1)
     prod = comp * inner
@@ -69,13 +78,13 @@ def test_compose_valuation_violation():
 
 
 def test_integrate_basics():
-    assert series_integrate(LaurentSeries({2: 1}, 9)).coeff(3) == MultiPoly.const(Q(1, 3))
-    assert series_integrate(LaurentSeries({0: 1}, 9)).coeff(1) == MultiPoly.one()
+    assert LaurentSeries({2: 1}, 9).integrate().coeff(3) == MultiPoly.const(Q(1, 3))
+    assert LaurentSeries({0: 1}, 9).integrate().coeff(1) == MultiPoly.one()
 
 
 def test_integrate_rejects_residue():
     with pytest.raises(ResidueError):
-        series_integrate(LaurentSeries({-1: 1}, 5))
+        LaurentSeries({-1: 1}, 5).integrate()
 
 
 def test_integrate_then_differentiate_roundtrip():

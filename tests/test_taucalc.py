@@ -4,7 +4,7 @@ import pytest
 
 from kleinian.errors import TruncationError
 from kleinian.poly import MultiPoly
-from kleinian.taucalc import AbelianContext, SigmaDerivExpr, ladder_reduce, parity_involution
+from kleinian.taucalc import AbelianContext, SigmaDerivExpr, ladder_reduce
 
 
 def zp(ctx, *idx):
@@ -113,8 +113,8 @@ def test_hook_sum_difference_split(g2_model):
 def test_parity_involution_examples(g2):
     ctx = AbelianContext(g2.gap_weights)
     z1 = MultiPoly.sym(ctx.zeta(1))
-    assert parity_involution(z1, ctx) == -z1
-    assert parity_involution(zp(ctx, 1, 1, 2), ctx) == -zp(ctx, 1, 1, 2)
+    assert ctx.parity(z1) == -z1
+    assert ctx.parity(zp(ctx, 1, 1, 2)) == -zp(ctx, 1, 1, 2)
     both = zp(ctx, 1, 1) * zp(ctx, 1, 2)
-    assert parity_involution(both, ctx) == both
-    assert parity_involution(parity_involution(z1 + both, ctx), ctx) == z1 + both
+    assert ctx.parity(both) == both
+    assert ctx.parity(ctx.parity(z1 + both)) == z1 + both
