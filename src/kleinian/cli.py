@@ -49,6 +49,12 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
         raise ConfigError("unknown method %r" % method)
     if method in ("classical", "both") and curve.family != HYPERELLIPTIC_G2:
         raise ConfigError("the classical method applies to the genus-2 curve only")
+    # without the flag, layers stop at 15 (genus 2 adds the Kummer quartic at 16);
+    # refuse a max-weight whose higher layers would come out empty
+    gated = 17 if curve.family == HYPERELLIPTIC_G2 else 16
+    if method != "classical" and max_weight >= gated and not enable_weight16:
+        raise ConfigError("max-weight %d would skip the layers above %d; "
+                          "--enable-weight16 derives them" % (max_weight, gated - 1))
 
     relations = []
     notes: dict[int, list[str]] = {}
@@ -122,6 +128,8 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
             ok = ok and verdict
             lines.append("%s classical %s agrees" % ("PASS" if verdict else "FAIL",
                                                      monomial_str(r.solved_monomial)))
+    for weight, notes in sorted(doc.notes.items()):
+        lines.extend("NOTE w%d %s" % (weight, note) for note in notes)
     if doc.curve.family != HYPERELLIPTIC_G2:
         # consistency report for the printed weight-12 quartic: residual of
         # its reduction modulo the derived database (reported, not asserted)

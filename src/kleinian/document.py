@@ -51,6 +51,12 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
+def _notes(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError("notes must be lists of strings, got %r" % (value,))
+    return value
+
+
 def _monomial_from_json(data, curve, ctx) -> Monomial:
     return tuple(sorted((symbol_from_name(name, curve, ctx), _integer(e, "exponent", 1))
                         for name, e in data))
@@ -146,7 +152,7 @@ class RelationDocument:
             method=data["method"],
             relations=[relation_from_json(r, curve, ctx) for r in data["relations"]],
             classical=[relation_from_json(r, curve, ctx) for r in data["classical_relations"]],
-            notes={int(w): msgs for w, msgs in data.get("notes", {}).items()},
+            notes={int(w): _notes(msgs) for w, msgs in data.get("notes", {}).items()},
         )
 
     def to_db(self) -> RelationDB:

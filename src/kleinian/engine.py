@@ -19,10 +19,10 @@ from .curves import CurveSpec, HYPERELLIPTIC_G2
 from .errors import InconsistentSystemError, ReductionError
 from .partitions import Partition, enumerate_rank2, transpose_classes
 from .poly import (
-    Monomial, MultiPoly, monomial_div, monomial_divides, monomial_key, monomial_str,
-    monomial_weight,
+    Monomial, MultiPoly, Symbol, add_terms, monomial_div, monomial_key, monomial_mul,
+    monomial_str, monomial_weight,
 )
-from .rationals import Q
+from .rationals import Q, QType
 from .taucalc import AbelianContext, TauModel
 
 FOUR_INDEX = "FOUR_INDEX"
@@ -95,42 +95,73 @@ class Relation:
 # rewriting
 
 
-def _find_pivot(mono: Monomial, rules: dict[Monomial, MultiPoly],
-                weights: dict[Monomial, int]) -> Monomial | None:
-    mw = monomial_weight(mono)
-    best = None
-    for pivot in rules:
-        if weights[pivot] > mw:
-            continue
-        if monomial_divides(pivot, mono):
-            if best is None or monomial_key(pivot) > monomial_key(best):
-                best = pivot
-    return best
+class PivotIndex:
+    """Rule pivots bucketed by their first symbol.
+
+    A pivot that divides a monomial has its first symbol among that
+    monomial's symbols, so only those buckets are searched.  Each bucket is
+    kept in descending term order, so the first divisor found in a bucket
+    is that bucket's largest; the largest over all buckets is the pivot a
+    scan over every rule would pick.  Only the pivots are indexed, so
+    right-hand sides may be rewritten in place.
+    """
+
+    def __init__(self, rules: dict[Monomial, MultiPoly]):
+        self.buckets: dict[Symbol, list[tuple[tuple, int, Monomial]]] = {}
+        for pivot in rules:
+            self.buckets.setdefault(pivot[0][0], []).append(
+                (monomial_key(pivot), monomial_weight(pivot), pivot))
+        for bucket in self.buckets.values():
+            bucket.sort(reverse=True)
+
+    def find(self, mono: Monomial, skip: Monomial | None = None) -> Monomial | None:
+        """The largest pivot, other than skip, that divides mono."""
+        mw = monomial_weight(mono)
+        have = dict(mono)
+        best = best_key = None
+        for s in have:
+            for key, weight, pivot in self.buckets.get(s, ()):
+                if best is not None and key <= best_key:
+                    break
+                if weight <= mw and all(have.get(t, 0) >= e for t, e in pivot) \
+                        and pivot != skip:
+                    best, best_key = pivot, key
+                    break
+        return best
 
 
-def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly]) -> MultiPoly:
+def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
+                      index: PivotIndex | None = None,
+                      skip: Monomial | None = None) -> MultiPoly:
     """Rewrite to a normal form, substituting rule pivots greedily.
 
     Deterministic: within a pass every reducible monomial is rewritten by
     its largest applicable pivot.  Bounded passes guard against a cyclic
-    rule set, which would be an internal error.
+    rule set, which would be an internal error.  index is a prebuilt
+    :class:`PivotIndex` over rules; skip leaves one pivot out (a rule's
+    right-hand side is reduced against all the others).
     """
     if not rules:
         return expr
-    weights = {p: monomial_weight(p) for p in rules}
+    if index is None:
+        index = PivotIndex(rules)
+    pivots: dict[Monomial, Monomial | None] = {}
     for _ in range(_REDUCE_PASS_BOUND):
         changed = False
-        out = MultiPoly.zero()
-        pending = MultiPoly.zero()
+        out: dict[Monomial, QType] = {}
         for mono, c in expr.terms.items():
-            pivot = _find_pivot(mono, rules, weights)
+            if mono in pivots:
+                pivot = pivots[mono]
+            else:
+                pivot = pivots[mono] = index.find(mono, skip)
             if pivot is None:
-                out = out + MultiPoly.monomial(mono, c)
+                add_terms(out, ((mono, c),))
             else:
                 changed = True
                 cofactor = monomial_div(mono, pivot)
-                pending = pending + MultiPoly.monomial(cofactor, c) * rules[pivot]
-        expr = out + pending
+                add_terms(out, ((monomial_mul(cofactor, m), c * rc)
+                                for m, rc in rules[pivot].terms.items()))
+        expr = MultiPoly(out)
         if not changed:
             return expr
     raise ReductionError("reduction did not terminate within the pass bound")
@@ -233,11 +264,11 @@ class RelationDB:
                 else:
                     rules[pivot] = rhs
         # normal-form the right-hand sides against each other
+        index = PivotIndex(rules)
         for _ in range(_REDUCE_PASS_BOUND):
             stable = True
             for pivot in sorted(rules, key=monomial_key):
-                rest = {p: rhs for p, rhs in rules.items() if p != pivot}
-                reduced = reduce_with_rules(rules[pivot], rest)
+                reduced = reduce_with_rules(rules[pivot], rules, index, skip=pivot)
                 if reduced != rules[pivot]:
                     rules[pivot] = reduced
                     stable = False

@@ -114,6 +114,23 @@ def monomial_div(b: Monomial, a: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
+def add_terms(out: dict[Monomial, QType],
+              terms: Iterable[tuple[Monomial, QType]]) -> dict[Monomial, QType]:
+    """Add (monomial, coefficient) pairs into out in place; sums that cancel are dropped."""
+    get = out.get
+    for m, c in terms:
+        v = get(m)
+        if v is None:
+            out[m] = c
+        else:
+            v = v + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
 def monomial_key(m: Monomial):
     """Canonical term-order key: (total weight, lexicographic monomial)."""
     return (monomial_weight(m), tuple((s.name, e) for s, e in m))
@@ -172,18 +189,7 @@ class MultiPoly:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            if v is None:
-                out[m] = c
-            else:
-                v = v + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return MultiPoly(out)
+        return MultiPoly(add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -209,20 +215,8 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, QType] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = monomial_mul(m1, m2)
-                v = out.get(m)
-                if v is None:
-                    out[m] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
-        return MultiPoly(out)
+        return MultiPoly(add_terms({}, ((monomial_mul(m1, m2), c1 * c2)
+                                        for m1, c1 in a.items() for m2, c2 in b.items())))
 
     __rmul__ = __mul__
 
@@ -296,7 +290,7 @@ class MultiPoly:
 
     def substitute(self, table: dict[Symbol, "MultiPoly"]) -> "MultiPoly":
         """Replace symbols by polynomials (used for parameter specialization)."""
-        out = MultiPoly.zero()
+        out: dict[Monomial, QType] = {}
         pow_cache: dict[tuple[Symbol, int], MultiPoly] = {}
         for m, c in self.terms.items():
             term = MultiPoly.const(c)
@@ -313,20 +307,22 @@ class MultiPoly:
                     plain.append((s, e))
             if plain:
                 term = term * MultiPoly.monomial(tuple(sorted(plain)))
-            out = out + term
-        return out
+            add_terms(out, term.terms.items())
+        return MultiPoly(out)
 
     def derive(self, dmap: Callable[[Symbol], "MultiPoly | None"]) -> "MultiPoly":
         """Formal derivation: dmap gives the image of each symbol (None = 0)."""
-        out = MultiPoly.zero()
+        out: dict[Monomial, QType] = {}
         for m, c in self.terms.items():
             for i, (s, e) in enumerate(m):
                 ds = dmap(s)
-                if ds is None or ds.is_zero():
+                if not ds:
                     continue
+                # removing or lowering one factor keeps the monomial sorted
                 rest = m[:i] + ((s, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                out = out + MultiPoly.monomial(tuple(sorted(rest)), c * e) * ds
-        return out
+                ce = c * e
+                add_terms(out, ((monomial_mul(rest, m2), ce * c2) for m2, c2 in ds.terms.items()))
+        return MultiPoly(out)
 
     # -- rendering ----------------------------------------------------------
 

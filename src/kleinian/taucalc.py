@@ -1,4 +1,4 @@
-"""Time-derivatives of the curve's tau model and the sigma ladder.
+"""Time-derivatives of the curve's tau model.
 
 The tau model of a curve is the ratio
 
@@ -8,25 +8,30 @@ The tau model of a curve is the ratio
 where R_k are the winding vectors (expansion coefficients of the
 normalized differentials) and q_{kl} is the (k-1, l-1) entry of the
 algebraic bi-differential table, so that wt(q_{kl}) = k + l matches
-wt(t_k t_l) = -(k + l).  A derivative d/dt_k acts on the sigma factor as
-the directional derivative sum_i (R_k)_i d/du_i and on the Gaussian
-factor by Wick pairing, so a monomial time-derivative at t = 0 is a sum
-over partial matchings: matched pairs contribute q factors, unmatched
-indices directional sigma-derivatives.
+wt(t_k t_l) = -(k + l).  By Leibniz, the derivative d^|K|/dt_K at t = 0
+for a time multiset K is the sub-multiset convolution
 
-Ratios sigma_J/sigma reduce to polynomials in zeta_i and p_J through the
-ladder recursion P_{J+i} = zeta_i P_J + d_i P_J with d_i zeta_j = -p_ij
-and d_i p_J = p_{J+i}; only such ratios ever appear, so the modular
-constant and the overall parity sign of sigma drop out.
+    sum_{A <= K} prod_k C(m_k, a_k) * S(A) * G(K - A)
+
+with m_k, a_k the multiplicities of k in K and A.  The sigma factor
+S(A) = (prod_{k in A} D_k sigma)/sigma, D_k = sum_i (R_k)_i d/du_i, obeys
+the ladder S(A+k) = sum_i (R_k)_i (zeta_i S(A) + d_i S(A)), with
+d_i zeta_j = -p_ij and d_i p_J = p_{J+i}; it is a polynomial in zeta_i,
+p_J and the parameters, so the modular constant and the overall parity
+sign of sigma drop out.  The Gaussian factor G(B) is the Wick/Isserlis
+moment: G(B) = sum over the values v of B - {b} of mult(v) q_{bv}
+G(B - {b, v}) for the first entry b, G = 0 for odd |B| and G(()) = 1.
+Both factors are memoized per model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import product
+from math import comb, prod
 
 from .curves import CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg, winding_vectors
 from .errors import TruncationError
-from .poly import MultiPoly, Symbol, wp_symbol, zeta_symbol
+from .poly import MultiPoly, Symbol, add_terms, wp_symbol, zeta_symbol
 from .rationals import Q
 from .schur import hook_schur, schur_poly
 
@@ -40,7 +45,6 @@ class AbelianContext:
         # specialized curves collapse the parameter grading; weight
         # homogeneity is only asserted when graded is set
         self.graded = graded
-        self._ladder: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
 
     def wp(self, *indices) -> Symbol:
         if len(indices) == 1 and not isinstance(indices[0], int):
@@ -69,18 +73,6 @@ class AbelianContext:
             expr = self.diff(expr, i)
         return expr
 
-    def ladder(self, J) -> MultiPoly:
-        """sigma_J / sigma as a polynomial in zeta and p symbols."""
-        J = tuple(sorted(J))
-        got = self._ladder.get(J)
-        if got is not None:
-            return got
-        head, i = J[:-1], J[-1]
-        prev = self.ladder(head)
-        out = MultiPoly.sym(self.zeta(i)) * prev + self.diff(prev, i)
-        self._ladder[J] = out
-        return out
-
     def parity(self, expr: MultiPoly) -> MultiPoly:
         """Involution u -> -u: zeta_i -> -zeta_i, p_J -> (-1)^|J| p_J."""
         out = {}
@@ -91,42 +83,6 @@ class AbelianContext:
 
     def is_zeta_free(self, expr: MultiPoly) -> bool:
         return not any(s.kind == "zeta" for m in expr.terms for s, _ in m)
-
-
-def ladder_reduce(expr: "SigmaDerivExpr") -> MultiPoly:
-    """Eliminate all sigma_J/sigma ratios through the ladder recursion."""
-    out = MultiPoly.zero()
-    for J, coeff in expr.parts.items():
-        out = out + coeff * expr.ctx.ladder(J)
-    return out
-
-
-@dataclass
-class SigmaDerivExpr:
-    """Polynomial over the parameter ring in formal ratios sigma_J/sigma.
-
-    parts maps the sorted index multiset J to its coefficient; J = () is
-    the scalar part (sigma itself cancels).
-    """
-
-    ctx: AbelianContext
-    parts: dict[tuple[int, ...], MultiPoly] = field(default_factory=dict)
-
-    def add(self, J: tuple[int, ...], coeff: MultiPoly):
-        J = tuple(sorted(J))
-        got = self.parts.get(J)
-        total = coeff if got is None else got + coeff
-        if total.is_zero():
-            self.parts.pop(J, None)
-        else:
-            self.parts[J] = total
-
-    def __repr__(self):
-        bits = []
-        for J in sorted(self.parts):
-            name = "s[%s]/s" % ",".join(map(str, J)) if J else "1"
-            bits.append("(%s)*%s" % (self.parts[J].text(), name))
-        return " + ".join(bits) or "0"
 
 
 class TauModel:
@@ -141,8 +97,9 @@ class TauModel:
         self.winding = winding
         self.omega = omega
         self.max_time_index = max_time_index
-        self._deriv_cache: dict[tuple[int, ...], SigmaDerivExpr] = {}
-        self._abelian_cache: dict[tuple[int, ...], MultiPoly] = {}
+        self._sigma: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
+        self._gauss: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
+        self._tau: dict[tuple[int, ...], MultiPoly] = {}
 
     @classmethod
     def build(cls, curve: CurveSpec, max_weight: int) -> "TauModel":
@@ -159,65 +116,65 @@ class TauModel:
             raise TruncationError("time index beyond model truncation")
         return self.omega.entry(k - 1, l - 1)
 
-    # -- directional sigma derivatives ---------------------------------------
+    # -- the two Leibniz factors and their convolution -----------------------
 
-    def _directional(self, times: tuple[int, ...], out: SigmaDerivExpr, scale: MultiPoly):
-        """Expand prod_k (sum_i (R_k)_i d/du_i) sigma / sigma into out."""
-        states: dict[tuple[int, ...], MultiPoly] = {(): scale}
-        for k in times:
-            nxt: dict[tuple[int, ...], MultiPoly] = {}
-            for J, coeff in states.items():
-                for i in range(1, self.ctx.genus + 1):
-                    r = self.winding.entry(k, i)
-                    if r.is_zero():
-                        continue
-                    J2 = tuple(sorted(J + (i,)))
-                    c2 = coeff * r
-                    got = nxt.get(J2)
-                    nxt[J2] = c2 if got is None else got + c2
-            states = nxt
-            if not states:
-                return
-        for J, coeff in states.items():
-            out.add(J, coeff)
+    def _sigma_ratio(self, A: tuple[int, ...]) -> MultiPoly:
+        """S(A) for a sorted time multiset A, built on its sorted prefix."""
+        got = self._sigma.get(A)
+        if got is not None:
+            return got
+        prev, k = self._sigma_ratio(A[:-1]), A[-1]
+        out: dict = {}
+        for i in range(1, self.ctx.genus + 1):
+            r = self.winding.entry(k, i)
+            if not r.is_zero():
+                step = MultiPoly.sym(self.ctx.zeta(i)) * prev + self.ctx.diff(prev, i)
+                add_terms(out, (step * r).terms.items())
+        got = self._sigma[A] = MultiPoly(out)
+        return got
 
-    def tau_t_derivative(self, times) -> SigmaDerivExpr:
+    def _gaussian(self, B: tuple[int, ...]) -> MultiPoly:
+        """G(B) for a sorted time multiset B, pairing its first entry."""
+        if len(B) % 2:
+            return MultiPoly.zero()
+        got = self._gauss.get(B)
+        if got is not None:
+            return got
+        head, rest = B[0], B[1:]
+        out: dict = {}
+        for v in sorted(set(rest)):
+            qv = self.q(head, v)
+            if qv.is_zero():
+                continue
+            j = rest.index(v)
+            g = self._gaussian(rest[:j] + rest[j + 1:])
+            add_terms(out, (qv * g * rest.count(v)).terms.items())
+        got = self._gauss[B] = MultiPoly(out)
+        return got
+
+    def tau_t_derivative(self, times) -> MultiPoly:
         """d^|K|/dt_K of tau(t;u)/tau(0;u) at t = 0, K a time multiset."""
         key = tuple(sorted(times))
-        got = self._deriv_cache.get(key)
+        got = self._tau.get(key)
         if got is not None:
             return got
         for k in key:
             if k > self.max_time_index:
                 raise TruncationError("time index %d beyond model truncation" % k)
-        out = SigmaDerivExpr(self.ctx)
-
-        # Sum over partial matchings of the index positions: each matched
-        # pair (a,b) contributes q_{ab}, unmatched indices act on sigma.
-        # Pairing the head with equal values at different positions counts
-        # with multiplicity, so positions are kept distinguished.
-        def walk(rest: tuple[int, ...], qfactor: MultiPoly, unmatched: tuple[int, ...]):
-            if not rest:
-                self._directional(unmatched, out, qfactor)
-                return
-            head, tail = rest[0], rest[1:]
-            walk(tail, qfactor, unmatched + (head,))
-            for pos, val in enumerate(tail):
-                qv = self.q(head, val)
-                if qv.is_zero():
-                    continue
-                walk(tail[:pos] + tail[pos + 1:], qfactor * qv, unmatched)
-
-        walk(key, MultiPoly.one(), ())
-        self._deriv_cache[key] = out
-        return out
-
-    def tau_t_derivative_abelian(self, times) -> MultiPoly:
-        key = tuple(sorted(times))
-        got = self._abelian_cache.get(key)
-        if got is None:
-            got = ladder_reduce(self.tau_t_derivative(key))
-            self._abelian_cache[key] = got
+        values = sorted(set(key))
+        mults = [key.count(v) for v in values]
+        out: dict = {}
+        for split in product(*(range(m + 1) for m in mults)):
+            rest = tuple(v for v, m, a in zip(values, mults, split) for _ in range(m - a))
+            g = self._gaussian(rest)
+            if not g:
+                continue
+            s = self._sigma_ratio(tuple(v for v, a in zip(values, split) for _ in range(a)))
+            if not s:
+                continue
+            scale = prod(comb(m, a) for m, a in zip(mults, split))
+            add_terms(out, (s * (g * scale)).terms.items())
+        got = self._tau[key] = MultiPoly(out)
         return got
 
     # -- Schur-operator application ------------------------------------------
@@ -227,7 +184,7 @@ class TauModel:
 
         Each monomial prod t_k^{e_k} acts as prod (1/k d/dt_k)^{e_k}.
         """
-        acc = MultiPoly.zero()
+        acc: dict = {}
         for mono, coeff in poly.terms.items():
             times: list[int] = []
             scale = Q(1)
@@ -237,8 +194,8 @@ class TauModel:
                 k = s.indices[0]
                 times.extend([k] * e)
                 scale *= Q(1, k) ** e
-            acc = acc + self.tau_t_derivative_abelian(tuple(times)) * (coeff * scale)
-        return acc
+            add_terms(acc, (self.tau_t_derivative(tuple(times)) * (coeff * scale)).terms.items())
+        return MultiPoly(acc)
 
     def hook(self, m: int, n: int) -> MultiPoly:
         """s_(m|n)(D~) tau / tau at t = 0 (no sign factor)."""

@@ -1,6 +1,7 @@
 """CLI and document layer: round-trips, determinism, verification, export."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +109,51 @@ def test_config_errors(tmp_path, g2_spec_file):
     assert run(["derive", "--curve", g2_spec_file, "--max-weight", "3",
                 "--out", str(tmp_path / "x.json")]) == 2
     assert run(["verify", "--doc", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("spec, weight", [(G2_SPEC, 17), (TRIG_SPEC, 16)])
+def test_gated_layers_refused_before_work(tmp_path, spec, weight):
+    # without --enable-weight16 the layers above 15 (above the weight-16
+    # Kummer stand-in on genus 2) would come out empty
+    curve = tmp_path / "c.curve"
+    curve.write_text(spec)
+    out = tmp_path / "o.json"
+    start = time.perf_counter()
+    assert run(["derive", "--curve", str(curve), "--max-weight", str(weight),
+                "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
+def test_verify_reports_unresolved_rows(g2, tmp_path, capsys):
+    doc = run_derive(g2, 6)
+    doc.notes = {6: ["unresolved row (no rational pivot): a3*p111"]}
+    path = tmp_path / "noted.json"
+    path.write_text(doc.to_json())
+    ok, lines = verify_document(RelationDocument.from_json(path.read_text()))
+    assert ok
+    assert "NOTE w6 unresolved row (no rational pivot): a3*p111" in lines
+    assert run(["verify", "--doc", str(path)]) == 0
+    assert "NOTE w6 unresolved row" in capsys.readouterr().out
+    data = json.loads(path.read_text())
+    for bad in ("a3*p111", [1], None):
+        data["notes"] = {"6": bad}
+        with pytest.raises(ConfigError):
+            RelationDocument.from_json(json.dumps(data))
+
+
+def test_fold_and_rank3_flags_leave_relations_unchanged(tmp_path, g2_spec_file):
+    def derive(*flags):
+        out = tmp_path / "doc.json"
+        assert run(["derive", "--curve", g2_spec_file, "--max-weight", "10",
+                    "--out", str(out), *flags]) == 0
+        doc = RelationDocument.from_json(out.read_text())
+        assert doc.notes == {}
+        return [(r.weight, r.cls, r.expr) for r in doc.relations]
+
+    always = derive("--fold-transposes", "always")
+    assert derive("--fold-transposes", "never") == always
+    assert derive("--enable-rank3") == always
 
 
 def test_classical_rejected_for_trigonal(tmp_path):

@@ -1,6 +1,7 @@
 """Curve model: Puiseux expansions, differentials, winding vectors, omega tables."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kleinian import curves
 from kleinian.curves import (
@@ -40,6 +41,25 @@ def test_parse_specialization_and_errors():
         parse_spec("family = hyperelliptic_g2\nalpha4 = x\n")
     with pytest.raises(ConfigError):
         parse_spec("alpha4 = 1\n")  # no family
+
+
+SPEC_KEYS = st.sampled_from(["family", "FAMILY", "alpha4", "a3", "mu1", "lambda2", "m",
+                             "a", "x1", ""]) | st.text(max_size=8)
+SPEC_VALUES = st.sampled_from(["hyperelliptic_g2", "cyclic_trigonal_34", "3/2", "-1",
+                               "1/0", "0", " 7 ", "x", ""]) | st.text(max_size=8)
+SPEC_LINES = (st.builds("{} = {}".format, SPEC_KEYS, SPEC_VALUES)
+              | st.builds("{}={} # {}".format, SPEC_KEYS, SPEC_VALUES, st.text(max_size=4))
+              | st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.lists(SPEC_LINES, max_size=6).map("\n".join))
+def test_parse_spec_parses_or_raises_config_error(text):
+    try:
+        curve = parse_spec(text)
+    except ConfigError:
+        return
+    assert curve.family in (HYPERELLIPTIC_G2, CYCLIC_TRIGONAL_34)
 
 
 # -- Puiseux -----------------------------------------------------------------

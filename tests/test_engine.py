@@ -1,16 +1,19 @@
 """Relation engine: layers, reduction, elimination, classification, Kummer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobian_oracle import vanishes_on_jacobian
 from kleinian.engine import (
-    FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, RelationDB,
+    FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex, RelationDB,
     classify, cross_differentiate, derive_at_weight, kummer_quartic, linear_solve,
     plucker_relation, reduce_mod_db,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, enumerate_rank2, transpose_classes
-from kleinian.poly import MultiPoly, monomial_str
+from kleinian.poly import (
+    MultiPoly, monomial_divides, monomial_key, monomial_mul, monomial_str, monomial_weight,
+)
 from kleinian.rationals import Q
 from kleinian.tables import relation_table
 
@@ -104,6 +107,49 @@ def test_reduce_quartic_products_consistently(g2_db):
         0 + reduce_mod_db(ctx.wp_poly((1, 1, 1)) ** 2 * ctx.wp_poly((1, 1, 2)) ** 2, g2_db)
     b = reduce_mod_db((ctx.wp_poly((1, 1, 1)) * ctx.wp_poly((1, 1, 2))) ** 2, g2_db)
     assert a == b
+
+
+# -- pivot index against the linear scan it replaces ----------------------------
+
+def scan_pivot(mono, rules, skip=None):
+    """Reference: scan every rule, keep the largest dividing pivot."""
+    mw = monomial_weight(mono)
+    best = None
+    for pivot in rules:
+        if pivot == skip or monomial_weight(pivot) > mw:
+            continue
+        if monomial_divides(pivot, mono):
+            if best is None or monomial_key(pivot) > monomial_key(best):
+                best = pivot
+    return best
+
+
+@pytest.fixture(scope="module")
+def g2_rules(g2_db):
+    """The weight-10 closure rules, their pivots and every symbol they use."""
+    rules, _ = g2_db.closure(10)
+    pivots = sorted(rules, key=monomial_key)
+    symbols = sorted({s for p in pivots for s, _ in p}
+                     | {s for rhs in rules.values() for s in rhs.symbols()})
+    return rules, pivots, symbols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pivot_index_matches_linear_scan(g2_rules, data):
+    rules, pivots, symbols = g2_rules
+    factors = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 3),
+                                        max_size=5))
+    mono = tuple(sorted(factors.items()))
+    if data.draw(st.booleans()):
+        # a multiple of a pivot, so that some rule surely applies
+        mono = monomial_mul(mono, data.draw(st.sampled_from(pivots)))
+    index = PivotIndex(rules)
+    want = scan_pivot(mono, rules)
+    assert index.find(mono) == want
+    if want is not None:
+        # the closure inter-reduction leaves a rule's own pivot out
+        assert index.find(mono, skip=want) == scan_pivot(mono, rules, skip=want)
 
 
 # -- hyperelliptic transpose identity ------------------------------------------

@@ -1,73 +1,153 @@
-"""Tau-model calculus: ladder, time-derivatives, hooks, parity."""
+"""Tau-model calculus: time-derivatives, hooks, parity.
+
+The reference implementation below is the direct expansion that the
+model's Leibniz/Wick recursions replace: a sum over partial matchings of
+the time positions (matched pairs give q factors, unmatched positions
+act as directional sigma derivatives), whose sigma_J/sigma ratios are then
+eliminated through the ladder P_{J+i} = zeta_i P_J + d_i P_J.
+"""
 
 import pytest
 
 from kleinian.errors import TruncationError
 from kleinian.poly import MultiPoly
-from kleinian.taucalc import AbelianContext, SigmaDerivExpr, ladder_reduce
+from kleinian.taucalc import AbelianContext
 
 
 def zp(ctx, *idx):
     return ctx.wp_poly(idx)
 
 
+# -- reference oracle: partial matchings and the sigma ladder ------------------
+
+def ladder(ctx, J, cache):
+    """sigma_J / sigma as a polynomial in zeta and p symbols."""
+    J = tuple(sorted(J))
+    if not J:
+        return MultiPoly.one()
+    if J not in cache:
+        prev = ladder(ctx, J[:-1], cache)
+        cache[J] = MultiPoly.sym(ctx.zeta(J[-1])) * prev + ctx.diff(prev, J[-1])
+    return cache[J]
+
+
+def ladder_reduce(ctx, parts, cache):
+    """Eliminate the formal ratios sigma_J/sigma of {J: coefficient}."""
+    out = MultiPoly.zero()
+    for J, coeff in parts.items():
+        out = out + coeff * ladder(ctx, J, cache)
+    return out
+
+
+def directional(model, times, scale, parts):
+    """Add prod_k (sum_i (R_k)_i d/du_i) sigma / sigma, times scale, into parts."""
+    states = {(): scale}
+    for k in times:
+        nxt = {}
+        for J, coeff in states.items():
+            for i in range(1, model.ctx.genus + 1):
+                r = model.winding.entry(k, i)
+                if r.is_zero():
+                    continue
+                J2 = tuple(sorted(J + (i,)))
+                nxt[J2] = nxt.get(J2, MultiPoly.zero()) + coeff * r
+        states = nxt
+    for J, coeff in states.items():
+        parts[J] = parts.get(J, MultiPoly.zero()) + coeff
+
+
+def reference_tau_derivative(model, times, cache):
+    """d^|K|/dt_K of the tau ratio at t = 0 by the partial-matching walk."""
+    parts = {}
+
+    def walk(rest, qfactor, unmatched):
+        if not rest:
+            directional(model, unmatched, qfactor, parts)
+            return
+        head, tail = rest[0], rest[1:]
+        walk(tail, qfactor, unmatched + (head,))
+        # positions stay distinguished, so equal values pair with multiplicity
+        for pos, val in enumerate(tail):
+            qv = model.q(head, val)
+            if not qv.is_zero():
+                walk(tail[:pos] + tail[pos + 1:], qfactor * qv, unmatched)
+
+    walk(tuple(sorted(times)), MultiPoly.one(), ())
+    return ladder_reduce(model.ctx, parts, cache)
+
+
+def time_multisets(weight):
+    """Sorted time multisets (partitions) of total weight 1..weight."""
+    def parts(n, largest):
+        if n == 0:
+            yield ()
+            return
+        for k in range(min(n, largest), 0, -1):
+            for rest in parts(n - k, k):
+                yield rest + (k,)
+
+    return [K for n in range(1, weight + 1) for K in parts(n, n)]
+
+
 def test_ladder_first_rungs(g2):
     ctx = AbelianContext(g2.gap_weights)
+    cache = {}
     z1 = MultiPoly.sym(ctx.zeta(1))
     z2 = MultiPoly.sym(ctx.zeta(2))
-    assert ctx.ladder((1,)) == z1
-    assert ctx.ladder((1, 2)) == z1 * z2 - zp(ctx, 1, 2)
+    assert ladder(ctx, (1,), cache) == z1
+    assert ladder(ctx, (1, 2), cache) == z1 * z2 - zp(ctx, 1, 2)
     expected = (z1 * z2 * z1 - z1 * zp(ctx, 1, 2) - z2 * zp(ctx, 1, 1)
                 - z1 * zp(ctx, 1, 2) - zp(ctx, 1, 1, 2))
-    assert ctx.ladder((1, 1, 2)) == expected
+    assert ladder(ctx, (1, 1, 2), cache) == expected
 
 
 def test_ladder_commutes_with_differentiation(g2):
     # P_{J+i} = zeta_i P_J + d_i P_J must hold for every insertion order
     ctx = AbelianContext(g2.gap_weights)
+    cache = {}
     for J in [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2)]:
         for i in (1, 2):
-            lhs = ctx.ladder(tuple(sorted(J + (i,))))
-            rhs = MultiPoly.sym(ctx.zeta(i)) * ctx.ladder(J) + ctx.diff(ctx.ladder(J), i)
+            lhs = ladder(ctx, J + (i,), cache)
+            rhs = MultiPoly.sym(ctx.zeta(i)) * ladder(ctx, J, cache) + ctx.diff(ladder(ctx, J, cache), i)
             assert lhs == rhs
 
 
 def test_sigma_ratio_reduction(g2):
     ctx = AbelianContext(g2.gap_weights)
-    e = SigmaDerivExpr(ctx)
-    e.add((1,), MultiPoly.one())
-    assert ladder_reduce(e) == MultiPoly.sym(ctx.zeta(1))
-    e = SigmaDerivExpr(ctx)
-    e.add((1, 2), MultiPoly.one())
-    assert ladder_reduce(e) == MultiPoly.sym(ctx.zeta(1)) * MultiPoly.sym(ctx.zeta(2)) - zp(ctx, 1, 2)
+    assert ladder_reduce(ctx, {(1,): MultiPoly.one()}, {}) == MultiPoly.sym(ctx.zeta(1))
+    assert (ladder_reduce(ctx, {(1, 2): MultiPoly.one()}, {})
+            == MultiPoly.sym(ctx.zeta(1)) * MultiPoly.sym(ctx.zeta(2)) - zp(ctx, 1, 2))
+
+
+@pytest.mark.parametrize("which, top", [("g2_model", 10), ("trig_model", 6)])
+def test_tau_derivative_matches_matching_walk(request, which, top):
+    model = request.getfixturevalue(which)
+    cache = {}
+    for K in time_multisets(top):
+        assert model.tau_t_derivative(K) == reference_tau_derivative(model, K, cache), K
 
 
 def test_tau_derivative_first_orders(g2_model):
-    ctx = g2_model.ctx
-    d1 = g2_model.tau_t_derivative((1,))
-    assert d1.parts == {(1,): MultiPoly.one()}
-    d11 = g2_model.tau_t_derivative((1, 1))
-    assert d11.parts[(1, 1)] == MultiPoly.one()
-    assert d11.parts[()] == g2_model.q(1, 1)  # the t1t1 pairing
+    ctx, cache = g2_model.ctx, {}
+    assert g2_model.tau_t_derivative((1,)) == ladder(ctx, (1,), cache)
+    # the t1t1 pairing
+    assert g2_model.tau_t_derivative((1, 1)) == ladder(ctx, (1, 1), cache) + g2_model.q(1, 1)
     # mixed t1 t2: R_2 = 0 and q_12 = 0 for the hyperelliptic curve
-    d12 = g2_model.tau_t_derivative((1, 2))
-    assert d12.parts == {}
+    assert g2_model.tau_t_derivative((1, 2)).is_zero()
 
 
 def test_tau_derivative_mixed_trigonal(trig_model):
     d12 = trig_model.tau_t_derivative((1, 2))
-    assert d12.parts[(1, 2)] == MultiPoly.one()
-    assert d12.parts[()] == trig_model.q(1, 2)
+    assert d12 == ladder(trig_model.ctx, (1, 2), {}) + trig_model.q(1, 2)
     assert not trig_model.q(1, 2).is_zero()
 
 
 def test_pairing_multiplicity(g2_model):
     # t1^4: 3 double pairings and 6 single pairings of four positions
-    d = g2_model.tau_t_derivative((1, 1, 1, 1))
+    ctx, cache = g2_model.ctx, {}
     q11 = g2_model.q(1, 1)
-    assert d.parts[()] == q11 * q11 * 3
-    assert d.parts[(1, 1)] == q11 * 6
-    assert d.parts[(1, 1, 1, 1)] == MultiPoly.one()
+    assert g2_model.tau_t_derivative((1, 1, 1, 1)) == (
+        ladder(ctx, (1, 1, 1, 1), cache) + q11 * 6 * ladder(ctx, (1, 1), cache) + q11 * q11 * 3)
 
 
 def test_truncation_guard(g2_model):
@@ -103,8 +183,8 @@ def test_a_hook_antisymmetry(g2_model, trig_model):
 def test_hook_sum_difference_split(g2_model):
     # s2 + s11 = t1^2 and s2 - s11 = 2 t2 transfer to hook values
     b10, b01 = g2_model.hook(1, 0), g2_model.hook(0, 1)
-    d11 = g2_model.tau_t_derivative_abelian((1, 1))
-    d2 = g2_model.tau_t_derivative_abelian((2,))
+    d11 = g2_model.tau_t_derivative((1, 1))
+    d2 = g2_model.tau_t_derivative((2,))
     assert b10 + b01 == d11
     assert b10 - b01 == d2
     assert d2.is_zero()  # hyperelliptic: R_2 = 0
