@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over the rationals in weight-graded symbols.
 
-A :class:`Symbol` is a named generator carrying a fixed Sato weight.  A
-monomial is a tuple of ``(symbol, exponent)`` pairs sorted by symbol name;
-a :class:`MultiPoly` maps monomials to nonzero rational coefficients.  The
-zero polynomial is the empty map.  All values are immutable in practice:
+A :class:`Symbol` is a named generator carrying a fixed Sato weight; symbols
+are interned, so they hash and compare by identity.  A monomial is a tuple
+of ``(symbol, exponent)`` pairs sorted by symbol name; a :class:`MultiPoly`
+maps monomials to nonzero rational coefficients.  The zero polynomial is
+the empty map.  All values are immutable in practice:
 no method mutates its operands, so polynomials can be shared freely.
 
 The canonical term order used everywhere (export, pivot selection) is
@@ -13,7 +14,6 @@ by (symbol name, exponent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .rationals import Q, QType, q_str, qify
@@ -22,26 +22,51 @@ from .rationals import Q, QType, q_str, qify
 # symbols
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """A named generator with a fixed Sato weight.
+    """A named generator with a fixed Sato weight, interned.
 
     kind distinguishes curve parameters ("param"), Kleinian symbols
     ("wp", "zeta"), formal times ("time") and scaled derivations ("dop"),
     and auxiliary point coordinates ("aux").  indices carries the
     multi-index of wp/zeta symbols and the k of t_k.
+
+    The constructor returns the one instance for each (name, weight, kind,
+    indices), so equality and hashing are object identity; attributes are
+    read-only.
     """
 
-    name: str
-    weight: int
-    kind: str = "param"
-    indices: tuple[int, ...] = ()
+    __slots__ = ("name", "weight", "kind", "indices")
+
+    def __new__(cls, name: str, weight: int, kind: str = "param",
+                indices: tuple[int, ...] = ()) -> "Symbol":
+        key = (name, weight, kind, indices)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for attr, value in zip(cls.__slots__, key):
+                object.__setattr__(self, attr, value)
+            # setdefault: a racing constructor keeps the instance stored first
+            self = _INTERNED.setdefault(key, self)
+        return self
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("Symbol attributes are read-only")
+
+    def __delattr__(self, attr):
+        raise AttributeError("Symbol attributes are read-only")
+
+    def __reduce__(self):
+        # copies and unpickled symbols are the interned instance
+        return Symbol, (self.name, self.weight, self.kind, self.indices)
 
     def __lt__(self, other: "Symbol"):
         return self.name < other.name
 
     def __repr__(self):
         return self.name
+
+
+_INTERNED: dict[tuple, Symbol] = {}
 
 
 def param(name: str, weight: int) -> Symbol:
@@ -53,12 +78,18 @@ def wp_symbol(indices: Iterable[int], gap_weights: tuple[int, ...]) -> Symbol:
     idx = tuple(sorted(indices))
     if len(idx) < 2:
         raise ValueError("wp symbols need at least two indices")
-    weight = sum(gap_weights[i - 1] for i in idx)
+    weight = sum(_gap_weight(i, gap_weights) for i in idx)
     return Symbol("p" + "".join(map(str, idx)), weight, "wp", idx)
 
 
 def zeta_symbol(i: int, gap_weights: tuple[int, ...]) -> Symbol:
-    return Symbol("z%d" % i, gap_weights[i - 1], "zeta", (i,))
+    return Symbol("z%d" % i, _gap_weight(i, gap_weights), "zeta", (i,))
+
+
+def _gap_weight(i: int, gap_weights: tuple[int, ...]) -> int:
+    if not 1 <= i <= len(gap_weights):
+        raise ValueError("index %d outside 1..%d" % (i, len(gap_weights)))
+    return gap_weights[i - 1]
 
 
 def time_symbol(k: int) -> Symbol:
@@ -85,7 +116,13 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     out = dict(a)
     for s, e in b:
         out[s] = out.get(s, 0) + e
-    return tuple(sorted(out.items()))
+    if len(out) == 1:
+        return tuple(out.items())
+    return tuple(sorted(out.items(), key=_factor_name))
+
+
+def _factor_name(factor: tuple[Symbol, int]) -> str:
+    return factor[0].name
 
 
 def monomial_weight(m: Monomial) -> int:
@@ -111,7 +148,8 @@ def monomial_div(b: Monomial, a: Monomial) -> Monomial:
             out[s] = r
         else:
             del out[s]
-    return tuple(sorted(out.items()))
+    # out keeps b's (sorted) insertion order
+    return tuple(out.items())
 
 
 def add_terms(out: dict[Monomial, QType],

@@ -163,8 +163,26 @@ class LaurentSeries:
                 result = base if result is None else result * base
             e >>= 1
             if e:
-                base = base * base
+                base = base._square()
         return result
+
+    def _square(self) -> "LaurentSeries":
+        """self * self, multiplying each unordered pair of coefficients once."""
+        if self.is_zero():
+            return self * self
+        order = self.order + self.valuation()
+        items = sorted(self.coeffs.items())
+        out: dict[int, MultiPoly] = {}
+        for i, (k1, c1) in enumerate(items):
+            twice = c1 * 2
+            for k2, c2 in items[i:]:
+                k = k1 + k2
+                if k >= order:
+                    break
+                p = (c1 if k2 == k1 else twice) * c2
+                v = out.get(k)
+                out[k] = p if v is None else v + p
+        return LaurentSeries(out, order)
 
     def unit_power(self, alpha) -> "LaurentSeries":
         """f^alpha for a unit f = 1 + O(xi) and any rational alpha, to f's order.

@@ -1,11 +1,15 @@
 """CLI and document layer: round-trips, determinism, verification, export."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kleinian
 from kleinian.cli import main, run_derive, verify_document
 from kleinian.document import RelationDocument, export_document
 from kleinian.errors import ConfigError
@@ -55,9 +59,14 @@ def test_document_json_roundtrip(g2, tmp_path):
 
 
 def test_derivation_is_byte_deterministic(tmp_path, g2_spec_file):
+    # separate processes with different hash seeds: symbol hashes (object
+    # identity) and string hashes both differ between the two runs
+    src = os.path.dirname(os.path.dirname(kleinian.__file__))
     outs = [str(tmp_path / ("doc%d.json" % i)) for i in range(2)]
-    for out in outs:
-        assert run(["derive", "--curve", g2_spec_file, "--max-weight", "6", "--out", out]) == 0
+    for seed, out in zip(("1", "2"), outs):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "kleinian.cli", "derive", "--curve", g2_spec_file,
+                        "--max-weight", "8", "--out", out], env=env, check=True)
     first, second = (open(out, "rb").read() for out in outs)
     assert first == second
 
@@ -175,7 +184,19 @@ def test_specialized_curve_derivation(tmp_path):
     assert rel.rhs.coeff(()) == Q(-2)
 
 
-@pytest.mark.parametrize("text", ["not json", "[]", '{"format": "kleinian-relations-v1"}'])
+def _document_naming(symbol):
+    """A genus-2 document whose only relation has the term 1*symbol."""
+    return json.dumps({
+        "format": "kleinian-relations-v1", "engine_version": "1.0.0",
+        "curve": {"family": "hyperelliptic_g2", "parameters": {}},
+        "max_weight": 4, "method": "plucker", "classical_relations": [], "notes": {},
+        "relations": [{"weight": 4, "class": "FOUR_INDEX", "solved_monomial": [["p1111", 1]],
+                       "source_partitions": [[2, 2]],
+                       "terms": [{"coeff": {"num": "1", "den": "1"}, "monomial": [[symbol, 1]]}]}]})
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '{"format": "kleinian-relations-v1"}'] + [
+    pytest.param(_document_naming(name), id=name) for name in ("p10", "z0", "p13", "z3")])
 def test_malformed_document_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,10 +1,14 @@
 """Polynomial layer: canonical form, weights, arithmetic."""
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
 from kleinian.poly import (
-    MultiPoly, monomial_div, monomial_divides, monomial_key, monomial_mul,
-    param, wp_symbol,
+    MultiPoly, Symbol, monomial_div, monomial_divides, monomial_key, monomial_mul,
+    param, time_symbol, wp_symbol, zeta_symbol,
 )
 from kleinian.rationals import Q
 
@@ -100,3 +104,53 @@ def test_pow_matches_repeated_mul():
 def test_text_rendering():
     p = MultiPoly.sym(P11, 2, 6) + MultiPoly.sym(A3, 1, Q(1, 2))
     assert p.text() == "6*p11^2 + 1/2*a3"
+
+
+def test_symbols_are_interned():
+    assert wp_symbol((2, 1), GAPS) is wp_symbol((1, 2), GAPS) is P12
+    assert param("a4", 2) is param("a4", 2) is A4
+    assert Symbol("p11", 2, "wp", (1, 1)) is P11
+    assert copy.deepcopy(P12) is P12 and pickle.loads(pickle.dumps(P12)) is P12
+    # same name, another weight or kind: a distinct, unequal symbol
+    for other in (param("a4", 3), Symbol("a4", 2, "aux")):
+        assert other is not A4 and other != A4 and other.name == "a4"
+    assert len({A4, param("a4", 2), param("a4", 3)}) == 2
+
+
+def test_symbol_attributes_are_read_only():
+    with pytest.raises(AttributeError):
+        P11.weight = 5
+    with pytest.raises(AttributeError):
+        del P11.name
+    with pytest.raises(AttributeError):
+        P11.extra = 1
+    assert (P11.name, P11.weight, P11.kind, P11.indices) == ("p11", 2, "wp", (1, 1))
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_symbol_index_outside_genus_rejected(index):
+    with pytest.raises(ValueError):
+        zeta_symbol(index, GAPS)
+    with pytest.raises(ValueError):
+        wp_symbol((1, index), GAPS)
+
+
+FACTOR_SYMBOLS = [A4, A3, P11, P12, wp_symbol((2, 2), GAPS), zeta_symbol(1, GAPS),
+                  time_symbol(3), param("b", 1)]
+
+
+@st.composite
+def monomials(draw):
+    syms = draw(st.lists(st.sampled_from(FACTOR_SYMBOLS), unique=True, max_size=5))
+    return tuple(sorted(((s, draw(st.integers(1, 4))) for s in syms),
+                        key=lambda f: f[0].name))
+
+
+@given(monomials(), monomials())
+def test_monomial_mul_matches_reference(a, b):
+    merged = dict(a)
+    for s, e in b:
+        merged[s] = merged.get(s, 0) + e
+    expected = tuple(sorted(merged.items(), key=lambda f: f[0].name))
+    assert monomial_mul(a, b) == expected == monomial_mul(b, a)
+    assert monomial_div(expected, b) == a

@@ -1,6 +1,7 @@
 """Laurent/bi-series layer: arithmetic, composition, integration, division."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kleinian.errors import ResidueError, SeriesError
 from kleinian.poly import MultiPoly, param
@@ -43,6 +44,18 @@ def test_unit_power_binomial_series():
     assert f.unit_power(Q(-2, 3)) ** 3 * f ** 2 == LaurentSeries.const(1, 9)
     with pytest.raises(SeriesError):
         LaurentSeries({0: 2, 1: 1}, order=4).unit_power(Q(1, 2))
+
+
+COEFFS = st.sampled_from([MultiPoly.const(Q(-3, 2)), MultiPoly.const(1), MultiPoly.const(2),
+                          MultiPoly.sym(A), MultiPoly.sym(A, 2, -1) + MultiPoly.const(Q(1, 3))])
+
+
+@given(st.dictionaries(st.integers(-4, 8), COEFFS, max_size=8), st.integers(-3, 9))
+def test_square_matches_product(coeffs, order):
+    s = LaurentSeries(coeffs, order)
+    square = s * s
+    assert s ** 2 == square  # LaurentSeries equality includes the order
+    assert s ** 3 == square * s
 
 
 def test_inverse_needs_rational_lead():
