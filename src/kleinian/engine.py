@@ -8,21 +8,28 @@ symmetric and antisymmetric combinations for the trigonal curve),
 reduces every row modulo the lower layers and their derivative closure,
 and solves the surviving rows for the monomials that contain a p-symbol
 with three or more indices.  Solved rows are promoted to relations; rows
-that reduce to zero were already in the ideal and are dropped.
+that reduce to zero were already in the ideal and are dropped; rows left
+with no 3-index content are relations among the basic symbols.
+
+Rows are assembled, and reduced, as integer numerators over one common
+denominator (:class:`~kleinian.poly.ScaledPoly`): each rule set is put over
+the least common multiple of its denominators once, and rationals are
+formed once per row, when its normal form is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .curves import CurveSpec, HYPERELLIPTIC_G2
 from .errors import InconsistentSystemError, ReductionError
 from .partitions import Partition, enumerate_rank2, transpose_classes
 from .poly import (
-    Monomial, MultiPoly, Symbol, add_terms, monomial_div, monomial_key, monomial_mul,
-    monomial_str, monomial_weight,
+    Monomial, MultiPoly, ScaledPoly, Symbol, add_terms, monomial_div, monomial_key,
+    monomial_mul, monomial_str, monomial_weight, scaled_sum,
 )
-from .rationals import Q, QType
+from .rationals import Q
 from .taucalc import AbelianContext, TauModel
 
 FOUR_INDEX = "FOUR_INDEX"
@@ -96,14 +103,18 @@ class Relation:
 
 
 class PivotIndex:
-    """Rule pivots bucketed by their first symbol.
+    """Rule pivots bucketed by their first symbol, and the rules in scaled form.
 
     A pivot that divides a monomial has its first symbol among that
     monomial's symbols, so only those buckets are searched.  Each bucket is
     kept in descending term order, so the first divisor found in a bucket
     is that bucket's largest; the largest over all buckets is the pivot a
-    scan over every rule would pick.  Only the pivots are indexed, so
-    right-hand sides may be rewritten in place.
+    scan over every rule would pick.
+
+    The right-hand sides are held as integer numerators ``nums[pivot]``
+    over one common denominator ``den``, the least common multiple of all
+    their coefficient denominators.  Only the pivots are bucketed, so a
+    right-hand side may be replaced (:meth:`set_rhs`).
     """
 
     def __init__(self, rules: dict[Monomial, MultiPoly]):
@@ -113,6 +124,11 @@ class PivotIndex:
                 (monomial_key(pivot), monomial_weight(pivot), pivot))
         for bucket in self.buckets.values():
             bucket.sort(reverse=True)
+        den = self.den = lcm(*{c.denominator for rhs in rules.values()
+                               for c in rhs.terms.values()})
+        self.nums: dict[Monomial, dict[Monomial, int]] = {
+            pivot: {m: c.numerator * (den // c.denominator) for m, c in rhs.terms.items()}
+            for pivot, rhs in rules.items()}
 
     def find(self, mono: Monomial, skip: Monomial | None = None) -> Monomial | None:
         """The largest pivot, other than skip, that divides mono."""
@@ -129,42 +145,80 @@ class PivotIndex:
                     break
         return best
 
+    def rhs(self, pivot: Monomial) -> ScaledPoly:
+        return ScaledPoly(self.den, self.nums[pivot])
+
+    def set_rhs(self, pivot: Monomial, value: ScaledPoly) -> bool:
+        """Replace the right-hand side of pivot; whether its value changed.
+
+        A value whose denominator does not divide den raises den to the
+        least common multiple and rescales every right-hand side.
+        """
+        value = value.primitive()
+        den = lcm(self.den, value.den)
+        if den != self.den:
+            f = den // self.den
+            self.nums = {p: {m: n * f for m, n in nums.items()} for p, nums in self.nums.items()}
+            self.den = den
+        f = den // value.den
+        nums = {m: n * f for m, n in value.nums.items()}
+        if nums == self.nums[pivot]:
+            return False
+        self.nums[pivot] = nums
+        return True
+
+    def rules(self) -> dict[Monomial, MultiPoly]:
+        """The rules as rational polynomials, in the order they were given."""
+        return {pivot: self.rhs(pivot).poly() for pivot in self.nums}
+
+
+def reduce_scaled(expr: ScaledPoly, index: PivotIndex,
+                  skip: Monomial | None = None) -> ScaledPoly:
+    """Rewrite to a normal form, substituting rule pivots greedily.
+
+    Deterministic: within a pass every reducible monomial is rewritten by
+    its largest applicable pivot (skip leaves one pivot out, so that a
+    rule's right-hand side is reduced against all the others).  A pass
+    puts the whole expression over den * index.den: irreducible terms are
+    multiplied by the rules' denominator, rewritten ones by the rule's
+    numerators; the common content is divided out after each pass.
+    Bounded passes guard against a cyclic rule set, which would be an
+    internal error.  An expression with nothing to rewrite is returned as
+    it is.
+    """
+    rden, rnums, find = index.den, index.nums, index.find
+    pivots: dict[Monomial, Monomial | None] = {}
+    for _ in range(_REDUCE_PASS_BOUND):
+        nums = expr.nums
+        hits = [pivots[m] if m in pivots else pivots.setdefault(m, find(m, skip))
+                for m in nums]
+        if hits.count(None) == len(hits):
+            return expr
+        out: dict[Monomial, int] = {}
+        for (mono, n), pivot in zip(nums.items(), hits):
+            if pivot is None:
+                add_terms(out, ((mono, n * rden),))
+            else:
+                cofactor = monomial_div(mono, pivot)
+                add_terms(out, ((monomial_mul(cofactor, m), n * r)
+                                for m, r in rnums[pivot].items()))
+        expr = ScaledPoly(expr.den * rden, out).primitive()
+    raise ReductionError("reduction did not terminate within the pass bound")
+
 
 def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
                       index: PivotIndex | None = None,
                       skip: Monomial | None = None) -> MultiPoly:
-    """Rewrite to a normal form, substituting rule pivots greedily.
+    """Normal form of expr under the rules (see :func:`reduce_scaled`).
 
-    Deterministic: within a pass every reducible monomial is rewritten by
-    its largest applicable pivot.  Bounded passes guard against a cyclic
-    rule set, which would be an internal error.  index is a prebuilt
-    :class:`PivotIndex` over rules; skip leaves one pivot out (a rule's
-    right-hand side is reduced against all the others).
+    index is a prebuilt :class:`PivotIndex` over rules; skip leaves one
+    pivot out.
     """
     if not rules:
         return expr
     if index is None:
         index = PivotIndex(rules)
-    pivots: dict[Monomial, Monomial | None] = {}
-    for _ in range(_REDUCE_PASS_BOUND):
-        changed = False
-        out: dict[Monomial, QType] = {}
-        for mono, c in expr.terms.items():
-            if mono in pivots:
-                pivot = pivots[mono]
-            else:
-                pivot = pivots[mono] = index.find(mono, skip)
-            if pivot is None:
-                add_terms(out, ((mono, c),))
-            else:
-                changed = True
-                cofactor = monomial_div(mono, pivot)
-                add_terms(out, ((monomial_mul(cofactor, m), c * rc)
-                                for m, rc in rules[pivot].terms.items()))
-        expr = MultiPoly(out)
-        if not changed:
-            return expr
-    raise ReductionError("reduction did not terminate within the pass bound")
+    return reduce_scaled(ScaledPoly.of(expr), index, skip).poly()
 
 
 def _index_multisets(genus: int, gaps: tuple[int, ...], max_weight: int):
@@ -196,8 +250,8 @@ class RelationDB:
         self.ctx = ctx or AbelianContext(curve.gap_weights, graded=not curve.values)
         self.layers: dict[int, list[Relation]] = {}
         self.notes: dict[int, list[str]] = {}
-        self._version = 0
-        self._closure_cache: dict[tuple[int, bool, int], tuple[dict, list]] = {}
+        # closures of the current layers only: add_layer empties it
+        self._closure_cache: dict[tuple[int, bool], tuple[dict, list, PivotIndex]] = {}
 
     # -- storage -------------------------------------------------------------
 
@@ -211,7 +265,7 @@ class RelationDB:
                     "duplicate solved monomial %s" % monomial_str(r.solved_monomial))
             pivots[r.solved_monomial] = r
         self.layers[weight] = list(relations)
-        self._version += 1
+        self._closure_cache.clear()
 
     def relations(self, max_weight: int | None = None) -> list[Relation]:
         out = []
@@ -239,7 +293,17 @@ class RelationDB:
         relation at that weight; it is returned as a row for the layer
         instead of being minted as a rule.
         """
-        key = (max_weight, include_equal, self._version)
+        rules, rows, _ = self._closure(max_weight, include_equal)
+        return rules, rows
+
+    def reduce(self, expr: MultiPoly, max_weight: int, include_equal: bool = True) -> MultiPoly:
+        """Normal form of expr modulo the closure at max_weight."""
+        rules, _, index = self._closure(max_weight, include_equal)
+        return reduce_with_rules(expr, rules, index)
+
+    def _closure(self, max_weight: int, include_equal: bool):
+        """The closure's rules, rows and pivot index, built once per layer set."""
+        key = (max_weight, include_equal)
         got = self._closure_cache.get(key)
         if got is not None:
             return got
@@ -263,26 +327,26 @@ class RelationDB:
                     collisions.append((monomial_weight(pivot), rules[pivot] - rhs))
                 else:
                     rules[pivot] = rhs
-        # normal-form the right-hand sides against each other
+        # normal-form the right-hand sides against each other, in place
         index = PivotIndex(rules)
         for _ in range(_REDUCE_PASS_BOUND):
             stable = True
             for pivot in sorted(rules, key=monomial_key):
-                reduced = reduce_with_rules(rules[pivot], rules, index, skip=pivot)
-                if reduced != rules[pivot]:
-                    rules[pivot] = reduced
+                rhs = index.rhs(pivot)
+                reduced = reduce_scaled(rhs, index, skip=pivot)
+                if reduced is not rhs and index.set_rhs(pivot, reduced):
                     stable = False
             if stable:
                 break
         else:
             raise ReductionError("closure inter-reduction did not stabilize")
+        rules = index.rules()
         rows = []
         for w, c in collisions:
-            r = reduce_with_rules(c, rules)
+            r = reduce_with_rules(c, rules, index)
             if not r.is_zero():
                 rows.append((w, r))
-        result = (rules, rows)
-        self._closure_cache[key] = result
+        result = self._closure_cache[key] = (rules, rows, index)
         return result
 
 
@@ -291,8 +355,7 @@ def reduce_mod_db(expr: MultiPoly, db: RelationDB, max_weight: int | None = None
     if max_weight is None:
         weights = [monomial_weight(m) for m in expr.terms]
         max_weight = max(weights, default=0)
-    rules, _ = db.closure(max_weight, include_equal=True)
-    return reduce_with_rules(expr, rules)
+    return db.reduce(expr, max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +368,16 @@ def plucker_relation(lam: Partition, model: TauModel) -> MultiPoly:
     The value of s_lambda(D~) on the tau ratio minus the 2x2 determinant
     of its single-hook values, everything reduced through the sigma
     ladder; vanishes identically on the Jacobian and is homogeneous of
-    weight |lambda|.
+    weight |lambda|.  Summed in integers over one denominator; rationals
+    are formed once, for the returned row.
     """
     if lam.rank != 2:
         raise ValueError("partition %r has rank %d, need rank 2" % (lam.parts, lam.rank))
     (a1, a2), (b1, b2) = lam.frobenius()
-    lhs = model.schur_apply(lam)
-    det = (model.hook(a1, b1) * model.hook(a2, b2)
-           - model.hook(a1, b2) * model.hook(a2, b1))
-    return lhs - det
+    h = model.hook
+    return scaled_sum(((1, model.schur_apply(lam)),
+                       (-1, h(a1, b1).times(h(a2, b2))),
+                       (1, h(a1, b2).times(h(a2, b1))))).poly()
 
 
 def giambelli_rank3_relation(lam: Partition, model: TauModel) -> MultiPoly:
@@ -321,11 +385,11 @@ def giambelli_rank3_relation(lam: Partition, model: TauModel) -> MultiPoly:
     if lam.rank != 3:
         raise ValueError("partition %r has rank %d, need rank 3" % (lam.parts, lam.rank))
     arms, legs = lam.frobenius()
-    h = [[model.hook(a, b) for b in legs] for a in arms]
+    h = [[model.hook(a, b).poly() for b in legs] for a in arms]
     det = (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
-    return model.schur_apply(lam) - det
+    return model.schur_apply(lam).poly() - det
 
 
 @dataclass
@@ -382,8 +446,10 @@ def linear_solve(system: list[MultiPoly], unknowns: list[Monomial] | None = None
 
     Returns (solved, residual): solved rows are (pivot monomial, RHS
     expression, sources) with the pivot coefficient normalized to 1;
-    residual rows could not be pivoted on a rational coefficient.  A row
-    with no unknown columns but a nonzero basic part raises
+    residual rows could not be pivoted on a rational coefficient.  A
+    residual row left with no unknown columns is a relation among basic
+    monomials; one that is 0 = c, with c a nonzero constant (or a
+    polynomial in the parameters alone), raises
     :class:`InconsistentSystemError`.
     """
     sources = sources or [()] * len(system)
@@ -417,7 +483,7 @@ def linear_solve(system: list[MultiPoly], unknowns: list[Monomial] | None = None
     for r in free:
         if r.is_zero():
             continue
-        if not r.cols:
+        if not r.cols and not any(s.kind == "wp" for m in r.basic.terms for s, _ in m):
             raise InconsistentSystemError("inconsistent row: 0 = %s" % r.basic.text())
         residual.append(r)
     solved = []
@@ -515,10 +581,10 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel,
         for lam in all_partitions(weight):
             if lam.rank == 3:
                 raw_rows.append(((lam,), giambelli_rank3_relation(lam, model)))
-    rules, collision_rows = db.closure(weight, include_equal=False)
+    _, collision_rows = db.closure(weight, include_equal=False)
     rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
     for src, expr in raw_rows:
-        red = reduce_with_rules(expr, rules)
+        red = db.reduce(expr, weight, include_equal=False)
         if red.is_zero():
             continue
         if not ctx.is_zeta_free(red):
@@ -531,27 +597,50 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel,
             rows.append(((), expr))
     if not rows:
         return []
-    out = []
-    system, sources = [], []
+    # rows with no 3-index content, before the solve or left by it, are
+    # relations among basic symbols (the Kummer-variety stratum)
+    system, sources, basic_rows = [], [], []
     for src, expr in rows:
         if any(column_of(m) for m in expr.terms):
             system.append(expr)
             sources.append(src)
-            continue
-        # a row with no 3-index content is a relation among basic symbols
-        # (the Kummer-variety stratum); an odd one signals a convention bug
-        if ctx.parity(expr) != expr:
-            raise InconsistentSystemError(
-                "odd basic row at weight %d: %s" % (weight, expr.text()))
-        out.append(classify(expr, weight, ctx, src))
+        else:
+            basic_rows.append((src, expr))
     solved, residual = linear_solve(system, sources=sources)
+    basic_rows.extend((r.source, r.basic) for r in residual if not r.cols)
+    unresolved = [r for r in residual if r.cols]
+    out = _basic_relations(basic_rows, weight, ctx)
     for col, rhs, src in solved:
         expr = MultiPoly.monomial(col) - rhs
         out.append(classify(expr, weight, ctx, src))
-    if residual:
+    if unresolved:
         self_notes = db.notes.setdefault(weight, [])
-        for r in residual:
+        for r in unresolved:
             self_notes.append("unresolved row (no rational pivot): %s" % r.expr().text())
+    return out
+
+
+def _basic_relations(rows: list[tuple[tuple[Partition, ...], MultiPoly]], weight: int,
+                     ctx: AbelianContext) -> list[Relation]:
+    """Independent relations from rows among basic symbols.
+
+    Each row is reduced by the relations taken from the rows before it, so
+    proportional rows give one relation; an odd row signals a convention
+    bug.
+    """
+    out: list[Relation] = []
+    rules: dict[Monomial, MultiPoly] = {}
+    for src, expr in rows:
+        if ctx.parity(expr) != expr:
+            raise InconsistentSystemError(
+                "odd basic row at weight %d: %s" % (weight, expr.text()))
+        if rules:
+            expr = reduce_with_rules(expr, rules)
+            if expr.is_zero():
+                continue
+        rel = classify(expr, weight, ctx, src)
+        rules[rel.solved_monomial] = rel.rhs
+        out.append(rel)
     return out
 
 
@@ -587,8 +676,7 @@ def cross_differentiate(db: RelationDB) -> list[Relation]:
                         continue
                     w = ra.weight + ctx.gaps[j - 1]
                     expr = ctx.diff(ra.expr, j) - ctx.diff(rb.expr, i)
-                    rules, _ = db.closure(w, include_equal=False)
-                    red = reduce_with_rules(expr, rules)
+                    red = db.reduce(expr, w, include_equal=False)
                     if red.is_zero():
                         continue
                     rel = classify(red, w, ctx, ())

@@ -7,6 +7,11 @@ maps monomials to nonzero rational coefficients.  The zero polynomial is
 the empty map.  All values are immutable in practice:
 no method mutates its operands, so polynomials can be shared freely.
 
+A :class:`ScaledPoly` carries the same polynomial as integer numerators
+over one common denominator, so that sums and products of many terms run
+in integer arithmetic; it is converted to and from :class:`MultiPoly`
+through ``Q``.
+
 The canonical term order used everywhere (export, pivot selection) is
 (total Sato weight, monomial) with monomials compared lexicographically
 by (symbol name, exponent).
@@ -14,6 +19,7 @@ by (symbol name, exponent).
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .rationals import Q, QType, q_str, qify
@@ -396,3 +402,67 @@ def _coerce(x) -> MultiPoly:
     if isinstance(x, (int, QType)):
         return MultiPoly.const(x)
     raise TypeError("cannot coerce %r to MultiPoly" % (x,))
+
+
+# ---------------------------------------------------------------------------
+# scaled polynomials: integer numerators over one denominator
+
+
+class ScaledPoly:
+    """The polynomial sum(nums[m] * m) / den, den a positive integer.
+
+    The content/primitive-part representation (Geddes, Czapor & Labahn,
+    Algorithms for Computer Algebra, ch. 2): linear combinations and
+    products need integer arithmetic only, and rationals are formed once,
+    by :meth:`poly`.  Numerators are never zero; den and the numerators
+    need not be coprime (see :meth:`primitive`).  It defines no arithmetic
+    operators, so it cannot be mixed up with a :class:`MultiPoly`.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums: dict[Monomial, int]):
+        self.den = den
+        self.nums = nums
+
+    @classmethod
+    def of(cls, p: MultiPoly) -> "ScaledPoly":
+        """p over the least common denominator of its coefficients (primitive)."""
+        den = lcm(*{c.denominator for c in p.terms.values()})
+        return cls(den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+
+    def poly(self) -> MultiPoly:
+        """The rational polynomial, each coefficient in lowest terms."""
+        den = self.den
+        if den == 1:
+            return MultiPoly({m: Q(n) for m, n in self.nums.items()})
+        return MultiPoly({m: Q(n, den) for m, n in self.nums.items()})
+
+    def primitive(self) -> "ScaledPoly":
+        """The same polynomial with the content common to den and nums divided out."""
+        g = gcd(self.den, *self.nums.values())
+        if g == 1:
+            return self
+        return ScaledPoly(self.den // g, {m: n // g for m, n in self.nums.items()})
+
+    def times(self, other: "ScaledPoly") -> "ScaledPoly":
+        """The product, in integers."""
+        a, b = self.nums, other.nums
+        if len(a) > len(b):
+            a, b = b, a
+        return ScaledPoly(self.den * other.den,
+                          add_terms({}, ((monomial_mul(m1, m2), c1 * c2)
+                                         for m1, c1 in a.items() for m2, c2 in b.items())))
+
+
+def scaled_sum(pairs: Iterable[tuple[QType | int, ScaledPoly]]) -> ScaledPoly:
+    """sum(c * p) over (c, p) pairs with rational c: an integer linear
+    combination over the least common denominator of the c/p.den."""
+    pairs = [(qify(c), p) for c, p in pairs]
+    den = lcm(*(c.denominator * p.den for c, p in pairs))
+    out: dict[Monomial, int] = {}
+    for c, p in pairs:
+        f = c.numerator * (den // (c.denominator * p.den))
+        if f:
+            add_terms(out, ((m, n * f) for m, n in p.nums.items()))
+    return ScaledPoly(den, out).primitive()

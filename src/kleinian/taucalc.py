@@ -22,6 +22,11 @@ sign of sigma drop out.  The Gaussian factor G(B) is the Wick/Isserlis
 moment: G(B) = sum over the values v of B - {b} of mult(v) q_{bv}
 G(B - {b, v}) for the first entry b, G = 0 for odd |B| and G(()) = 1.
 Both factors are memoized per model.
+
+The derivatives, and the hook values built from them, are memoized as
+:class:`ScaledPoly` values (integer numerators over one denominator);
+Schur-operator values are integer linear combinations of them, so the
+Plucker rows assembled from them need rationals only once per row.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from math import comb, prod
 
 from .curves import CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg, winding_vectors
 from .errors import TruncationError
-from .poly import MultiPoly, Symbol, add_terms, wp_symbol, zeta_symbol
+from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, scaled_sum, wp_symbol, zeta_symbol
 from .rationals import Q
 from .schur import hook_schur, schur_poly
 
@@ -99,7 +104,8 @@ class TauModel:
         self.max_time_index = max_time_index
         self._sigma: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
         self._gauss: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
-        self._tau: dict[tuple[int, ...], MultiPoly] = {}
+        self._tau: dict[tuple[int, ...], ScaledPoly] = {}
+        self._hooks: dict[tuple[int, int], ScaledPoly] = {}
 
     @classmethod
     def build(cls, curve: CurveSpec, max_weight: int) -> "TauModel":
@@ -152,7 +158,7 @@ class TauModel:
         got = self._gauss[B] = MultiPoly(out)
         return got
 
-    def tau_t_derivative(self, times) -> MultiPoly:
+    def tau_t_derivative(self, times) -> ScaledPoly:
         """d^|K|/dt_K of tau(t;u)/tau(0;u) at t = 0, K a time multiset."""
         key = tuple(sorted(times))
         got = self._tau.get(key)
@@ -174,17 +180,17 @@ class TauModel:
                 continue
             scale = prod(comb(m, a) for m, a in zip(mults, split))
             add_terms(out, (s * (g * scale)).terms.items())
-        got = self._tau[key] = MultiPoly(out)
+        got = self._tau[key] = ScaledPoly.of(MultiPoly(out))
         return got
 
     # -- Schur-operator application ------------------------------------------
 
-    def apply_time_poly(self, poly: MultiPoly) -> MultiPoly:
+    def apply_time_poly(self, poly: MultiPoly) -> ScaledPoly:
         """Evaluate s(D~) tau / tau at t = 0 for a polynomial s in the times.
 
         Each monomial prod t_k^{e_k} acts as prod (1/k d/dt_k)^{e_k}.
         """
-        acc: dict = {}
+        pairs = []
         for mono, coeff in poly.terms.items():
             times: list[int] = []
             scale = Q(1)
@@ -194,23 +200,27 @@ class TauModel:
                 k = s.indices[0]
                 times.extend([k] * e)
                 scale *= Q(1, k) ** e
-            add_terms(acc, (self.tau_t_derivative(tuple(times)) * (coeff * scale)).terms.items())
-        return MultiPoly(acc)
+            pairs.append((coeff * scale, self.tau_t_derivative(tuple(times))))
+        return scaled_sum(pairs)
 
-    def hook(self, m: int, n: int) -> MultiPoly:
-        """s_(m|n)(D~) tau / tau at t = 0 (no sign factor)."""
-        return self.apply_time_poly(hook_schur(m, n))
+    def hook(self, m: int, n: int) -> ScaledPoly:
+        """s_(m|n)(D~) tau / tau at t = 0 (no sign factor), memoized."""
+        got = self._hooks.get((m, n))
+        if got is None:
+            got = self._hooks[m, n] = self.apply_time_poly(hook_schur(m, n))
+        return got
 
     def a_hook(self, m: int, n: int) -> MultiPoly:
         """Grassmannian basis entry A_(m|n), weight-homogeneous of m+n+1.
 
-        Normalized as (-1)^n s_{m+1,1^n}(D~) tau / tau, which satisfies the
-        antisymmetry A_(m|n)(u) = -A_(n|m)(-u) and makes A_(0|0) = +zeta_1.
+        A :class:`MultiPoly`, normalized as (-1)^n s_{m+1,1^n}(D~) tau / tau,
+        which satisfies the antisymmetry A_(m|n)(u) = -A_(n|m)(-u) and makes
+        A_(0|0) = +zeta_1.
         """
         if m + n + 1 > self.max_time_index:
             raise TruncationError("hook (%d|%d) beyond model truncation" % (m, n))
-        val = self.hook(m, n)
+        val = self.hook(m, n).poly()
         return -val if n % 2 else val
 
-    def schur_apply(self, lam) -> MultiPoly:
+    def schur_apply(self, lam) -> ScaledPoly:
         return self.apply_time_poly(schur_poly(lam))

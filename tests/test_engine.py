@@ -5,17 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from jacobian_oracle import vanishes_on_jacobian
 from kleinian.engine import (
-    FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex, RelationDB,
-    classify, cross_differentiate, derive_at_weight, kummer_quartic, linear_solve,
-    plucker_relation, reduce_mod_db,
+    _REDUCE_PASS_BOUND, FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex,
+    RelationDB, _basic_relations, classify, cross_differentiate, derive_at_weight,
+    kummer_quartic, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, enumerate_rank2, transpose_classes
 from kleinian.poly import (
-    MultiPoly, monomial_divides, monomial_key, monomial_mul, monomial_str, monomial_weight,
+    MultiPoly, add_terms, monomial_div, monomial_divides, monomial_key, monomial_mul,
+    monomial_str, monomial_weight,
 )
 from kleinian.rationals import Q
+from kleinian.schur import hook_schur, schur_poly
 from kleinian.tables import relation_table
+from kleinian.taucalc import TauModel
 
 
 def normalized(db, expr, weight):
@@ -152,6 +155,95 @@ def test_pivot_index_matches_linear_scan(g2_rules, data):
         assert index.find(mono, skip=want) == scan_pivot(mono, rules, skip=want)
 
 
+# -- the integer kernel against the rational code it replaces -------------------
+
+def reference_reduce(expr, rules, skip=None):
+    """Reference: the pass loop over rational coefficients, pivots by linear scan."""
+    pivots = {}
+    for _ in range(_REDUCE_PASS_BOUND):
+        changed = False
+        out = {}
+        for mono, c in expr.terms.items():
+            if mono not in pivots:
+                pivots[mono] = scan_pivot(mono, rules, skip)
+            pivot = pivots[mono]
+            if pivot is None:
+                add_terms(out, ((mono, c),))
+            else:
+                changed = True
+                cofactor = monomial_div(mono, pivot)
+                add_terms(out, ((monomial_mul(cofactor, m), c * rc)
+                                for m, rc in rules[pivot].terms.items()))
+        expr = MultiPoly(out)
+        if not changed:
+            return expr
+    raise ReductionError("reduction did not terminate within the pass bound")
+
+
+def reference_apply(model, time_poly):
+    """Reference: s(D~) tau / tau summed over rational coefficients."""
+    acc = MultiPoly.zero()
+    for mono, coeff in time_poly.terms.items():
+        times, scale = [], Q(1)
+        for s, e in mono:
+            times.extend([s.indices[0]] * e)
+            scale *= Q(1, s.indices[0]) ** e
+        acc = acc + model.tau_t_derivative(tuple(times)).poly() * (coeff * scale)
+    return acc
+
+
+def reference_plucker(lam, model):
+    """Reference: the row assembled from rational hook values."""
+    (a1, a2), (b1, b2) = lam.frobenius()
+
+    def h(a, b):
+        return reference_apply(model, hook_schur(a, b))
+
+    return (reference_apply(model, schur_poly(lam))
+            - (h(a1, b1) * h(a2, b2) - h(a1, b2) * h(a2, b1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduction_matches_rational_reference(g2, g2_db, g2_rules, data):
+    # non-integral coefficients, parameter and zeta cofactors, half the
+    # terms multiples of a pivot; weight at most 16 keeps the normal forms
+    # to a few hundred terms
+    rules, pivots, symbols = g2_rules
+    cofactors = [g2.parameter_poly(a) for a in g2.parameters] + [
+        MultiPoly.sym(g2_db.ctx.zeta(i)) for i in (1, 2)]
+    expr = MultiPoly.zero()
+    for _ in range(data.draw(st.integers(1, 6))):
+        factors = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 2),
+                                            max_size=3))
+        mono = tuple(sorted(factors.items()))
+        if data.draw(st.booleans()):
+            mono = monomial_mul(mono, data.draw(st.sampled_from(pivots)))
+        if monomial_weight(mono) > 16:
+            continue
+        coeff = Q(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 30)))
+        term = MultiPoly.monomial(mono, coeff)
+        for c in data.draw(st.lists(st.sampled_from(cofactors), max_size=2)):
+            term = term * c
+        expr = expr + term
+    assert reduce_with_rules(expr, rules) == reference_reduce(expr, rules)
+    skip = data.draw(st.sampled_from(pivots))
+    assert reduce_with_rules(expr, rules, skip=skip) == reference_reduce(expr, rules, skip)
+
+
+@pytest.fixture(scope="module")
+def trig_model8(trig):
+    return TauModel.build(trig, 8)
+
+
+@pytest.mark.parametrize("which, top", [("g2_model", 10), ("trig_model8", 8)])
+def test_plucker_rows_match_rational_reference(request, which, top):
+    model = request.getfixturevalue(which)
+    for w in range(4, top + 1):
+        for lam in enumerate_rank2(w):
+            assert plucker_relation(lam, model) == reference_plucker(lam, model), lam.parts
+
+
 # -- hyperelliptic transpose identity ------------------------------------------
 
 def test_hyperelliptic_transpose_identity(g2_model):
@@ -211,8 +303,32 @@ def test_linear_solve_single_unknown(g2_db):
 
 def test_linear_solve_inconsistent(g2_db):
     ctx = g2_db.ctx
+    X = ctx.wp_poly((1, 1, 1, 1))
     with pytest.raises(InconsistentSystemError):
-        linear_solve([ctx.wp_poly((1, 1))])  # 0*X + p11 = 0
+        linear_solve([MultiPoly.const(3)])  # 0 = 3
+    with pytest.raises(InconsistentSystemError):
+        linear_solve([X - 1, X - 2])  # eliminates to 0 = 1
+
+
+def test_linear_solve_returns_eliminated_basic_row(g2_db):
+    ctx = g2_db.ctx
+    X = ctx.wp_poly((1, 1, 1, 1))
+    p11, p12 = ctx.wp_poly((1, 1)), ctx.wp_poly((1, 2))
+    solved, residual = linear_solve([X - p11, X - p12])
+    assert [MultiPoly.monomial(col) for col, _, _ in solved] == [X]
+    assert len(residual) == 1 and not residual[0].cols
+    assert residual[0].basic in (p11 - p12, p12 - p11)
+
+
+def test_proportional_basic_rows_give_one_relation(g2_db):
+    ctx = g2_db.ctx
+    p11, p12, p22 = ctx.wp_poly((1, 1)), ctx.wp_poly((1, 2)), ctx.wp_poly((2, 2))
+    even = p11 ** 4 - p12 * p12 * 3 + p11 * p22  # weight 8
+    rels = _basic_relations([((), even), ((), even * Q(-2, 7))], 8, ctx)
+    assert len(rels) == 1 and rels[0].cls == QUARTIC_EVEN
+    assert rels[0].expr == even * (Q(1) / even.coeff(rels[0].solved_monomial))
+    with pytest.raises(InconsistentSystemError):
+        _basic_relations([((), even), ((), ctx.wp_poly((1, 1, 1)) * p11)], 8, ctx)
 
 
 def test_linear_solve_substitution_closes(g2_db):

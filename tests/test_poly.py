@@ -2,13 +2,14 @@
 
 import copy
 import pickle
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kleinian.poly import (
-    MultiPoly, Symbol, monomial_div, monomial_divides, monomial_key, monomial_mul,
-    param, time_symbol, wp_symbol, zeta_symbol,
+    MultiPoly, ScaledPoly, Symbol, monomial_div, monomial_divides, monomial_key, monomial_mul,
+    param, scaled_sum, time_symbol, wp_symbol, zeta_symbol,
 )
 from kleinian.rationals import Q
 
@@ -154,3 +155,27 @@ def test_monomial_mul_matches_reference(a, b):
     expected = tuple(sorted(merged.items(), key=lambda f: f[0].name))
     assert monomial_mul(a, b) == expected == monomial_mul(b, a)
     assert monomial_div(expected, b) == a
+
+
+# -- scaled polynomials against rational arithmetic ----------------------------
+
+@st.composite
+def rational_polys(draw):
+    terms = draw(st.dictionaries(monomials(), st.tuples(st.integers(-60, 60), st.integers(1, 36)),
+                                 max_size=6))
+    return MultiPoly({m: Q(n, d) for m, (n, d) in terms.items() if n})
+
+
+@given(rational_polys(), rational_polys(), st.integers(-5, 5), st.integers(-9, 9),
+       st.integers(1, 12))
+def test_scaled_poly_matches_rational_arithmetic(p, q, k, n, d):
+    sp, sq = ScaledPoly.of(p), ScaledPoly.of(q)
+    assert sp.poly() == p
+    assert gcd(sp.den, *sp.nums.values()) == 1
+    assert sp.times(sq).poly() == p * q
+    c = Q(n, d)
+    assert scaled_sum([(c, sp), (k, sq), (1, sp.times(sq))]).poly() == p * c + q * k + p * q
+    # a form that is not primitive stands for the same polynomial
+    wide = ScaledPoly(sp.den * 6, {m: v * 6 for m, v in sp.nums.items()})
+    assert wide.poly() == p
+    assert (wide.primitive().den, wide.primitive().nums) == (sp.den, sp.nums)

@@ -124,20 +124,21 @@ def test_tau_derivative_matches_matching_walk(request, which, top):
     model = request.getfixturevalue(which)
     cache = {}
     for K in time_multisets(top):
-        assert model.tau_t_derivative(K) == reference_tau_derivative(model, K, cache), K
+        assert model.tau_t_derivative(K).poly() == reference_tau_derivative(model, K, cache), K
 
 
 def test_tau_derivative_first_orders(g2_model):
     ctx, cache = g2_model.ctx, {}
-    assert g2_model.tau_t_derivative((1,)) == ladder(ctx, (1,), cache)
+    assert g2_model.tau_t_derivative((1,)).poly() == ladder(ctx, (1,), cache)
     # the t1t1 pairing
-    assert g2_model.tau_t_derivative((1, 1)) == ladder(ctx, (1, 1), cache) + g2_model.q(1, 1)
+    assert (g2_model.tau_t_derivative((1, 1)).poly()
+            == ladder(ctx, (1, 1), cache) + g2_model.q(1, 1))
     # mixed t1 t2: R_2 = 0 and q_12 = 0 for the hyperelliptic curve
-    assert g2_model.tau_t_derivative((1, 2)).is_zero()
+    assert g2_model.tau_t_derivative((1, 2)).poly().is_zero()
 
 
 def test_tau_derivative_mixed_trigonal(trig_model):
-    d12 = trig_model.tau_t_derivative((1, 2))
+    d12 = trig_model.tau_t_derivative((1, 2)).poly()
     assert d12 == ladder(trig_model.ctx, (1, 2), {}) + trig_model.q(1, 2)
     assert not trig_model.q(1, 2).is_zero()
 
@@ -146,7 +147,7 @@ def test_pairing_multiplicity(g2_model):
     # t1^4: 3 double pairings and 6 single pairings of four positions
     ctx, cache = g2_model.ctx, {}
     q11 = g2_model.q(1, 1)
-    assert g2_model.tau_t_derivative((1, 1, 1, 1)) == (
+    assert g2_model.tau_t_derivative((1, 1, 1, 1)).poly() == (
         ladder(ctx, (1, 1, 1, 1), cache) + q11 * 6 * ladder(ctx, (1, 1), cache) + q11 * q11 * 3)
 
 
@@ -182,9 +183,9 @@ def test_a_hook_antisymmetry(g2_model, trig_model):
 
 def test_hook_sum_difference_split(g2_model):
     # s2 + s11 = t1^2 and s2 - s11 = 2 t2 transfer to hook values
-    b10, b01 = g2_model.hook(1, 0), g2_model.hook(0, 1)
-    d11 = g2_model.tau_t_derivative((1, 1))
-    d2 = g2_model.tau_t_derivative((2,))
+    b10, b01 = g2_model.hook(1, 0).poly(), g2_model.hook(0, 1).poly()
+    d11 = g2_model.tau_t_derivative((1, 1)).poly()
+    d2 = g2_model.tau_t_derivative((2,)).poly()
     assert b10 + b01 == d11
     assert b10 - b01 == d2
     assert d2.is_zero()  # hyperelliptic: R_2 = 0
