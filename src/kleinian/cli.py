@@ -10,11 +10,12 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from .curves import CurveSpec, HYPERELLIPTIC_G2, parse_spec
 from .document import RelationDocument, export_document, render_relation
 from .engine import (
-    RelationDB, classify, derive_at_weight, kummer_quartic, reduce_mod_db,
+    RelationDB, classify, derive_range, kummer_quartic, reduce_mod_db,
 )
 from .errors import ConfigError, ConventionError, InconsistentSystemError, ReductionError
 from .klein import jacobi_inversion_extract
@@ -41,8 +42,15 @@ def _atomic_write(path: str, text: str):
 
 
 def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
-               enable_weight16: bool = False, rank3: bool = False,
-               fold: str = "auto") -> RelationDocument:
+               enable_weight16: bool = False) -> RelationDocument:
+    """Derive the hierarchy of the curve's family, then substitute its values.
+
+    The relations among the p-functions hold identically in the curve
+    parameters, so a curve with parameter values gets the relations of
+    its generic family member with the values substituted; each keeps the
+    solved monomial, class and source of its generic relation, and the
+    notes describe the generic derivation.
+    """
     if max_weight < 4:
         raise ConfigError("max-weight must be at least 4 (no rank-2 partitions below)")
     if method not in ("plucker", "classical", "both"):
@@ -56,15 +64,13 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
         raise ConfigError("max-weight %d would skip the layers above %d; "
                           "--enable-weight16 derives them" % (max_weight, gated - 1))
 
+    generic = curve.generic()
     relations = []
     notes: dict[int, list[str]] = {}
     classical = []
     if method in ("plucker", "both"):
         top = max_weight if enable_weight16 else min(max_weight, 15)
-        model = TauModel.build(curve, top)
-        db = RelationDB(curve)
-        for w in range(4, top + 1):
-            db.add_layer(w, derive_at_weight(w, db, model, rank3=rank3, fold=fold))
+        db = derive_range(RelationDB(generic), TauModel.build(generic, top), top)
         if curve.family == HYPERELLIPTIC_G2 and max_weight >= 16 and not enable_weight16:
             # the weight-16 layer is gated; the Kummer quartic comes from the
             # quadratic-form identity instead
@@ -72,9 +78,9 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
         relations = db.relations()
         notes = db.notes
     if method in ("classical", "both"):
-        _, _, classical = jacobi_inversion_extract(curve)
+        _, _, classical = jacobi_inversion_extract(generic)
     if method == "classical":
-        relations, classical = [], classical
+        relations = []
     if method == "both":
         stored = {r.solved_monomial: r for r in relations}
         for r in classical:
@@ -83,6 +89,8 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
                 raise ConventionError(
                     "classical and hook engines disagree at %s"
                     % monomial_str(r.solved_monomial))
+    relations = [replace(r, expr=curve.specialize(r.expr)) for r in relations]
+    classical = [replace(r, expr=curve.specialize(r.expr)) for r in classical]
     return RelationDocument(curve, max_weight, method, relations, classical, notes)
 
 
@@ -91,12 +99,17 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
 
 
 def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
-    """Exact-match verdicts of a document against the built-in tables."""
-    ctx = AbelianContext(doc.curve.gap_weights, graded=not doc.curve.values)
+    """Exact-match verdicts of a document against the built-in tables.
+
+    A curve with parameter values is checked against the generic table,
+    classified and then specialized, as :func:`run_derive` derives it.
+    """
+    curve = doc.curve
+    ctx = AbelianContext(curve.gap_weights)
     lines = []
     ok = True
     source = {r.solved_monomial: r for r in doc.relations}
-    for weight, cls, expr in relation_table(doc.curve, ctx):
+    for weight, cls, expr in relation_table(curve.generic(), ctx):
         if weight > doc.max_weight:
             continue
         want = classify(expr, weight, ctx)
@@ -105,7 +118,7 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
         if got is None:
             ok = False
             lines.append("FAIL %-24s missing from document" % name)
-        elif got.expr != want.expr:
+        elif got.expr != curve.specialize(want.expr):
             ok = False
             lines.append("FAIL %-24s coefficients differ" % name)
         elif got.cls != cls:
@@ -114,7 +127,7 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
         else:
             lines.append("PASS %-24s exact match" % name)
     for r in doc.relations + doc.classical:
-        if ctx.graded and not r.expr.is_homogeneous(r.weight):
+        if not curve.values and not r.expr.is_homogeneous(r.weight):
             ok = False
             lines.append("FAIL w%d relation is not weight-homogeneous" % r.weight)
         if not ctx.is_zeta_free(r.expr):
@@ -177,10 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", default="relations.json")
     d.add_argument("--enable-weight16", action="store_true",
                    help="derive the expensive weight-16 layer instead of gating it")
-    d.add_argument("--enable-rank3", action="store_true",
-                   help="include rank-3 hook-determinant rows (extension)")
-    d.add_argument("--fold-transposes", choices=("auto", "always", "never"),
-                   default="auto", help="override the transpose-pair policy")
 
     v = sub.add_parser("verify", help="check a document against the built-in tables")
     v.add_argument("--doc", required=True)
@@ -202,8 +211,7 @@ def main(argv=None) -> int:
         if args.command == "derive":
             curve = _read_curve(args.curve)
             doc = run_derive(curve, args.max_weight, args.method,
-                             enable_weight16=args.enable_weight16,
-                             rank3=args.enable_rank3, fold=args.fold_transposes)
+                             enable_weight16=args.enable_weight16)
             _atomic_write(args.out, doc.to_json())
             print("wrote %s (%d relations, curve %s)"
                   % (args.out, len(doc.relations) + len(doc.classical),

@@ -61,6 +61,18 @@ class CurveSpec:
         got = self.parameter_values.get(sym.name)
         return MultiPoly.const(got) if got is not None else MultiPoly.sym(sym)
 
+    def generic(self) -> "CurveSpec":
+        """The family member with every parameter symbolic."""
+        return _make_curve(self.family, ())
+
+    def specialize(self, expr: MultiPoly) -> MultiPoly:
+        """expr with this curve's parameter values substituted."""
+        if not self.values:
+            return expr
+        values = self.parameter_values
+        return expr.substitute({p: MultiPoly.const(values[p.name])
+                                for p in self.parameters if p.name in values})
+
     def fingerprint(self) -> str:
         vals = ",".join("%s=%s" % (k, q_str(v)) for k, v in self.values)
         return "%s[%s]" % (self.family, vals)
@@ -111,7 +123,8 @@ def parse_spec(text: str) -> CurveSpec:
 
     ``family`` is required; remaining keys assign rational values (``3/2``)
     to curve parameters, e.g. ``alpha4 = 3/2`` or ``mu3 = -1``.  Unset
-    parameters stay symbolic.
+    parameters stay symbolic.  A key given twice (``alpha4`` and ``a4``
+    are one key) is an error.
     """
     family = None
     values: dict[str, object] = {}
@@ -125,14 +138,19 @@ def parse_spec(text: str) -> CurveSpec:
         key = key.strip().lower()
         value = value.strip()
         if key == "family":
+            if family is not None:
+                raise ConfigError("line %d: family given twice" % lineno)
             family = value
             continue
         head = key.rstrip("0123456789")
         tail = key[len(head):]
         if head not in _PARAM_ALIASES or not tail:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
+        name = _PARAM_ALIASES[head] + tail
+        if name in values:
+            raise ConfigError("line %d: parameter %s given twice" % (lineno, name))
         try:
-            values[_PARAM_ALIASES[head] + tail] = qify(value)
+            values[name] = qify(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError("line %d: malformed rational %r (%s)" % (lineno, value, exc))
     if family is None:

@@ -78,7 +78,10 @@ class Relation:
     """A derived identity, stored in solved form pivot = pivot - expr.
 
     expr is weight-homogeneous, zeta-free, and has the solved monomial
-    with coefficient exactly +1.
+    with coefficient exactly +1; on a curve with parameter values it is
+    the generic relation with the values substituted (see
+    :func:`kleinian.cli.run_derive`), which keeps the coefficient +1 but
+    not the homogeneity.
     """
 
     expr: MultiPoly
@@ -247,7 +250,7 @@ class RelationDB:
 
     def __init__(self, curve: CurveSpec, ctx: AbelianContext | None = None):
         self.curve = curve
-        self.ctx = ctx or AbelianContext(curve.gap_weights, graded=not curve.values)
+        self.ctx = ctx or AbelianContext(curve.gap_weights)
         self.layers: dict[int, list[Relation]] = {}
         self.notes: dict[int, list[str]] = {}
         # closures of the current layers only: add_layer empties it
@@ -380,18 +383,6 @@ def plucker_relation(lam: Partition, model: TauModel) -> MultiPoly:
                        (1, h(a1, b2).times(h(a2, b1))))).poly()
 
 
-def giambelli_rank3_relation(lam: Partition, model: TauModel) -> MultiPoly:
-    """Optional extension: the 3x3 hook-determinant identity (rank 3)."""
-    if lam.rank != 3:
-        raise ValueError("partition %r has rank %d, need rank 3" % (lam.parts, lam.rank))
-    arms, legs = lam.frobenius()
-    h = [[model.hook(a, b).poly() for b in legs] for a in arms]
-    det = (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-           - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-           + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
-    return model.schur_apply(lam).poly() - det
-
-
 @dataclass
 class _Row:
     cols: dict[Monomial, MultiPoly]
@@ -502,7 +493,7 @@ def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
     """Normalize a reduced zeta-free homogeneous relation into solved form."""
     if expr.is_zero():
         raise ValueError("cannot classify the zero relation")
-    if ctx.graded and not expr.is_homogeneous(weight):
+    if not expr.is_homogeneous(weight):
         raise ReductionError("relation is not homogeneous of weight %d: %s"
                              % (weight, expr.text()))
     if not ctx.is_zeta_free(expr):
@@ -540,47 +531,33 @@ def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
     return Relation(norm, weight, cls, pivot, source)
 
 
-def derive_at_weight(weight: int, db: RelationDB, model: TauModel,
-                     rank3: bool = False, fold: str = "auto") -> list[Relation]:
+def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relation]:
     """Generate, reduce and solve the rank-2 layer at one weight.
 
     The database must be complete for all lower weights; the returned
     relations are not yet stored (callers decide, usually via
-    :func:`derive_range`).  fold overrides the transpose policy: "auto"
-    folds pairs for the hyperelliptic curve (both members give the same
-    row) and forms symmetric/antisymmetric combinations for the trigonal
-    curve; "always" keeps one representative per class; "never" emits a
-    raw row for every partition.
+    :func:`derive_range`).  Transpose pairs are folded for the
+    hyperelliptic curve, where both members give the same row, and give
+    their symmetric and antisymmetric combinations for the trigonal curve.
     """
     if weight < 4:
         raise ValueError("no rank-2 partitions below weight 4")
-    if fold not in ("auto", "always", "never"):
-        raise ValueError("fold must be auto, always or never")
     expected = set(range(4, weight))
     missing = expected - set(db.layers)
     if missing:
         raise ReductionError("database incomplete below weight %d: missing %s"
                              % (weight, sorted(missing)))
     ctx = db.ctx
-    if fold == "auto":
-        fold = "always" if model.curve.family == HYPERELLIPTIC_G2 else "combine"
+    fold = model.curve.family == HYPERELLIPTIC_G2
     raw_rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
     for rep, tr in transpose_classes(enumerate_rank2(weight)):
-        if fold == "always" or rep == tr:
+        if fold or rep == tr:
             raw_rows.append(((rep,), plucker_relation(rep, model)))
-        elif fold == "never":
-            raw_rows.append(((rep,), plucker_relation(rep, model)))
-            raw_rows.append(((tr,), plucker_relation(tr, model)))
         else:
             a = plucker_relation(rep, model)
             b = plucker_relation(tr, model)
             raw_rows.append(((rep, tr), a + b))
             raw_rows.append(((rep, tr), a - b))
-    if rank3:
-        from .partitions import all_partitions
-        for lam in all_partitions(weight):
-            if lam.rank == 3:
-                raw_rows.append(((lam,), giambelli_rank3_relation(lam, model)))
     _, collision_rows = db.closure(weight, include_equal=False)
     rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
     for src, expr in raw_rows:
@@ -644,10 +621,9 @@ def _basic_relations(rows: list[tuple[tuple[Partition, ...], MultiPoly]], weight
     return out
 
 
-def derive_range(db: RelationDB, model: TauModel, max_weight: int,
-                 rank3: bool = False) -> RelationDB:
+def derive_range(db: RelationDB, model: TauModel, max_weight: int) -> RelationDB:
     for w in range(4, max_weight + 1):
-        db.add_layer(w, derive_at_weight(w, db, model, rank3=rank3))
+        db.add_layer(w, derive_at_weight(w, db, model))
     return db
 
 
@@ -713,7 +689,7 @@ def kummer_quartic(db: RelationDB) -> Relation:
     norm = quartic * (Q(1) / c)
     if any(wp_degree(m, 3) for m in norm.terms) or not ctx.is_zeta_free(norm):
         raise ReductionError("Kummer quartic is not basic")
-    if ctx.graded and not norm.is_homogeneous(16):
+    if not norm.is_homogeneous(16):
         raise ReductionError("Kummer quartic is not weight-16 homogeneous")
     if ctx.parity(norm) != norm:
         raise ReductionError("Kummer quartic is not even")

@@ -66,7 +66,7 @@ def klein_expand(curve: CurveSpec, order: int) -> list[tuple[int, MultiPoly]]:
     for every point of the divisor.
     """
     _check_genus2(curve)
-    ctx = AbelianContext(curve.gap_weights, graded=not curve.values)
+    ctx = AbelianContext(curve.gap_weights)
     ord_series = order + 1
     ord_taylor = ord_series + curve.n  # absorb the pole of U_1 = 2x
     loc = local_expansion(curve, ord_taylor + curve.n + curve.s + 4)
@@ -134,9 +134,11 @@ def jacobi_inversion_extract(curve: CurveSpec):
     x_k^2 - x_k p11 - p12 = 0, jip2a expresses y_k, and relations are the
     two four-index solved forms and the quasilinear identity obtained by
     cross-derivation, all classified exactly as the hook engine's output.
+    The parameters must be symbolic, as ``classify`` requires homogeneous
+    relations; :func:`kleinian.cli.run_derive` substitutes values afterwards.
     """
     _check_genus2(curve)
-    ctx = AbelianContext(curve.gap_weights, graded=not curve.values)
+    ctx = AbelianContext(curve.gap_weights)
     eqs = dict(klein_expand(curve, 0))
 
     e2 = eqs[-2] * Q(-1, 4)

@@ -32,9 +32,9 @@ class Symbol:
     """A named generator with a fixed Sato weight, interned.
 
     kind distinguishes curve parameters ("param"), Kleinian symbols
-    ("wp", "zeta"), formal times ("time") and scaled derivations ("dop"),
-    and auxiliary point coordinates ("aux").  indices carries the
-    multi-index of wp/zeta symbols and the k of t_k.
+    ("wp", "zeta"), formal times ("time") and auxiliary point coordinates
+    ("aux").  indices carries the multi-index of wp/zeta symbols and the k
+    of t_k.
 
     The constructor returns the one instance for each (name, weight, kind,
     indices), so equality and hashing are object identity; attributes are
@@ -101,11 +101,6 @@ def _gap_weight(i: int, gap_weights: tuple[int, ...]) -> int:
 def time_symbol(k: int) -> Symbol:
     """The KP time t_k, of weight -k."""
     return Symbol("t%d" % k, -k, "time", (k,))
-
-
-def dop_symbol(k: int) -> Symbol:
-    """The scaled derivation (1/k) d/dt_k, of weight +k."""
-    return Symbol("D%d" % k, k, "dop", (k,))
 
 
 # A monomial: tuple of (Symbol, positive exponent), sorted by symbol name.

@@ -1,4 +1,4 @@
-"""Schur polynomials in the KP times and their differential-operator form.
+"""Schur polynomials in the KP times.
 
 Elementary Schur functions p_m are generated by exp(sum_k t_k z^k); they
 satisfy the recursion m p_m = sum_{j<=m} j t_j p_{m-j}, which is how they
@@ -14,7 +14,7 @@ a weight -W polynomial into a weight +W (commuting) operator.
 from __future__ import annotations
 
 from .partitions import Partition, hook
-from .poly import MultiPoly, dop_symbol, time_symbol
+from .poly import MultiPoly, time_symbol
 from .rationals import Q
 
 _pm_cache: list[MultiPoly] = []
@@ -90,38 +90,3 @@ def giambelli_det(lam: Partition) -> MultiPoly:
     arms, legs = lam.frobenius()
     rows = [[hook_schur(a, b) for b in legs] for a in arms]
     return _det(rows)
-
-
-def as_diff_operator(p: MultiPoly) -> MultiPoly:
-    """Substitute the scaled derivation D_k = (1/k) d/dt_k for each t_k.
-
-    The operators commute (they act on smooth functions of t), so the
-    result is a plain polynomial in the D_k symbols, homogeneous of weight
-    +W when p is a Schur polynomial of weight -W.
-    """
-    table = {}
-    for s in p.symbols():
-        if s.kind == "time":
-            table[s] = MultiPoly.sym(dop_symbol(s.indices[0]))
-    return p.substitute(table)
-
-
-def apply_operator_to_exponential(op: MultiPoly, velocity: dict[int, object]) -> object:
-    """Apply a D-operator polynomial to exp(sum c_k t_k) at t = 0.
-
-    Each D_k acts as multiplication by c_k / k; the result is the rational
-    (or polynomial) value of the operator on that exponential eigenfunction.
-    """
-    acc = MultiPoly.zero()
-    for mono, coeff in op.terms.items():
-        term = MultiPoly.const(coeff)
-        for s, e in mono:
-            if s.kind != "dop":
-                term = term * MultiPoly.sym(s, e)
-                continue
-            k = s.indices[0]
-            c = velocity.get(k, 0)
-            factor = (MultiPoly.const(c) if not isinstance(c, MultiPoly) else c) * Q(1, k)
-            term = term * factor ** e
-        acc = acc + term
-    return acc

@@ -44,12 +44,9 @@ from .schur import hook_schur, schur_poly
 class AbelianContext:
     """Symbol factory and calculus for expressions in zeta_i, p_J, parameters."""
 
-    def __init__(self, gap_weights: tuple[int, ...], graded: bool = True):
+    def __init__(self, gap_weights: tuple[int, ...]):
         self.gaps = tuple(gap_weights)
         self.genus = len(self.gaps)
-        # specialized curves collapse the parameter grading; weight
-        # homogeneity is only asserted when graded is set
-        self.graded = graded
 
     def wp(self, *indices) -> Symbol:
         if len(indices) == 1 and not isinstance(indices[0], int):
@@ -98,7 +95,7 @@ class TauModel:
         if winding.count < max_time_index or omega.size < max_time_index:
             raise TruncationError("tau model tables shorter than max_time_index")
         self.curve = curve
-        self.ctx = AbelianContext(curve.gap_weights, graded=not curve.values)
+        self.ctx = AbelianContext(curve.gap_weights)
         self.winding = winding
         self.omega = omega
         self.max_time_index = max_time_index

@@ -11,12 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 import kleinian
 from kleinian.cli import main, run_derive, verify_document
+from kleinian.curves import parse_spec
 from kleinian.document import RelationDocument, export_document
+from kleinian.engine import plucker_relation, reduce_mod_db
 from kleinian.errors import ConfigError
+from kleinian.partitions import enumerate_rank2
 from kleinian.rationals import Q
+from kleinian.taucalc import TauModel
 
 G2_SPEC = "family = hyperelliptic_g2\n"
 TRIG_SPEC = "family = cyclic_trigonal_34\n"
+CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "curve-specs")
 
 
 @pytest.fixture()
@@ -151,20 +157,6 @@ def test_verify_reports_unresolved_rows(g2, tmp_path, capsys):
             RelationDocument.from_json(json.dumps(data))
 
 
-def test_fold_and_rank3_flags_leave_relations_unchanged(tmp_path, g2_spec_file):
-    def derive(*flags):
-        out = tmp_path / "doc.json"
-        assert run(["derive", "--curve", g2_spec_file, "--max-weight", "10",
-                    "--out", str(out), *flags]) == 0
-        doc = RelationDocument.from_json(out.read_text())
-        assert doc.notes == {}
-        return [(r.weight, r.cls, r.expr) for r in doc.relations]
-
-    always = derive("--fold-transposes", "always")
-    assert derive("--fold-transposes", "never") == always
-    assert derive("--enable-rank3") == always
-
-
 def test_classical_rejected_for_trigonal(tmp_path):
     spec = tmp_path / "trig.curve"
     spec.write_text(TRIG_SPEC)
@@ -182,6 +174,27 @@ def test_specialized_curve_derivation(tmp_path):
     # p1111 = 6 p11^2 + 2 p11 + 4 p12 - 2 with the parameters substituted
     (rel,) = doc.relations
     assert rel.rhs.coeff(()) == Q(-2)
+
+
+@pytest.mark.parametrize("spec, weight, method", [("specialized_example.curve", 12, "both"),
+                                                  ("specialized_trigonal.curve", 11, "plucker")])
+def test_specialized_document_annihilates_its_own_tau_model(tmp_path, capsys, spec, weight,
+                                                            method):
+    # the document is the generic hierarchy with the values substituted; the
+    # oracle is the tau model built from the specialized curve's own Puiseux
+    # data, so a value substituted into the wrong parameter leaves rows
+    curve_file = os.path.join(CURVE_SPECS, spec)
+    out = str(tmp_path / "s.json")
+    assert run(["derive", "--curve", curve_file, "--max-weight", str(weight),
+                "--method", method, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--doc", out]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    db = RelationDocument.from_json(open(out).read()).to_db()
+    model = TauModel.build(parse_spec(open(curve_file).read()), weight)
+    for w in range(4, weight + 1):
+        for lam in enumerate_rank2(w):
+            assert reduce_mod_db(plucker_relation(lam, model), db).is_zero(), lam.parts
 
 
 def _document_naming(symbol):

@@ -41,6 +41,10 @@ def test_parse_specialization_and_errors():
         parse_spec("family = hyperelliptic_g2\nalpha4 = x\n")
     with pytest.raises(ConfigError):
         parse_spec("alpha4 = 1\n")  # no family
+    for twice in ("alpha4 = 1\nalpha4 = 2\n", "alpha4 = 1\na4 = 1\n",
+                  "family = cyclic_trigonal_34\n"):
+        with pytest.raises(ConfigError):
+            parse_spec("family = hyperelliptic_g2\n" + twice)
 
 
 SPEC_KEYS = st.sampled_from(["family", "FAMILY", "alpha4", "a3", "mu1", "lambda2", "m",

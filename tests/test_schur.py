@@ -3,12 +3,49 @@
 from kleinian.partitions import Partition, all_partitions
 from kleinian.poly import MultiPoly, Symbol, time_symbol
 from kleinian.rationals import Q
-from kleinian.schur import (
-    apply_operator_to_exponential, as_diff_operator, elementary_schur, giambelli_det,
-    hook_schur, schur_poly,
-)
+from kleinian.schur import elementary_schur, giambelli_det, hook_schur, schur_poly
 
 T = [None] + [MultiPoly.sym(time_symbol(k)) for k in range(1, 9)]
+
+
+def dop_symbol(k: int) -> Symbol:
+    """The scaled derivation (1/k) d/dt_k, of weight +k."""
+    return Symbol("D%d" % k, k, "dop", (k,))
+
+
+def as_diff_operator(p: MultiPoly) -> MultiPoly:
+    """Substitute the scaled derivation D_k = (1/k) d/dt_k for each t_k.
+
+    The operators commute (they act on smooth functions of t), so the
+    result is a plain polynomial in the D_k symbols, homogeneous of weight
+    +W when p is a Schur polynomial of weight -W.
+    """
+    table = {}
+    for s in p.symbols():
+        if s.kind == "time":
+            table[s] = MultiPoly.sym(dop_symbol(s.indices[0]))
+    return p.substitute(table)
+
+
+def apply_operator_to_exponential(op: MultiPoly, velocity: dict[int, object]) -> object:
+    """Apply a D-operator polynomial to exp(sum c_k t_k) at t = 0.
+
+    Each D_k acts as multiplication by c_k / k; the result is the rational
+    (or polynomial) value of the operator on that exponential eigenfunction.
+    """
+    acc = MultiPoly.zero()
+    for mono, coeff in op.terms.items():
+        term = MultiPoly.const(coeff)
+        for s, e in mono:
+            if s.kind != "dop":
+                term = term * MultiPoly.sym(s, e)
+                continue
+            k = s.indices[0]
+            c = velocity.get(k, 0)
+            factor = (MultiPoly.const(c) if not isinstance(c, MultiPoly) else c) * Q(1, k)
+            term = term * factor ** e
+        acc = acc + term
+    return acc
 
 
 def test_elementary_schur_printed_values():
