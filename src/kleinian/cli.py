@@ -25,16 +25,20 @@ from .taucalc import AbelianContext, TauModel
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to path through a temporary file; an unwritable path is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kleinian-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kleinian-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from exc
 
 
 # ---------------------------------------------------------------------------

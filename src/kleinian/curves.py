@@ -17,8 +17,7 @@ relation of the derivation engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConventionError, TruncationError
 from .poly import MultiPoly, Symbol, param
@@ -174,19 +173,28 @@ class LocalExpansion:
     order: int
     lead: QType
     unit: LaurentSeries
+    # y^b per exponent b: Miller's recurrence runs once per exponent
+    _y_powers: dict[int, LaurentSeries] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def x(self) -> LaurentSeries:
         return LaurentSeries.xi_power(-self.curve.n)
 
-    @cached_property
+    @property
     def y(self) -> LaurentSeries:
         return self.y_power(1)
 
     def y_power(self, b: int) -> LaurentSeries:
-        """y^b = lead^b xi^(-sb) unit^(b/n), to the relative precision of y."""
-        g = self.unit.unit_power(Q(b, self.curve.n))
-        return (g * self.lead ** b).shift(-self.curve.s * b)
+        """y^b = lead^b xi^(-sb) unit^(b/n), to the relative precision of y.
+
+        Memoized per exponent; callers must not mutate the returned series.
+        """
+        got = self._y_powers.get(b)
+        if got is None:
+            g = self.unit.unit_power(Q(b, self.curve.n))
+            got = self._y_powers[b] = (g * self.lead ** b).shift(-self.curve.s * b)
+        return got
 
 
 def _curve_value(curve: CurveSpec, x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
@@ -391,14 +399,9 @@ def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) ->
     shift_deg = 2 * curve.n - 2
     deg_cap = 2 * (size - 1) + 2 + shift_deg  # largest total degree ever read
 
-    ypow: dict[int, LaurentSeries] = {}
-
     def factor(a: int, b: int) -> LaurentSeries:
         """x^a y^b dx xi^(2n) / f_y = -xi^(n-1-na) y^(b+1-n), capped at deg_cap."""
-        e = b + 1 - n
-        if e not in ypow:
-            ypow[e] = loc.y_power(e)
-        series = -ypow[e].shift(n - 1 - n * a)
+        series = -loc.y_power(b + 1 - n).shift(n - 1 - n * a)
         if series.order <= deg_cap + 1:
             return series
         return series.truncate(deg_cap + 1)

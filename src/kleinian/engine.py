@@ -15,6 +15,14 @@ Rows are assembled, and reduced, as integer numerators over one common
 denominator (:class:`~kleinian.poly.ScaledPoly`): each rule set is put over
 the least common multiple of its denominators once, and rationals are
 formed once per row, when its normal form is returned.
+
+Reduction modulo a closure is a linear map: the pivot that rewrites a
+monomial depends on the monomial alone, so NF(sum(c_m * m)) =
+sum(c_m * NF(m)).  Each monomial's normal form is computed once per
+closure and memoized on its :class:`PivotIndex`, and every layer row,
+collision row and check reduced against that closure combines the
+memoized forms.  The pass-by-pass rewriting loop serves only the closure
+inter-reduction, where the rules change under it.
 """
 
 from __future__ import annotations
@@ -118,6 +126,10 @@ class PivotIndex:
     over one common denominator ``den``, the least common multiple of all
     their coefficient denominators.  Only the pivots are bucketed, so a
     right-hand side may be replaced (:meth:`set_rhs`).
+
+    ``memo`` holds the normal form NF(m) of every monomial reduced so far
+    under the full rule set (None marks an irreducible monomial); it is
+    emptied whenever a right-hand side changes.
     """
 
     def __init__(self, rules: dict[Monomial, MultiPoly]):
@@ -132,6 +144,7 @@ class PivotIndex:
         self.nums: dict[Monomial, dict[Monomial, int]] = {
             pivot: {m: c.numerator * (den // c.denominator) for m, c in rhs.terms.items()}
             for pivot, rhs in rules.items()}
+        self.memo: dict[Monomial, ScaledPoly | None] = {}
 
     def find(self, mono: Monomial, skip: Monomial | None = None) -> Monomial | None:
         """The largest pivot, other than skip, that divides mono."""
@@ -148,6 +161,11 @@ class PivotIndex:
                     break
         return best
 
+    def rewrite(self, mono: Monomial, pivot: Monomial) -> list[tuple[Monomial, int]]:
+        """One rewriting step mono -> cofactor * rhs(pivot), as numerators over den."""
+        cofactor = monomial_div(mono, pivot)
+        return [(monomial_mul(cofactor, m), n) for m, n in self.nums[pivot].items()]
+
     def rhs(self, pivot: Monomial) -> ScaledPoly:
         return ScaledPoly(self.den, self.nums[pivot])
 
@@ -155,7 +173,8 @@ class PivotIndex:
         """Replace the right-hand side of pivot; whether its value changed.
 
         A value whose denominator does not divide den raises den to the
-        least common multiple and rescales every right-hand side.
+        least common multiple and rescales every right-hand side.  A change
+        empties the memo of normal forms.
         """
         value = value.primitive()
         den = lcm(self.den, value.den)
@@ -168,28 +187,101 @@ class PivotIndex:
         if nums == self.nums[pivot]:
             return False
         self.nums[pivot] = nums
+        self.memo.clear()
         return True
 
     def rules(self) -> dict[Monomial, MultiPoly]:
         """The rules as rational polynomials, in the order they were given."""
         return {pivot: self.rhs(pivot).poly() for pivot in self.nums}
 
+    def normal_form(self, expr: ScaledPoly) -> ScaledPoly:
+        """sum(n_m * NF(m)) / den over expr's terms; expr itself if none is reducible."""
+        memo = self.memo
+        for m in expr.nums:
+            if m not in memo:
+                self._memoize(m)
+        images = [memo[m] for m in expr.nums]
+        if images.count(None) == len(images):
+            return expr
+        return _linear_image(expr.den, list(zip(expr.nums.items(), images)))
+
+    def _memoize(self, mono: Monomial):
+        """Memoize NF(mono) and every normal form it needs, depth first.
+
+        NF(m) = m when no pivot divides m, and otherwise
+        sum(n_r * NF(cofactor * m_r)) / den over the pivot's right-hand side.
+        The walk keeps its own stack, so a long rule chain cannot exhaust
+        Python's recursion limit; a monomial met again on its own rewriting
+        path means the rule set is cyclic.
+        """
+        memo, find = self.memo, self.find
+
+        def frame(m):
+            pivot = find(m)
+            return [m, None if pivot is None else self.rewrite(m, pivot), 0]
+
+        stack, path = [frame(mono)], {mono}
+        while stack:
+            top = stack[-1]
+            m, children, i = top
+            if children is not None:
+                while i < len(children) and children[i][0] in memo:
+                    i += 1
+                if i < len(children):
+                    child = children[i][0]
+                    if child in path:
+                        raise ReductionError("cyclic rule set: %s rewrites to itself"
+                                             % monomial_str(child))
+                    top[2] = i + 1
+                    path.add(child)
+                    stack.append(frame(child))
+                    continue
+                memo[m] = _linear_image(self.den, [(c, memo[c[0]]) for c in children])
+            else:
+                memo[m] = None
+            path.discard(m)
+            stack.pop()
+
+
+def _linear_image(den: int, terms: list[tuple[tuple[Monomial, int], ScaledPoly | None]]
+                  ) -> ScaledPoly:
+    """sum(n * image) / den over ((m, n), image) pairs, a None image standing for m."""
+    d = lcm(*(image.den for _, image in terms if image is not None))
+    out: dict[Monomial, int] = {}
+    for (m, n), image in terms:
+        if image is None:
+            add_terms(out, ((m, n * d),))
+        else:
+            f = n * (d // image.den)
+            add_terms(out, ((k, f * c) for k, c in image.nums.items()))
+    return ScaledPoly(den * d, out).primitive()
+
 
 def reduce_scaled(expr: ScaledPoly, index: PivotIndex,
                   skip: Monomial | None = None) -> ScaledPoly:
     """Rewrite to a normal form, substituting rule pivots greedily.
 
-    Deterministic: within a pass every reducible monomial is rewritten by
-    its largest applicable pivot (skip leaves one pivot out, so that a
-    rule's right-hand side is reduced against all the others).  A pass
-    puts the whole expression over den * index.den: irreducible terms are
+    Deterministic: every reducible monomial is rewritten by its largest
+    applicable pivot.  The pivot depends on the monomial alone, so the
+    normal form is linear, NF(sum(n_m * m)) = sum(n_m * NF(m)), and without
+    skip it is read off the index's memo (:meth:`PivotIndex.normal_form`):
+    each monomial's normal form is computed once per rule set, and every
+    row, collision and check reduced against that rule set shares it.
+
+    skip leaves one pivot out, so that a rule's right-hand side is reduced
+    against all the others.  That is the closure inter-reduction, whose
+    rules change after each such reduction, so nothing it computes could be
+    reused; it rewrites the whole expression pass by pass instead.  A pass
+    puts the expression over den * index.den: irreducible terms are
     multiplied by the rules' denominator, rewritten ones by the rule's
     numerators; the common content is divided out after each pass.
     Bounded passes guard against a cyclic rule set, which would be an
-    internal error.  An expression with nothing to rewrite is returned as
-    it is.
+    internal error.  On either path an expression with nothing to rewrite
+    is returned as it is.
     """
-    rden, rnums, find = index.den, index.nums, index.find
+    if skip is None:
+        return index.normal_form(expr)
+    rden, rewrite, find = index.den, index.rewrite, index.find
     pivots: dict[Monomial, Monomial | None] = {}
     for _ in range(_REDUCE_PASS_BOUND):
         nums = expr.nums
@@ -202,9 +294,7 @@ def reduce_scaled(expr: ScaledPoly, index: PivotIndex,
             if pivot is None:
                 add_terms(out, ((mono, n * rden),))
             else:
-                cofactor = monomial_div(mono, pivot)
-                add_terms(out, ((monomial_mul(cofactor, m), n * r)
-                                for m, r in rnums[pivot].items()))
+                add_terms(out, ((m, n * r) for m, r in rewrite(mono, pivot)))
         expr = ScaledPoly(expr.den * rden, out).primitive()
     raise ReductionError("reduction did not terminate within the pass bound")
 

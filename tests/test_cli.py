@@ -126,7 +126,30 @@ def test_config_errors(tmp_path, g2_spec_file):
     assert run(["verify", "--doc", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("spec, weight", [(G2_SPEC, 17), (TRIG_SPEC, 16)])
+@pytest.mark.parametrize("command", ["derive", "export"])
+@pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
+def test_unwritable_out_exits_2(tmp_path, g2_spec_file, command, target):
+    doc = str(tmp_path / "doc.json")
+    assert run(["derive", "--curve", g2_spec_file, "--max-weight", "4", "--out", doc]) == 0
+    dest = tmp_path / "dest"
+    if target == "under-a-file":
+        dest.write_text("")
+        out = dest / "x.json"
+    else:
+        dest.mkdir()
+        out = dest
+    args = {"derive": ["derive", "--curve", g2_spec_file, "--max-weight", "4"],
+            "export": ["export", "--doc", doc]}[command]
+    src = os.path.dirname(os.path.dirname(kleinian.__file__))
+    proc = subprocess.run([sys.executable, "-m", "kleinian.cli"] + args + ["--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write")
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob(".kleinian-*"))
+
+
+@pytest.mark.parametrize("spec, weight",[(G2_SPEC, 17), (TRIG_SPEC, 16)])
 def test_gated_layers_refused_before_work(tmp_path, spec, weight):
     # without --enable-weight16 the layers above 15 (above the weight-16
     # Kummer stand-in on genus 2) would come out empty

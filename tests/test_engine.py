@@ -12,8 +12,8 @@ from kleinian.engine import (
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, enumerate_rank2, transpose_classes
 from kleinian.poly import (
-    MultiPoly, add_terms, monomial_div, monomial_divides, monomial_key, monomial_mul,
-    monomial_str, monomial_weight,
+    MultiPoly, ScaledPoly, add_terms, monomial_div, monomial_divides, monomial_key, monomial_mul,
+    monomial_str, monomial_weight, param,
 )
 from kleinian.rationals import Q
 from kleinian.schur import hook_schur, schur_poly
@@ -229,6 +229,54 @@ def test_reduction_matches_rational_reference(g2, g2_db, g2_rules, data):
     assert reduce_with_rules(expr, rules) == reference_reduce(expr, rules)
     skip = data.draw(st.sampled_from(pivots))
     assert reduce_with_rules(expr, rules, skip=skip) == reference_reduce(expr, rules, skip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoized_reduction_matches_rational_reference(g2_db, g2_rules, data):
+    # the closure's memo of normal forms outlives each example, so later
+    # draws reuse normal forms memoized by earlier ones
+    rules, pivots, symbols = g2_rules
+    expr = MultiPoly.zero()
+    for _ in range(data.draw(st.integers(1, 6))):
+        factors = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 2),
+                                            max_size=3))
+        mono = monomial_mul(tuple(sorted(factors.items())), data.draw(st.sampled_from(pivots)))
+        if monomial_weight(mono) <= 16:
+            coeff = Q(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 30)))
+            expr = expr + MultiPoly.monomial(mono, coeff)
+    assert g2_db.reduce(expr, 10) == reference_reduce(expr, rules)
+
+
+def chain_symbols(count):
+    return [param("chain%d" % i, 1) for i in range(count)]
+
+
+def test_changed_rhs_clears_memo():
+    a, b, c, d = chain_symbols(4)
+    rules = {((a, 1),): MultiPoly.sym(b), ((b, 1),): MultiPoly.sym(c)}
+    index = PivotIndex(rules)
+    assert reduce_with_rules(MultiPoly.sym(a), rules, index) == MultiPoly.sym(c)
+    assert not index.set_rhs(((b, 1),), ScaledPoly.of(MultiPoly.sym(c)))
+    assert index.memo
+    assert index.set_rhs(((b, 1),), ScaledPoly.of(MultiPoly.sym(d, coeff=Q(1, 3))))
+    assert not index.memo
+    assert reduce_with_rules(MultiPoly.sym(a), rules, index) == MultiPoly.sym(d, coeff=Q(1, 3))
+
+
+def test_cyclic_rules_raise_reduction_error():
+    a, b = chain_symbols(2)
+    rules = {((a, 1),): MultiPoly.sym(b), ((b, 1),): MultiPoly.sym(a)}
+    with pytest.raises(ReductionError):
+        reduce_with_rules(MultiPoly.sym(a), rules)
+
+
+def test_long_rule_chain_reduces_without_recursion():
+    # 1500 rules deep: beyond both the pass bound and Python's recursion limit
+    syms = chain_symbols(1501)
+    rules = {((s, 1),): MultiPoly.sym(t, coeff=2) for s, t in zip(syms, syms[1:])}
+    assert reduce_with_rules(MultiPoly.sym(syms[0]), rules) == \
+        MultiPoly.sym(syms[-1], coeff=2 ** 1500)
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,14 @@ act as directional sigma derivatives), whose sigma_J/sigma ratios are then
 eliminated through the ladder P_{J+i} = zeta_i P_J + d_i P_J.
 """
 
+from collections import Counter
+
 import pytest
 
 from kleinian.errors import TruncationError
 from kleinian.poly import MultiPoly
-from kleinian.taucalc import AbelianContext
+from kleinian.series import LaurentSeries
+from kleinian.taucalc import AbelianContext, TauModel
 
 
 def zp(ctx, *idx):
@@ -199,3 +202,20 @@ def test_parity_involution_examples(g2):
     both = zp(ctx, 1, 1) * zp(ctx, 1, 2)
     assert ctx.parity(both) == both
     assert ctx.parity(ctx.parity(z1 + both)) == z1 + both
+
+
+@pytest.mark.parametrize("which, exponents", [("g2", 3), ("trig", 4)])
+def test_build_runs_each_y_power_once(request, monkeypatch, which, exponents):
+    # differentials and the omega table share y^(-1/n) (and y^(-2/3) on the
+    # trigonal curve): Miller's recurrence must run once per exponent
+    seen = Counter()
+    unit_power = LaurentSeries.unit_power
+
+    def counting(self, alpha):
+        seen[alpha] += 1
+        return unit_power(self, alpha)
+
+    monkeypatch.setattr(LaurentSeries, "unit_power", counting)
+    TauModel.build(request.getfixturevalue(which), 8)
+    assert len(seen) == exponents
+    assert set(seen.values()) == {1}
