@@ -304,8 +304,8 @@ def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
                       skip: Monomial | None = None) -> MultiPoly:
     """Normal form of expr under the rules (see :func:`reduce_scaled`).
 
-    index is a prebuilt :class:`PivotIndex` over rules; skip leaves one
-    pivot out.
+    index is a prebuilt :class:`PivotIndex` over rules, whose memo of
+    normal forms carries over from call to call; skip leaves one pivot out.
     """
     if not rules:
         return expr
