@@ -19,10 +19,11 @@ formed once per row, when its normal form is returned.
 Reduction modulo a closure is a linear map: the pivot that rewrites a
 monomial depends on the monomial alone, so NF(sum(c_m * m)) =
 sum(c_m * NF(m)).  Each monomial's normal form is computed once per
-closure and memoized on its :class:`PivotIndex`, and every layer row,
-collision row and check reduced against that closure combines the
-memoized forms.  The pass-by-pass rewriting loop serves only the closure
-inter-reduction, where the rules change under it.
+closure and memoized on its :class:`PivotIndex`, and this is the one
+reduction path: every layer row, collision row and check reduced against
+a closure combines the memoized forms, and so does the closure's own
+inter-reduction, a single sweep that replaces each right-hand side by its
+normal form.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ QUAD_THREE_INDEX = "QUAD_THREE_INDEX"
 QUASILINEAR = "QUASILINEAR"
 QUARTIC_EVEN = "QUARTIC_EVEN"
 OTHER = "OTHER"
-
-_REDUCE_PASS_BOUND = 400
 
 
 def wp_degree(mono: Monomial, min_indices: int) -> int:
@@ -146,8 +145,8 @@ class PivotIndex:
             for pivot, rhs in rules.items()}
         self.memo: dict[Monomial, ScaledPoly | None] = {}
 
-    def find(self, mono: Monomial, skip: Monomial | None = None) -> Monomial | None:
-        """The largest pivot, other than skip, that divides mono."""
+    def find(self, mono: Monomial) -> Monomial | None:
+        """The largest pivot that divides mono."""
         mw = monomial_weight(mono)
         have = dict(mono)
         best = best_key = None
@@ -155,16 +154,10 @@ class PivotIndex:
             for key, weight, pivot in self.buckets.get(s, ()):
                 if best is not None and key <= best_key:
                     break
-                if weight <= mw and all(have.get(t, 0) >= e for t, e in pivot) \
-                        and pivot != skip:
+                if weight <= mw and all(have.get(t, 0) >= e for t, e in pivot):
                     best, best_key = pivot, key
                     break
         return best
-
-    def rewrite(self, mono: Monomial, pivot: Monomial) -> list[tuple[Monomial, int]]:
-        """One rewriting step mono -> cofactor * rhs(pivot), as numerators over den."""
-        cofactor = monomial_div(mono, pivot)
-        return [(monomial_mul(cofactor, m), n) for m, n in self.nums[pivot].items()]
 
     def rhs(self, pivot: Monomial) -> ScaledPoly:
         return ScaledPoly(self.den, self.nums[pivot])
@@ -214,11 +207,15 @@ class PivotIndex:
         Python's recursion limit; a monomial met again on its own rewriting
         path means the rule set is cyclic.
         """
-        memo, find = self.memo, self.find
+        memo, find, nums = self.memo, self.find, self.nums
 
         def frame(m):
+            # children: the rewriting step m -> cofactor * rhs(pivot), over den
             pivot = find(m)
-            return [m, None if pivot is None else self.rewrite(m, pivot), 0]
+            if pivot is None:
+                return [m, None, 0]
+            cofactor = monomial_div(m, pivot)
+            return [m, [(monomial_mul(cofactor, r), n) for r, n in nums[pivot].items()], 0]
 
         stack, path = [frame(mono)], {mono}
         while stack:
@@ -257,61 +254,25 @@ def _linear_image(den: int, terms: list[tuple[tuple[Monomial, int], ScaledPoly |
     return ScaledPoly(den * d, out).primitive()
 
 
-def reduce_scaled(expr: ScaledPoly, index: PivotIndex,
-                  skip: Monomial | None = None) -> ScaledPoly:
-    """Rewrite to a normal form, substituting rule pivots greedily.
+def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
+                      index: PivotIndex | None = None) -> MultiPoly:
+    """Normal form of expr under the rules, substituting rule pivots greedily.
 
     Deterministic: every reducible monomial is rewritten by its largest
     applicable pivot.  The pivot depends on the monomial alone, so the
-    normal form is linear, NF(sum(n_m * m)) = sum(n_m * NF(m)), and without
-    skip it is read off the index's memo (:meth:`PivotIndex.normal_form`):
-    each monomial's normal form is computed once per rule set, and every
-    row, collision and check reduced against that rule set shares it.
-
-    skip leaves one pivot out, so that a rule's right-hand side is reduced
-    against all the others.  That is the closure inter-reduction, whose
-    rules change after each such reduction, so nothing it computes could be
-    reused; it rewrites the whole expression pass by pass instead.  A pass
-    puts the expression over den * index.den: irreducible terms are
-    multiplied by the rules' denominator, rewritten ones by the rule's
-    numerators; the common content is divided out after each pass.
-    Bounded passes guard against a cyclic rule set, which would be an
-    internal error.  On either path an expression with nothing to rewrite
-    is returned as it is.
-    """
-    if skip is None:
-        return index.normal_form(expr)
-    rden, rewrite, find = index.den, index.rewrite, index.find
-    pivots: dict[Monomial, Monomial | None] = {}
-    for _ in range(_REDUCE_PASS_BOUND):
-        nums = expr.nums
-        hits = [pivots[m] if m in pivots else pivots.setdefault(m, find(m, skip))
-                for m in nums]
-        if hits.count(None) == len(hits):
-            return expr
-        out: dict[Monomial, int] = {}
-        for (mono, n), pivot in zip(nums.items(), hits):
-            if pivot is None:
-                add_terms(out, ((mono, n * rden),))
-            else:
-                add_terms(out, ((m, n * r) for m, r in rewrite(mono, pivot)))
-        expr = ScaledPoly(expr.den * rden, out).primitive()
-    raise ReductionError("reduction did not terminate within the pass bound")
-
-
-def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
-                      index: PivotIndex | None = None,
-                      skip: Monomial | None = None) -> MultiPoly:
-    """Normal form of expr under the rules (see :func:`reduce_scaled`).
-
-    index is a prebuilt :class:`PivotIndex` over rules, whose memo of
-    normal forms carries over from call to call; skip leaves one pivot out.
+    normal form is linear, NF(sum(c_m * m)) = sum(c_m * NF(m)), and it is
+    read off the index's memo (:meth:`PivotIndex.normal_form`).  index is a
+    prebuilt :class:`PivotIndex` over rules, whose memo of normal forms
+    carries over from call to call: each monomial's normal form is computed
+    once per rule set, and every row, collision and check reduced against
+    that rule set shares it.  A cyclic rule set raises
+    :class:`ReductionError`.
     """
     if not rules:
         return expr
     if index is None:
         index = PivotIndex(rules)
-    return reduce_scaled(ScaledPoly.of(expr), index, skip).poly()
+    return index.normal_form(ScaledPoly.of(expr)).poly()
 
 
 def _index_multisets(genus: int, gaps: tuple[int, ...], max_weight: int):
@@ -413,26 +374,23 @@ class RelationDB:
             if r.cls != FOUR_INDEX:
                 continue
             base = r.solved_monomial[0][0].indices
+            # d_J = d_{J[-1]} d_{J[:-1]}: the sorted multisets list each prefix first
+            derivs = {(): r.rhs}
             for J in _index_multisets(self.ctx.genus, gaps, max_weight - r.weight):
                 pivot = ((self.ctx.wp(base + J), 1),)
-                rhs = self.ctx.diff_multi(r.rhs, J)
+                rhs = derivs[J] = self.ctx.diff(derivs[J[:-1]], J[-1])
                 if pivot in rules:
                     collisions.append((monomial_weight(pivot), rules[pivot] - rhs))
                 else:
                     rules[pivot] = rhs
-        # normal-form the right-hand sides against each other, in place
+        # inter-reduce the right-hand sides in one sweep.  Rules are
+        # weight-homogeneous and every symbol has positive weight, so a pivot
+        # divides no monomial of its own right-hand side (save itself, which
+        # the memo walk reports as a cycle); a normal form stays irreducible
+        # while later right-hand sides change, since only the pivots decide
         index = PivotIndex(rules)
-        for _ in range(_REDUCE_PASS_BOUND):
-            stable = True
-            for pivot in sorted(rules, key=monomial_key):
-                rhs = index.rhs(pivot)
-                reduced = reduce_scaled(rhs, index, skip=pivot)
-                if reduced is not rhs and index.set_rhs(pivot, reduced):
-                    stable = False
-            if stable:
-                break
-        else:
-            raise ReductionError("closure inter-reduction did not stabilize")
+        for pivot in sorted(rules, key=monomial_key):
+            index.set_rhs(pivot, index.normal_form(index.rhs(pivot)))
         rules = index.rules()
         rows = []
         for w, c in collisions:
@@ -521,8 +479,7 @@ def _split_row(expr: MultiPoly, source: tuple[Partition, ...]) -> _Row:
     return _Row(cols, basic, source)
 
 
-def linear_solve(system: list[MultiPoly], unknowns: list[Monomial] | None = None,
-                 sources: list[tuple[Partition, ...]] | None = None):
+def linear_solve(system: list[MultiPoly], sources: list[tuple[Partition, ...]] | None = None):
     """Fraction-free elimination of rows linear in unknown monomials.
 
     Returns (solved, residual): solved rows are (pivot monomial, RHS
@@ -535,13 +492,6 @@ def linear_solve(system: list[MultiPoly], unknowns: list[Monomial] | None = None
     """
     sources = sources or [()] * len(system)
     rows = [_split_row(e, src) for e, src in zip(system, sources)]
-    if unknowns is not None:
-        allowed = set(unknowns)
-        for row in rows:
-            bad = [c for c in row.cols if c not in allowed]
-            if bad:
-                raise ValueError("row not linear in the designated unknowns: %s"
-                                 % monomial_str(bad[0]))
     rows = [r for r in rows if not r.is_zero()]
     columns = sorted({c for r in rows for c in r.cols}, key=column_order_key)
     pivoted: list[tuple[Monomial, _Row]] = []

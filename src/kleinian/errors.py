@@ -31,7 +31,7 @@ class InconsistentSystemError(KleinianError):
 
 
 class ReductionError(KleinianError):
-    """Reduction failed: zeta symbols survived, or the pass bound was hit."""
+    """Reduction failed: zeta symbols survived, or the rule set is cyclic."""
 
 
 class ConventionError(KleinianError):

@@ -70,11 +70,6 @@ class AbelianContext:
         """Derivative along u_i: d zeta_j = -p_ij, d p_J = p_{J+i}."""
         return expr.derive(lambda s: self._dsym(i, s))
 
-    def diff_multi(self, expr: MultiPoly, indices) -> MultiPoly:
-        for i in indices:
-            expr = self.diff(expr, i)
-        return expr
-
     def parity(self, expr: MultiPoly) -> MultiPoly:
         """Involution u -> -u: zeta_i -> -zeta_i, p_J -> (-1)^|J| p_J."""
         out = {}

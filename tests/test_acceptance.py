@@ -11,6 +11,7 @@ import time
 import pytest
 
 from jacobian_oracle import vanishes_on_jacobian
+from kleinian import cli
 from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
 from kleinian.engine import (
@@ -208,15 +209,32 @@ def test_criterion_9_combinatorial_property_suite(g2_model, g2_db, trig_db):
     clock.done("Giambelli/JT, p-recursion, transpose identity, antisymmetry, grading")
 
 
-def test_trigonal_weight12_quartic_lies_in_derived_ideal(trig):
+@pytest.fixture(scope="module")
+def trig_doc12(trig):
+    return run_derive(trig, 12)
+
+
+def test_trigonal_weight12_quartic_lies_in_derived_ideal(trig, trig_doc12):
     # the printed weight-12 quartic is no derived relation, but the layers
-    # through weight 12 generate it; verify reports that as a NOTE line
-    doc = run_derive(trig, 12)
-    db = doc.to_db()
+    # through weight 12 generate it; verify passes on that
+    db = trig_doc12.to_db()
     assert reduce_mod_db(trigonal_weight12_quartic(trig, db.ctx), db).is_zero()
-    ok, lines = verify_document(doc)
+    ok, lines = verify_document(trig_doc12)
     assert ok
-    assert "NOTE weight-12 quartic lies in the derived ideal" in lines
+    assert "PASS weight-12 quartic lies in the derived ideal" in lines
+
+
+def test_trigonal_weight12_quartic_residual_fails_verify(trig_doc12, tmp_path, monkeypatch,
+                                                         capsys):
+    # a quartic off by one basic monomial leaves a residual: FAIL, exit 1
+    def perturbed(curve, ctx):
+        return trigonal_weight12_quartic(curve, ctx) + ctx.wp_poly((1, 1)) ** 6
+
+    monkeypatch.setattr(cli, "trigonal_weight12_quartic", perturbed)
+    doc = tmp_path / "trig.json"
+    doc.write_text(trig_doc12.to_json())
+    assert cli.main(["verify", "--doc", str(doc)]) == 1
+    assert "FAIL weight-12 quartic residual has" in capsys.readouterr().out
 
 
 requires_stretch = pytest.mark.skipif(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kleinian
+from kleinian import cli
 from kleinian.cli import main, run_derive, verify_document
 from kleinian.curves import parse_spec
 from kleinian.document import RelationDocument, export_document
@@ -126,18 +127,22 @@ def test_config_errors(tmp_path, g2_spec_file):
     assert run(["verify", "--doc", str(tmp_path / "missing.json")]) == 2
 
 
+def unwritable_out(tmp_path, target):
+    """An --out path under a regular file, or naming a directory."""
+    dest = tmp_path / "dest"
+    if target == "under-a-file":
+        dest.write_text("")
+        return dest / "x.json"
+    dest.mkdir()
+    return dest
+
+
 @pytest.mark.parametrize("command", ["derive", "export"])
 @pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
 def test_unwritable_out_exits_2(tmp_path, g2_spec_file, command, target):
     doc = str(tmp_path / "doc.json")
     assert run(["derive", "--curve", g2_spec_file, "--max-weight", "4", "--out", doc]) == 0
-    dest = tmp_path / "dest"
-    if target == "under-a-file":
-        dest.write_text("")
-        out = dest / "x.json"
-    else:
-        dest.mkdir()
-        out = dest
+    out = unwritable_out(tmp_path, target)
     args = {"derive": ["derive", "--curve", g2_spec_file, "--max-weight", "4"],
             "export": ["export", "--doc", doc]}[command]
     src = os.path.dirname(os.path.dirname(kleinian.__file__))
@@ -147,6 +152,34 @@ def test_unwritable_out_exits_2(tmp_path, g2_spec_file, command, target):
     assert proc.stderr.startswith("error: cannot write")
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.rglob(".kleinian-*"))
+
+
+def never_derive(*args, **kwargs):
+    raise AssertionError("run_derive called")
+
+
+@pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
+def test_unwritable_out_is_refused_before_deriving(tmp_path, g2_spec_file, monkeypatch,
+                                                   capsys, target):
+    monkeypatch.setattr(cli, "run_derive", never_derive)
+    out = unwritable_out(tmp_path, target)
+    assert run(["derive", "--curve", g2_spec_file, "--max-weight", "16",
+                "--enable-weight16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not list(tmp_path.rglob(".kleinian-*"))
+
+
+def test_failed_derive_leaves_existing_out_untouched(tmp_path, g2_spec_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(cli, "run_derive", refuse)
+    out = tmp_path / "doc.json"
+    out.write_text("an earlier document")
+    assert run(["derive", "--curve", g2_spec_file, "--max-weight", "6",
+                "--out", str(out)]) == 2
+    assert out.read_text() == "an earlier document"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "g2.curve"]
 
 
 @pytest.mark.parametrize("spec, weight",[(G2_SPEC, 17), (TRIG_SPEC, 16)])
