@@ -37,8 +37,14 @@ def _coeff_json(c) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
+def _decimal(value, what: str) -> int:
+    if type(value) is not str:
+        raise ConfigError("%s must be a decimal string, got %r" % (what, value))
+    return int(value)
+
+
 def _coeff_from_json(d) -> object:
-    return Q(int(d["num"]), int(d["den"]))
+    return Q(_decimal(d["num"], "numerator"), _decimal(d["den"], "denominator"))
 
 
 def _monomial_json(m: Monomial) -> list:

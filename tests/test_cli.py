@@ -273,6 +273,16 @@ def test_malformed_document_exits_2(tmp_path, text):
     assert run(["show", "--doc", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("den", [1.5, float("inf"), 1, None])
+def test_non_string_coefficient_exits_2(tmp_path, den):
+    # coefficients are decimal strings; a float must not be truncated or overflow
+    doc = json.loads(_document_naming("p22"))
+    doc["relations"][0]["terms"][0]["coeff"]["den"] = den
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--doc", str(bad)]) == 2
+
+
 @pytest.fixture(scope="module")
 def doc4_data():
     from kleinian.curves import HYPERELLIPTIC_G2, curve_by_family
