@@ -15,7 +15,7 @@ from . import ENGINE_VERSION
 from .curves import CurveSpec, curve_by_family
 from .engine import Relation, RelationDB
 from .errors import ConfigError
-from .poly import Monomial, MultiPoly, Symbol, monomial_key
+from .poly import Monomial, MultiPoly, Symbol, monomial_key, monomial_str
 from .rationals import Q, q_str
 from .taucalc import AbelianContext
 
@@ -103,6 +103,27 @@ def relation_from_json(data, curve, ctx) -> Relation:
     )
 
 
+def _solved_once(relations: list[Relation], where: str) -> list[Relation]:
+    """The relations of one list, refused unless each solved monomial occurs
+    in its expression at coefficient exactly +1 and once in the list.
+
+    A ``--method both`` document repeats solved monomials across its two
+    lists, so each list is checked on its own.
+    """
+    seen = set()
+    for r in relations:
+        m = r.solved_monomial
+        if m is None:
+            continue
+        if r.expr.terms.get(m) != 1:
+            raise ConfigError("%s: solved monomial %s has coefficient %s, not 1, in its relation"
+                              % (where, monomial_str(m), r.expr.terms.get(m, 0)))
+        if m in seen:
+            raise ConfigError("%s: solved monomial %s occurs twice" % (where, monomial_str(m)))
+        seen.add(m)
+    return relations
+
+
 class RelationDocument:
     """Serializable result of a derivation run."""
 
@@ -152,12 +173,15 @@ class RelationDocument:
         params = {k: v for k, v in data["curve"]["parameters"].items() if v != "symbolic"}
         curve = curve_by_family(data["curve"]["family"], params)
         ctx = AbelianContext(curve.gap_weights)
+        relations, classical = (
+            _solved_once([relation_from_json(r, curve, ctx) for r in data[key]], key)
+            for key in ("relations", "classical_relations"))
         return cls(
             curve=curve,
             max_weight=_integer(data["max_weight"], "max_weight", 0),
             method=data["method"],
-            relations=[relation_from_json(r, curve, ctx) for r in data["relations"]],
-            classical=[relation_from_json(r, curve, ctx) for r in data["classical_relations"]],
+            relations=relations,
+            classical=classical,
             notes={int(w): _notes(msgs) for w, msgs in data.get("notes", {}).items()},
         )
 
@@ -225,7 +249,6 @@ def _latex_q(c) -> str:
 
 def render_relation(r: Relation, fmt: str) -> str:
     if fmt == "text":
-        from .poly import monomial_str
         if r.solved_monomial is not None:
             return "%s = %s" % (monomial_str(r.solved_monomial), r.rhs.text())
         return "%s = 0" % r.expr.text()

@@ -2,11 +2,13 @@
 
 Layers are strictly sequential: the weight-W layer assumes a database
 complete for all weights below W.  A layer generates one determinant
-identity per rank-2 partition of weight W (folding transpose pairs for
-the hyperelliptic curve, where both members give the same row; forming
-symmetric and antisymmetric combinations for the trigonal curve),
-reduces every row modulo the lower layers and their derivative closure,
-and solves the surviving rows for the monomials that contain a p-symbol
+identity per rank-2 partition of weight W and reduces it modulo the lower
+layers and their derivative closure as soon as it is built, so the layer
+holds reduced rows only.  Transpose pairs are folded for the hyperelliptic
+curve, where both members give the same row; for the trigonal curve their
+symmetric and antisymmetric combinations are formed from the two reduced
+rows, which is exact because reduction is linear (see below).  The layer
+then solves the surviving rows for the monomials that contain a p-symbol
 with three or more indices.  Solved rows are promoted to relations; rows
 that reduce to zero were already in the ideal and are dropped; rows left
 with no 3-index content are relations among the basic symbols.
@@ -576,9 +578,12 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
 
     The database must be complete for all lower weights; the returned
     relations are not yet stored (callers decide, usually via
-    :func:`derive_range`).  Transpose pairs are folded for the
-    hyperelliptic curve, where both members give the same row, and give
-    their symmetric and antisymmetric combinations for the trigonal curve.
+    :func:`derive_range`).  The closure is built first, and each
+    partition's Plucker row is reduced modulo it as soon as it is built.
+    Transpose pairs are folded for the hyperelliptic curve, where both
+    members give the same row; for the trigonal curve the pair gives
+    NF(a) + NF(b) and NF(a) - NF(b), which equal NF(a + b) and NF(a - b)
+    because the normal form is a linear map.
     """
     if weight < 4:
         raise ValueError("no rank-2 partitions below weight 4")
@@ -589,26 +594,27 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
                              % (weight, sorted(missing)))
     ctx = db.ctx
     fold = model.curve.family == HYPERELLIPTIC_G2
-    raw_rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
+    _, collision_rows = db.closure(weight, include_equal=False)
+
+    def reduced(lam: Partition) -> MultiPoly:
+        return db.reduce(plucker_relation(lam, model), weight, include_equal=False)
+
+    rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
     for rep, tr in transpose_classes(enumerate_rank2(weight)):
         if fold or rep == tr:
-            raw_rows.append(((rep,), plucker_relation(rep, model)))
+            built = [((rep,), reduced(rep))]
         else:
-            a = plucker_relation(rep, model)
-            b = plucker_relation(tr, model)
-            raw_rows.append(((rep, tr), a + b))
-            raw_rows.append(((rep, tr), a - b))
-    _, collision_rows = db.closure(weight, include_equal=False)
-    rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
-    for src, expr in raw_rows:
-        red = db.reduce(expr, weight, include_equal=False)
-        if red.is_zero():
-            continue
-        if not ctx.is_zeta_free(red):
-            raise ReductionError(
-                "zeta survives reduction at weight %d (source %s); lower layers incomplete"
-                % (weight, [p.parts for p in src]))
-        rows.append((src, red))
+            # the normal form is linear: NF(a) +- NF(b) is NF(a +- b)
+            a, b = reduced(rep), reduced(tr)
+            built = [((rep, tr), a + b), ((rep, tr), a - b)]
+        for src, red in built:
+            if red.is_zero():
+                continue
+            if not ctx.is_zeta_free(red):
+                raise ReductionError(
+                    "zeta survives reduction at weight %d (source %s); lower layers incomplete"
+                    % (weight, [p.parts for p in src]))
+            rows.append((src, red))
     for w, expr in collision_rows:
         if w == weight and not expr.is_zero():
             rows.append(((), expr))

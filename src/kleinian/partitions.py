@@ -3,7 +3,8 @@
 A partition of rank r decomposes into r diagonal hooks with strictly
 decreasing arm lengths a_i = lambda_i - i and leg lengths b_i = lambda'_i - i.
 The derivation pipeline runs on rank-2 partitions (2+m, 2+n, 2^k, 1^l);
-higher ranks are representable for the Giambelli extension.
+the Schur polynomials of every rank are Giambelli determinants over the
+Frobenius coordinates (:mod:`kleinian.schur`).
 """
 
 from __future__ import annotations

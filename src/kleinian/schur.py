@@ -1,10 +1,17 @@
 """Schur polynomials in the KP times.
 
-Elementary Schur functions p_m are generated by exp(sum_k t_k z^k); they
-satisfy the recursion m p_m = sum_{j<=m} j t_j p_{m-j}, which is how they
-are computed here (exact, allocation-light).  Schur polynomials come from
-the Jacobi-Trudi determinant det(p_{lambda_i - i + j}); Giambelli expresses
-the same polynomial through single-hook determinants.
+The complete symmetric functions h_m (here called elementary Schur
+functions p_m) are generated by exp(sum_k t_k z^k) and satisfy the
+recursion m p_m = sum_{j<=m} j t_j p_{m-j}; the elementary symmetric
+functions e_m are generated by exp(sum_k (-1)^(k-1) t_k z^k), so they obey
+the same recursion with t_k -> (-1)^(k-1) t_k.  Both are computed by their
+recursions (exact, allocation-light) and memoized per process.
+
+A single hook has the closed form s_(a|b) = sum_{k=0..b} (-1)^k
+p_{a+1+k} e_{b-k}, and Giambelli's formula writes s_lambda as the rank x
+rank determinant det(s_(a_i|b_j)) of the hooks on lambda's Frobenius
+coordinates (Macdonald, *Symmetric Functions*, I.3), so a rank-2 Schur
+polynomial is one 2x2 product of memoized hooks.
 
 Under wt(t_k) = -k every s_lambda is homogeneous of weight -|lambda|.
 Substituting the scaled derivation symbol D_k = (1/k) d/dt_k for t_k turns
@@ -13,28 +20,40 @@ a weight -W polynomial into a weight +W (commuting) operator.
 
 from __future__ import annotations
 
-from .partitions import Partition, hook
+from .partitions import Partition
 from .poly import MultiPoly, time_symbol
 from .rationals import Q
 
 _pm_cache: list[MultiPoly] = []
+_em_cache: list[MultiPoly] = []
+_hook_cache: dict[tuple[int, int], MultiPoly] = {}
 _schur_cache: dict[tuple[int, ...], MultiPoly] = {}
+
+
+def _newton(cache: list[MultiPoly], m: int, sign: int) -> MultiPoly:
+    """The m-th term of m x_m = sum_j sign^(j-1) j t_j x_{m-j}, x_0 = 1."""
+    if m < 0:
+        return MultiPoly.zero()
+    while len(cache) <= m:
+        k = len(cache)
+        if k == 0:
+            cache.append(MultiPoly.one())
+            continue
+        acc = MultiPoly.zero()
+        for j in range(1, k + 1):
+            acc = acc + MultiPoly.sym(time_symbol(j), coeff=j * sign ** (j - 1)) * cache[k - j]
+        cache.append(acc * Q(1, k))
+    return cache[m]
 
 
 def elementary_schur(m: int) -> MultiPoly:
     """p_m as an explicit polynomial in t_1..t_m (p_m = 0 for m < 0)."""
-    if m < 0:
-        return MultiPoly.zero()
-    while len(_pm_cache) <= m:
-        k = len(_pm_cache)
-        if k == 0:
-            _pm_cache.append(MultiPoly.one())
-            continue
-        acc = MultiPoly.zero()
-        for j in range(1, k + 1):
-            acc = acc + MultiPoly.sym(time_symbol(j), coeff=j) * _pm_cache[k - j]
-        _pm_cache.append(acc * Q(1, k))
-    return _pm_cache[m]
+    return _newton(_pm_cache, m, 1)
+
+
+def elementary_symmetric(m: int) -> MultiPoly:
+    """e_m, the sign-flipped p_m: t_k -> (-1)^(k-1) t_k (e_m = 0 for m < 0)."""
+    return _newton(_em_cache, m, -1)
 
 
 def _det(entries: list[list[MultiPoly]]) -> MultiPoly:
@@ -63,30 +82,29 @@ def _det(entries: list[list[MultiPoly]]) -> MultiPoly:
     return minor(0, tuple(range(n)))
 
 
-def schur_poly(lam: Partition) -> MultiPoly:
-    """Jacobi-Trudi determinant det(p_{lambda_i - i + j})."""
-    key = lam.parts
-    got = _schur_cache.get(key)
-    if got is not None:
-        return got
-    n = len(lam.parts)
-    if n == 0:
-        result = MultiPoly.one()
-    else:
-        rows = [[elementary_schur(lam.parts[i] - (i + 1) + (j + 1)) for j in range(n)]
-                for i in range(n)]
-        result = _det(rows)
-    _schur_cache[key] = result
-    return result
-
-
 def hook_schur(arm: int, leg: int) -> MultiPoly:
-    """s_(arm|leg), i.e. the Schur polynomial of (arm+1, 1^leg)."""
-    return schur_poly(hook(arm, leg))
+    """s_(arm|leg) = sum_{k=0..leg} (-1)^k p_{arm+1+k} e_{leg-k}, memoized."""
+    key = (arm, leg)
+    got = _hook_cache.get(key)
+    if got is None:
+        got = MultiPoly.zero()
+        for k in range(leg + 1):
+            term = elementary_schur(arm + 1 + k) * elementary_symmetric(leg - k)
+            got = got + (-term if k % 2 else term)
+        _hook_cache[key] = got
+    return got
 
 
 def giambelli_det(lam: Partition) -> MultiPoly:
     """Giambelli expansion det(s_(a_i|b_j)) of a Schur polynomial in hooks."""
     arms, legs = lam.frobenius()
-    rows = [[hook_schur(a, b) for b in legs] for a in arms]
-    return _det(rows)
+    return _det([[hook_schur(a, b) for b in legs] for a in arms])
+
+
+def schur_poly(lam: Partition) -> MultiPoly:
+    """s_lambda in the times, by Giambelli's determinant, memoized."""
+    key = lam.parts
+    got = _schur_cache.get(key)
+    if got is None:
+        got = _schur_cache[key] = giambelli_det(lam)
+    return got

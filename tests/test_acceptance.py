@@ -11,6 +11,7 @@ import time
 import pytest
 
 from jacobian_oracle import vanishes_on_jacobian
+from schur_oracle import jacobi_trudi
 from kleinian import cli
 from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
@@ -23,7 +24,7 @@ from kleinian.klein import jacobi_inversion_extract
 from kleinian.partitions import all_partitions, enumerate_rank2, transpose_classes
 from kleinian.poly import MultiPoly, monomial_str, time_symbol
 from kleinian.rationals import Q
-from kleinian.schur import elementary_schur, giambelli_det, schur_poly
+from kleinian.schur import elementary_schur, schur_poly
 from kleinian.tables import (
     omega_table_values, relation_table, trigonal_weight12_quartic,
 )
@@ -184,7 +185,7 @@ def test_criterion_9_combinatorial_property_suite(g2_model, g2_db, trig_db):
     # Giambelli == Jacobi-Trudi for all partitions of weight <= 12
     for w in range(1, 13):
         for lam in all_partitions(w):
-            assert giambelli_det(lam) == schur_poly(lam)
+            assert schur_poly(lam) == jacobi_trudi(lam)
     # elementary-Schur recursion for m <= 12
     for m in range(1, 13):
         rhs = MultiPoly.zero()

@@ -284,6 +284,43 @@ def test_non_string_coefficient_exits_2(tmp_path, den):
 
 
 @pytest.fixture(scope="module")
+def trig8_data(trig):
+    return json.loads(run_derive(trig, 8).to_json())
+
+
+def _solved_term(rel):
+    return next(t for t in rel["terms"] if t["monomial"] == rel["solved_monomial"])
+
+
+def _coefficient_two(rels):
+    _solved_term(rels[-1])["coeff"] = {"num": "2", "den": "1"}
+
+
+def _solved_term_deleted(rels):
+    rels[-1]["terms"].remove(_solved_term(rels[-1]))
+
+
+def _solved_monomial_p11(rels):
+    rels[-1]["solved_monomial"] = [["p11", 1]]
+
+
+def _listed_twice(rels):
+    rels.append(json.loads(json.dumps(rels[-1])))
+
+
+@pytest.mark.parametrize("mutate", [_coefficient_two, _solved_term_deleted,
+                                    _solved_monomial_p11, _listed_twice])
+def test_malformed_solved_monomial_exits_2(trig8_data, tmp_path, mutate):
+    # a bad input, exit 2: unchecked, each reaches the closure as a cyclic
+    # rule set or a duplicate pivot and reads as an internal inconsistency
+    doc = json.loads(json.dumps(trig8_data))
+    mutate(doc["relations"])  # the last relation has the top weight
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--doc", str(bad)]) == 2
+
+
+@pytest.fixture(scope="module")
 def doc4_data():
     from kleinian.curves import HYPERELLIPTIC_G2, curve_by_family
     return json.loads(run_derive(curve_by_family(HYPERELLIPTIC_G2), 4).to_json())

@@ -299,6 +299,24 @@ def test_closure_is_inter_reduced_in_one_sweep(request, which, top):
         assert all(index.find(m) is None for m in rhs.terms), monomial_str(pivot)
 
 
+def test_transpose_pairs_combine_after_reduction(trig):
+    # a trigonal layer forms NF(a) +- NF(b) for a transpose pair: the normal
+    # form is linear, so these are NF(a +- b), also under a fresh memo
+    model = TauModel.build(trig, 10)
+    db = derive_range(RelationDB(trig), model, 9)
+    for w in range(8, 11):
+        rules, _ = db.closure(w, include_equal=False)
+        fresh = PivotIndex(rules)
+        for rep, tr in transpose_classes(enumerate_rank2(w)):
+            if rep == tr:
+                continue
+            a, b = plucker_relation(rep, model), plucker_relation(tr, model)
+            ra, rb = (db.reduce(x, w, include_equal=False) for x in (a, b))
+            for combined, expr in ((ra + rb, a + b), (ra - rb, a - b)):
+                assert combined == db.reduce(expr, w, include_equal=False), rep.parts
+                assert combined == reduce_with_rules(expr, rules, fresh), rep.parts
+
+
 @pytest.mark.parametrize("which, top", [("g2_model", 10), ("trig_model8", 8)])
 def test_plucker_rows_match_rational_reference(request, which, top):
     model = request.getfixturevalue(which)

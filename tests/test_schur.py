@@ -1,9 +1,13 @@
 """Schur layer: printed low-order polynomials, recursion, Giambelli, operators."""
 
-from kleinian.partitions import Partition, all_partitions
+from schur_oracle import jacobi_trudi
+
+from kleinian.partitions import Partition, all_partitions, hook
 from kleinian.poly import MultiPoly, Symbol, time_symbol
 from kleinian.rationals import Q
-from kleinian.schur import elementary_schur, giambelli_det, hook_schur, schur_poly
+from kleinian.schur import (
+    elementary_schur, elementary_symmetric, giambelli_det, hook_schur, schur_poly,
+)
 
 T = [None] + [MultiPoly.sym(time_symbol(k)) for k in range(1, 9)]
 
@@ -83,13 +87,28 @@ def test_weight_homogeneity():
 
 
 def test_giambelli_equals_jacobi_trudi():
-    for w in range(1, 13):
+    # every rank, the empty partition included
+    for w in range(0, 13):
         for lam in all_partitions(w):
-            assert giambelli_det(lam) == schur_poly(lam)
+            assert schur_poly(lam) == jacobi_trudi(lam)
 
 
 def test_giambelli_single_hook_identity():
     assert giambelli_det(Partition((4, 1, 1))) == hook_schur(3, 2)
+
+
+def test_closed_form_hooks_equal_jacobi_trudi():
+    for a in range(14):
+        for b in range(14 - a):
+            assert hook_schur(a, b) == jacobi_trudi(hook(a, b))
+
+
+def test_elementary_symmetric_is_sign_flipped_p():
+    # e_m is p_m with t_k -> (-1)^(k-1) t_k
+    for m in range(-2, 15):
+        flip = {time_symbol(k): MultiPoly.sym(time_symbol(k), coeff=(-1) ** (k - 1))
+                for k in range(1, m + 1)}
+        assert elementary_symmetric(m) == elementary_schur(m).substitute(flip)
 
 
 def test_cauchy_littlewood_truncated_degree_6():
