@@ -170,7 +170,11 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
         # the printed weight-12 quartic reduced modulo the derived database:
         # a verdict once the layers reach weight 12, a report below
         quartic = trigonal_weight12_quartic(doc.curve, ctx)
-        residual = reduce_mod_db(quartic, doc.to_db())
+        try:
+            residual = reduce_mod_db(quartic, doc.to_db())
+        except ReductionError as exc:
+            # the rules are the document's own: a cycle among them is bad input
+            raise ConfigError("document relations do not reduce: %s" % exc) from exc
         if doc.max_weight >= 12:
             ok = ok and residual.is_zero()
             lines.append("PASS weight-12 quartic lies in the derived ideal"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConventionError, TruncationError
-from .poly import MultiPoly, Symbol, param
+from .poly import MultiPoly, Symbol, add_terms, monomial_mul, param
 from .rationals import Q, QType, q_str, qify
 from .series import BiSeries, LaurentSeries, divide_homogeneous
 
@@ -197,17 +197,6 @@ class LocalExpansion:
         return got
 
 
-def _curve_value(curve: CurveSpec, x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
-    """f(x, y) = y^n - phi(x) evaluated on series."""
-    acc = y ** curve.n
-    xpow: dict[int, LaurentSeries] = {0: LaurentSeries.const(1)}
-    for deg in range(1, max(curve.rhs_coeffs()) + 1):
-        xpow[deg] = xpow[deg - 1] * x
-    for deg, c in curve.rhs_coeffs().items():
-        acc = acc - xpow[deg] * c
-    return acc
-
-
 def _unit_part(curve: CurveSpec, order: int) -> LaurentSeries:
     """phi(xi^(-n)) / (c_s xi^(-ns)) = 1 + sum_j (c_{s-j}/c_s) xi^(nj) mod xi^order."""
     rhs = curve.rhs_coeffs()
@@ -221,7 +210,8 @@ def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
 
     The y-branch is the rational one; for the hyperelliptic curve the sign
     is chosen so the normalized differentials have +1 leading coefficients.
-    The curve equation y^n - phi(x) is checked through xi^order.
+    The curve equation y^n = phi(x) is proved through xi^order by
+    :func:`_certify`, in time linear in the order.
     """
     n, s = curve.n, curve.s
     if order < n + s:
@@ -229,13 +219,62 @@ def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
     work = order + (n - 1) * s + 2  # y^n is then known to order + 2
     lead = Q(-2) if curve.family == HYPERELLIPTIC_G2 else Q(1)
     loc = LocalExpansion(curve, order, lead, _unit_part(curve, work + s))
-    defect = _curve_value(curve, loc.x, loc.y)
-    for k in sorted(defect.coeffs):
-        if k < order and not defect.coeffs[k].is_zero():
-            raise ConventionError("curve-equation defect at xi^%d: %s" % (k, defect.coeffs[k]))
-    if min(defect.order, work) < order:
-        raise TruncationError("defect only verified to order %d" % defect.order)
+    _certify(loc)
     return loc
+
+
+def _certify(loc: LocalExpansion):
+    """Prove y^n - phi(x) = 0 mod xi^order for the expansion, or raise.
+
+    Two parts, with f = loc.unit and g = y xi^s / lead:
+
+    (i) lead^n xi^(-ns) f = phi(xi^(-n)) term by term;
+    (ii) g_0 = 1, and g solves the first-order ODE n f g' = f' g, whose
+         xi^(k-1) coefficient reads r_k = sum_j (n k - (n+1) j) f_j g_(k-j)
+         = 0, for 1 <= k < order + ns.
+
+    Since f_0 = 1, the k-th equation fixes g_k from g_0 .. g_(k-1), so the
+    ODE has the single solution f^(1/n) with g_0 = 1: g^n = f mod
+    xi^(order + ns), and y^n - phi(x) = lead^n xi^(-ns) (g^n - f) vanishes
+    below xi^order.  Each equation costs one product per term of f, so the
+    proof is linear in the order.  A nonzero coefficient is reported as the
+    first defect of y^n - phi(x); where g first deviates, at g_k, that
+    defect is lead^n n (g_k - f^(1/n)_k) = lead^n r_k / k at xi^(k - ns).
+    """
+    curve, lead, f, y = loc.curve, loc.lead, loc.unit, loc.y
+    n, s = curve.n, curve.s
+    top = loc.order + n * s  # g and f are needed below xi^top
+    lead_n = lead ** n
+    # (i): the exponents of f and of phi(xi^(-n)) xi^(ns) / lead^n
+    rhs = {n * (s - deg): c for deg, c in curve.rhs_coeffs().items()}
+    for e in sorted(set(f.coeffs) | set(rhs)):
+        if e < min(f.order, top):
+            defect = f.coeff(e) * lead_n - rhs.get(e, MultiPoly.zero())
+            if not defect.is_zero():
+                raise ConventionError("curve-equation defect at xi^%d: %s" % (e - n * s, defect))
+    # (ii), on y_(k-s) = lead g_k: the ODE is linear, so r_k(y) = lead r_k(g)
+    if y.valuation() != -s or y.coeff(-s) != MultiPoly.const(lead):
+        raise ConventionError("curve-equation defect at xi^%d: y does not lead with %s xi^%d"
+                              % (-n * s, q_str(lead), -s))
+    known = min(f.order, y.order + s)
+    f_terms = sorted((j, tuple(c.terms.items())) for j, c in f.coeffs.items())
+    for k in range(1, min(known, top)):
+        acc: dict = {}
+        for j, fj in f_terms:
+            if j > k:
+                break
+            c = n * k - (n + 1) * j
+            y_kj = y.coeffs.get(k - j - s)
+            if y_kj is None or not c:
+                continue
+            for m1, c1 in fj:
+                c1 = c1 * c
+                add_terms(acc, ((monomial_mul(m1, m2), c1 * c2) for m2, c2 in y_kj.terms.items()))
+        if acc:
+            defect = MultiPoly(acc) * (lead_n / (lead * k))
+            raise ConventionError("curve-equation defect at xi^%d: %s" % (k - n * s, defect))
+    if known - n * s < loc.order:
+        raise TruncationError("defect only verified to order %d" % (known - n * s))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the mpq extra): fall back to the stdlib
     from fractions import Fraction as Q
 
 #: concrete type of a rational, for isinstance checks

@@ -320,6 +320,25 @@ def test_malformed_solved_monomial_exits_2(trig8_data, tmp_path, mutate):
     assert run(["verify", "--doc", str(bad)]) == 2
 
 
+def test_cyclic_document_exits_2(trig8_data, tmp_path):
+    # -p111^2 in the p1122 relation and -p1122 in the p111^2 relation: each
+    # weight-6 pivot rewrites to the other, a cycle only the reduction meets
+    doc = json.loads(json.dumps(trig8_data))
+    added = {"p1122": [["p111", 2]], "p111": [["p1122", 1]]}
+    for rel in doc["relations"]:
+        other = added.get(rel["solved_monomial"][0][0])
+        if rel["weight"] == 6 and other is not None:
+            rel["terms"].append({"coeff": {"num": "-1", "den": "1"}, "monomial": other})
+    bad = tmp_path / "cyclic.json"
+    bad.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(kleinian.__file__))
+    proc = subprocess.run([sys.executable, "-m", "kleinian.cli", "verify", "--doc", str(bad)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "cyclic rule set" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def doc4_data():
     from kleinian.curves import HYPERELLIPTIC_G2, curve_by_family

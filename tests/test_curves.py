@@ -1,11 +1,13 @@
 """Curve model: Puiseux expansions, differentials, winding vectors, omega tables."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleinian import curves
 from kleinian.curves import (
-    CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, curve_by_family, differentials,
+    CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, LocalExpansion, curve_by_family, differentials,
     kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars, winding_vectors,
 )
 from kleinian.errors import ConfigError, ConventionError, TruncationError
@@ -13,6 +15,10 @@ from kleinian.poly import MultiPoly
 from kleinian.rationals import Q
 from kleinian.series import LaurentSeries
 
+from curve_oracle import defects_below
+
+CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "curve-specs")
 G2 = curve_by_family(HYPERELLIPTIC_G2)
 TRIG = curve_by_family(CYCLIC_TRIGONAL_34)
 
@@ -94,20 +100,7 @@ def test_puiseux_monomial_curve_exact():
 
 def test_puiseux_defect_check_via_compose():
     # substituting x(xi), y(xi) into the curve really is 0 mod xi^order
-    loc = local_expansion(G2, 12)
-    ps = params(G2)
-    val = loc.y * loc.y
-    xp = {0: MultiPoly.one()}
-    acc = val
-    xs = [MultiPoly.one()]
-    cur = None
-    rhs = G2.rhs_coeffs()
-    for d, cf in rhs.items():
-        term = (loc.x ** d if d else None)
-        acc = acc - (term * cf if term is not None else type(loc.x).const(cf))
-    for k in sorted(acc.coeffs):
-        if k < 12:
-            assert acc.coeffs[k].is_zero()
+    assert defects_below(G2, local_expansion(G2, 12), 12) == {}
 
 
 def test_order_precondition():
@@ -133,6 +126,79 @@ def test_y_power_closed_form(curve):
     diff = loc.y_power(curve.n) - phi
     assert diff.order >= loc.order
     assert all(k >= loc.order for k in diff.coeffs)
+
+
+def read_spec(name):
+    with open(os.path.join(CURVE_SPECS, name + ".curve")) as fh:
+        return parse_spec(fh.read())
+
+
+SPECIALIZED = {name: read_spec(name) for name in ("specialized_example", "specialized_trigonal")}
+CERTIFIED_CURVES = [G2, TRIG] + list(SPECIALIZED.values())
+CERTIFIED_IDS = ["g2", "trigonal"] + list(SPECIALIZED)
+
+
+@pytest.mark.parametrize("curve", CERTIFIED_CURVES, ids=CERTIFIED_IDS)
+def test_certificate_agrees_with_squaring_oracle(curve):
+    # the quadratic evaluation of y^n - phi(x) confirms every certified order
+    for order in (curve.n + curve.s, 13, 26, 42):
+        loc = local_expansion(curve, order)
+        assert defects_below(curve, loc, order) == {}, order
+
+
+def _last_coefficient_off(curve, order, lead, unit):
+    # g = y xi^s / lead one off at index order + ns - 1, the last the
+    # certificate reads; y^n - phi(x) then fails at xi^(order - 1)
+    class Corrupted(LocalExpansion):
+        def y_power(self, b):
+            got = super().y_power(b)
+            if b != 1:
+                return got
+            k = order + (curve.n - 1) * curve.s - 1
+            coeffs = dict(got.coeffs)
+            coeffs[k] = got.coeff(k) + 1
+            return LaurentSeries(coeffs, got.order)
+    return Corrupted(curve, order, lead, unit)
+
+
+def _wrong_exponent(curve, order, lead, unit):
+    # y = lead xi^(-s) f^(2/n) instead of f^(1/n)
+    class Squared(LocalExpansion):
+        def y_power(self, b):
+            g = self.unit.unit_power(Q(2 * b, curve.n))
+            return (g * lead ** b).shift(-curve.s * b)
+    return Squared(curve, order, lead, unit)
+
+
+def _wrong_lead(curve, order, lead, unit):
+    return LocalExpansion(curve, order, lead * 3, unit)
+
+
+def _y_doubled(curve, order, lead, unit):
+    # g = 2 f^(1/n) solves the linear ODE too; only g_0 = 1 tells it apart
+    class Doubled(LocalExpansion):
+        def y_power(self, b):
+            got = super().y_power(b)
+            return got * 2 if b == 1 else got
+    return Doubled(curve, order, lead, unit)
+
+
+@pytest.mark.parametrize("mutation", [_last_coefficient_off, _wrong_exponent, _wrong_lead,
+                                      _y_doubled])
+@pytest.mark.parametrize("curve", [G2, TRIG], ids=["g2", "trigonal"])
+def test_certificate_rejects_mutated_expansion(monkeypatch, curve, mutation):
+    order = 20
+    built = []
+
+    def build(*args):
+        built.append(mutation(*args))
+        return built[-1]
+
+    monkeypatch.setattr(curves, "LocalExpansion", build)
+    with pytest.raises(ConventionError, match="curve-equation defect"):
+        local_expansion(curve, order)
+    # each mutation is a real defect: the oracle sees y^n != phi(x) below xi^order
+    assert defects_below(curve, built[0], order)
 
 
 def test_defect_check_fires_on_corrupted_recurrence_input(monkeypatch):
