@@ -418,10 +418,10 @@ def reduce_mod_db(expr: MultiPoly, db: RelationDB, max_weight: int | None = None
 def plucker_relation(lam: Partition, model: TauModel) -> MultiPoly:
     """Row of the determinant identity attached to a rank-2 partition.
 
-    The value of s_lambda(D~) on the tau ratio minus the 2x2 determinant
-    of its single-hook values, everything reduced through the sigma
-    ladder; vanishes identically on the Jacobian and is homogeneous of
-    weight |lambda|.  Summed in integers over one denominator; rationals
+    The value of s_lambda(D~) on the gauged tau ratio minus the 2x2
+    determinant of its single-hook values, all built from the model's
+    zeta-free time-derivatives; vanishes identically on the Jacobian and
+    is homogeneous of weight |lambda|.  Summed in integers over one denominator; rationals
     are formed once, for the returned row.
     """
     if lam.rank != 2:

@@ -1,4 +1,4 @@
-"""Time-derivatives of the curve's tau model.
+"""Time-derivatives of the curve's tau model, in the zeta-free gauge.
 
 The tau model of a curve is the ratio
 
@@ -8,20 +8,24 @@ The tau model of a curve is the ratio
 where R_k are the winding vectors (expansion coefficients of the
 normalized differentials) and q_{kl} is the (k-1, l-1) entry of the
 algebraic bi-differential table, so that wt(q_{kl}) = k + l matches
-wt(t_k t_l) = -(k + l).  By Leibniz, the derivative d^|K|/dt_K at t = 0
-for a time multiset K is the sub-multiset convolution
+wt(t_k t_l) = -(k + l).  Every Plucker row is a Hirota bilinear identity,
+so it is unchanged by the gauge tau -> exp(sum_k c_k t_k) tau, which
+shifts each zeta_i by an arbitrary constant; the model computes the
+gauged ratio whose first logarithmic derivatives vanish.  Its cumulants
+kappa(K) = d^|K|/dt_K log tau at t = 0 are then zeta-free:
 
-    sum_{A <= K} prod_k C(m_k, a_k) * S(A) * G(K - A)
+    kappa(k) = 0,  kappa(k, l) = q_{kl} - sum_{i,j} (R_k)_i (R_l)_j p_ij,
+    kappa(A + k) = sum_i (R_k)_i d_i kappa(A)        (|A| >= 2),
 
-with m_k, a_k the multiplicities of k in K and A.  The sigma factor
-S(A) = (prod_{k in A} D_k sigma)/sigma, D_k = sum_i (R_k)_i d/du_i, obeys
-the ladder S(A+k) = sum_i (R_k)_i (zeta_i S(A) + d_i S(A)), with
-d_i zeta_j = -p_ij and d_i p_J = p_{J+i}; it is a polynomial in zeta_i,
-p_J and the parameters, so the modular constant and the overall parity
-sign of sigma drop out.  The Gaussian factor G(B) is the Wick/Isserlis
-moment: G(B) = sum over the values v of B - {b} of mult(v) q_{bv}
-G(B - {b, v}) for the first entry b, G = 0 for odd |B| and G(()) = 1.
-Both factors are memoized per model.
+with d_i p_J = p_{J+i}; the modular constant and the overall parity sign
+of sigma drop out.  The moments tau_K = d^|K|/dt_K tau/tau at t = 0 follow
+by splitting off the block that holds the first entry K[0]:
+
+    tau_K = sum_{B' <= K - K[0], B' != ()} prod_v C(m_v, b_v)
+            * kappa(K[0] + B') * tau_{K - K[0] - B'},   tau_() = 1,
+
+with m_v, b_v the multiplicities of v in K - K[0] and B'.  Cumulants and
+moments are memoized per sorted multiset.
 
 The derivatives, and the hook values built from them, are memoized as
 :class:`ScaledPoly` values (integer numerators over one denominator);
@@ -94,8 +98,8 @@ class TauModel:
         self.winding = winding
         self.omega = omega
         self.max_time_index = max_time_index
-        self._sigma: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
-        self._gauss: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
+        self._kappa: dict[tuple[int, ...], MultiPoly] = {}
+        self._moments: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
         self._tau: dict[tuple[int, ...], ScaledPoly] = {}
         self._hooks: dict[tuple[int, int], ScaledPoly] = {}
 
@@ -114,44 +118,57 @@ class TauModel:
             raise TruncationError("time index beyond model truncation")
         return self.omega.entry(k - 1, l - 1)
 
-    # -- the two Leibniz factors and their convolution -----------------------
+    # -- cumulants and moments of the gauged tau ratio ----------------------
 
-    def _sigma_ratio(self, A: tuple[int, ...]) -> MultiPoly:
-        """S(A) for a sorted time multiset A, built on its sorted prefix."""
-        got = self._sigma.get(A)
+    def _cumulant(self, A: tuple[int, ...]) -> MultiPoly:
+        """kappa(A) for a sorted time multiset A, |A| >= 2, built on its sorted prefix."""
+        got = self._kappa.get(A)
         if got is not None:
             return got
-        prev, k = self._sigma_ratio(A[:-1]), A[-1]
+        k, genus, R = A[-1], self.ctx.genus, self.winding.entry
         out: dict = {}
-        for i in range(1, self.ctx.genus + 1):
-            r = self.winding.entry(k, i)
-            if not r.is_zero():
-                step = MultiPoly.sym(self.ctx.zeta(i)) * prev + self.ctx.diff(prev, i)
-                add_terms(out, (step * r).terms.items())
-        got = self._sigma[A] = MultiPoly(out)
+        if len(A) == 2:
+            add_terms(out, self.q(A[0], k).terms.items())
+            for i, j in product(range(1, genus + 1), repeat=2):
+                r = R(A[0], i) * R(k, j)
+                if not r.is_zero():
+                    add_terms(out, (-r * self.ctx.wp_poly(i, j)).terms.items())
+        else:
+            prev = self._cumulant(A[:-1])
+            for i in range(1, genus + 1):
+                r = R(k, i)
+                if not r.is_zero():
+                    add_terms(out, (self.ctx.diff(prev, i) * r).terms.items())
+        got = self._kappa[A] = MultiPoly(out)
         return got
 
-    def _gaussian(self, B: tuple[int, ...]) -> MultiPoly:
-        """G(B) for a sorted time multiset B, pairing its first entry."""
-        if len(B) % 2:
-            return MultiPoly.zero()
-        got = self._gauss.get(B)
+    def _moment(self, K: tuple[int, ...]) -> MultiPoly:
+        """tau_K for a sorted time multiset K, splitting off the block of K[0]."""
+        got = self._moments.get(K)
         if got is not None:
             return got
-        head, rest = B[0], B[1:]
+        head, rest = K[0], K[1:]
+        values = sorted(set(rest))
+        mults = [rest.count(v) for v in values]
         out: dict = {}
-        for v in sorted(set(rest)):
-            qv = self.q(head, v)
-            if qv.is_zero():
+        for split in product(*(range(m + 1) for m in mults)):
+            if not any(split):
                 continue
-            j = rest.index(v)
-            g = self._gaussian(rest[:j] + rest[j + 1:])
-            add_terms(out, (qv * g * rest.count(v)).terms.items())
-        got = self._gauss[B] = MultiPoly(out)
+            left = self._moment(tuple(v for v, m, b in zip(values, mults, split)
+                                      for _ in range(m - b)))
+            if not left:
+                continue
+            kappa = self._cumulant((head,) + tuple(v for v, b in zip(values, split)
+                                                   for _ in range(b)))
+            if not kappa:
+                continue
+            scale = prod(comb(m, b) for m, b in zip(mults, split))
+            add_terms(out, (kappa * (left * scale)).terms.items())
+        got = self._moments[K] = MultiPoly(out)
         return got
 
     def tau_t_derivative(self, times) -> ScaledPoly:
-        """d^|K|/dt_K of tau(t;u)/tau(0;u) at t = 0, K a time multiset."""
+        """d^|K|/dt_K of the gauged tau ratio at t = 0, K a time multiset."""
         key = tuple(sorted(times))
         got = self._tau.get(key)
         if got is not None:
@@ -159,20 +176,7 @@ class TauModel:
         for k in key:
             if k > self.max_time_index:
                 raise TruncationError("time index %d beyond model truncation" % k)
-        values = sorted(set(key))
-        mults = [key.count(v) for v in values]
-        out: dict = {}
-        for split in product(*(range(m + 1) for m in mults)):
-            rest = tuple(v for v, m, a in zip(values, mults, split) for _ in range(m - a))
-            g = self._gaussian(rest)
-            if not g:
-                continue
-            s = self._sigma_ratio(tuple(v for v, a in zip(values, split) for _ in range(a)))
-            if not s:
-                continue
-            scale = prod(comb(m, a) for m, a in zip(mults, split))
-            add_terms(out, (s * (g * scale)).terms.items())
-        got = self._tau[key] = ScaledPoly.of(MultiPoly(out))
+        got = self._tau[key] = ScaledPoly.of(self._moment(key))
         return got
 
     # -- Schur-operator application ------------------------------------------
@@ -206,8 +210,8 @@ class TauModel:
         """Grassmannian basis entry A_(m|n), weight-homogeneous of m+n+1.
 
         A :class:`MultiPoly`, normalized as (-1)^n s_{m+1,1^n}(D~) tau / tau,
-        which satisfies the antisymmetry A_(m|n)(u) = -A_(n|m)(-u) and makes
-        A_(0|0) = +zeta_1.
+        which satisfies the antisymmetry A_(m|n)(u) = -A_(n|m)(-u).  In the
+        zeta-free gauge A_(0|0) = tau_(1) = 0 (ungauged, it is +zeta_1).
         """
         if m + n + 1 > self.max_time_index:
             raise TruncationError("hook (%d|%d) beyond model truncation" % (m, n))

@@ -1,20 +1,37 @@
-"""Tau-model calculus: time-derivatives, hooks, parity.
+"""Tau-model calculus: time-derivatives, hooks, parity, the zeta gauge.
 
-The reference implementation below is the direct expansion that the
-model's Leibniz/Wick recursions replace: a sum over partial matchings of
-the time positions (matched pairs give q factors, unmatched positions
-act as directional sigma derivatives), whose sigma_J/sigma ratios are then
-eliminated through the ladder P_{J+i} = zeta_i P_J + d_i P_J.
+The model computes the gauged tau ratio, whose derivatives carry no
+zeta: every Plucker row is a Hirota bilinear identity, invariant under
+tau -> exp(sum c_k t_k) tau, and that gauge shifts each zeta_i by an
+arbitrary constant.  Two zeta-carrying references check it.  The one
+below is the direct expansion: a sum over partial matchings of the time
+positions (matched pairs give q factors, unmatched positions act as
+directional sigma derivatives), whose sigma_J/sigma ratios are then
+eliminated through the ladder P_{J+i} = zeta_i P_J + d_i P_J.  The other
+is the Leibniz convolution of that ladder with the Wick factor, in
+tau_oracle.py.  The model's values are the zeta = 0 parts of both, and
+a Plucker row built from either reference has the model row's normal
+form.
 """
 
+import os
 from collections import Counter
+from math import prod
 
 import pytest
 
+from kleinian.curves import parse_spec
+from kleinian.engine import RelationDB, derive_range, plucker_relation
 from kleinian.errors import TruncationError
+from kleinian.partitions import enumerate_rank2
 from kleinian.poly import MultiPoly
+from kleinian.schur import hook_schur
 from kleinian.series import LaurentSeries
 from kleinian.taucalc import AbelianContext, TauModel
+from tau_oracle import ZetaTau, zeta_free_part, zeta_model
+
+CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "curve-specs")
 
 
 def zp(ctx, *idx):
@@ -122,27 +139,37 @@ def test_sigma_ratio_reduction(g2):
             == MultiPoly.sym(ctx.zeta(1)) * MultiPoly.sym(ctx.zeta(2)) - zp(ctx, 1, 2))
 
 
+def zeta_free_ladder(ctx, J, cache):
+    """The zeta = 0 part of sigma_J / sigma."""
+    return zeta_free_part(ladder(ctx, J, cache))
+
+
 @pytest.mark.parametrize("which, top", [("g2_model", 10), ("trig_model", 6)])
 def test_tau_derivative_matches_matching_walk(request, which, top):
+    # the gauged derivative is the zeta = 0 part of the matching walk
     model = request.getfixturevalue(which)
     cache = {}
     for K in time_multisets(top):
-        assert model.tau_t_derivative(K).poly() == reference_tau_derivative(model, K, cache), K
+        assert (model.tau_t_derivative(K).poly()
+                == zeta_free_part(reference_tau_derivative(model, K, cache))), K
 
 
 def test_tau_derivative_first_orders(g2_model):
     ctx, cache = g2_model.ctx, {}
-    assert g2_model.tau_t_derivative((1,)).poly() == ladder(ctx, (1,), cache)
-    # the t1t1 pairing
+    # sigma_1/sigma = z1 has no zeta-free part
+    assert g2_model.tau_t_derivative((1,)).poly() == zeta_free_ladder(ctx, (1,), cache)
+    assert g2_model.tau_t_derivative((1,)).poly().is_zero()
+    # the t1t1 pairing: sigma_11/sigma = z1^2 - p11 keeps -p11
     assert (g2_model.tau_t_derivative((1, 1)).poly()
-            == ladder(ctx, (1, 1), cache) + g2_model.q(1, 1))
+            == zeta_free_ladder(ctx, (1, 1), cache) + g2_model.q(1, 1))
+    assert zeta_free_ladder(ctx, (1, 1), cache) == -g2_model.ctx.wp_poly(1, 1)
     # mixed t1 t2: R_2 = 0 and q_12 = 0 for the hyperelliptic curve
     assert g2_model.tau_t_derivative((1, 2)).poly().is_zero()
 
 
 def test_tau_derivative_mixed_trigonal(trig_model):
     d12 = trig_model.tau_t_derivative((1, 2)).poly()
-    assert d12 == ladder(trig_model.ctx, (1, 2), {}) + trig_model.q(1, 2)
+    assert d12 == zeta_free_ladder(trig_model.ctx, (1, 2), {}) + trig_model.q(1, 2)
     assert not trig_model.q(1, 2).is_zero()
 
 
@@ -151,7 +178,8 @@ def test_pairing_multiplicity(g2_model):
     ctx, cache = g2_model.ctx, {}
     q11 = g2_model.q(1, 1)
     assert g2_model.tau_t_derivative((1, 1, 1, 1)).poly() == (
-        ladder(ctx, (1, 1, 1, 1), cache) + q11 * 6 * ladder(ctx, (1, 1), cache) + q11 * q11 * 3)
+        zeta_free_ladder(ctx, (1, 1, 1, 1), cache)
+        + q11 * 6 * zeta_free_ladder(ctx, (1, 1), cache) + q11 * q11 * 3)
 
 
 def test_truncation_guard(g2_model):
@@ -162,8 +190,18 @@ def test_truncation_guard(g2_model):
 
 
 def test_a_hook_normalization(g2_model, trig_model):
+    # A_(m|n) is (-1)^n s_(m|n)(D~) tau / tau, at zeta = 0 of the matching walk;
+    # A_(0|0), the zeta = 0 part of +z1, vanishes
     for model in (g2_model, trig_model):
-        assert model.a_hook(0, 0) == MultiPoly.sym(model.ctx.zeta(1))
+        cache = {}
+        assert model.a_hook(0, 0).is_zero()
+        for m, n in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            walk = MultiPoly.zero()
+            for mono, coeff in hook_schur(m, n).terms.items():
+                times = tuple(s.indices[0] for s, e in mono for _ in range(e))
+                walk = walk + reference_tau_derivative(model, times, cache) * (coeff / prod(times))
+            expected = zeta_free_part(walk)
+            assert model.a_hook(m, n) == (-expected if n % 2 else expected), (m, n)
 
 
 def test_a_hook_weight_homogeneity(g2_model):
@@ -219,3 +257,42 @@ def test_build_runs_each_y_power_once(request, monkeypatch, which, exponents):
     TauModel.build(request.getfixturevalue(which), 8)
     assert len(seen) == exponents
     assert set(seen.values()) == {1}
+
+
+def spec_model(name, weight):
+    with open(os.path.join(CURVE_SPECS, name)) as fh:
+        return TauModel.build(parse_spec(fh.read()), weight)
+
+
+@pytest.mark.parametrize("spec, top", [("hyperelliptic_g2.curve", 12),
+                                       ("cyclic_trigonal_34.curve", 12),
+                                       ("specialized_trigonal.curve", 10)])
+def test_moment_recursion_matches_leibniz_oracle(spec, top):
+    # every time multiset through the weight: the cumulant/moment recursion
+    # is the zeta = 0 part of the sigma ladder times the Wick factor
+    model = spec_model(spec, top)
+    oracle = ZetaTau(model)
+    multisets = time_multisets(top)
+    assert len(multisets) == {10: 138, 12: 271}[top]
+    for K in multisets:
+        assert model.tau_t_derivative(K).poly() == zeta_free_part(oracle.derivative(K)), K
+
+
+@pytest.mark.parametrize("spec", ["hyperelliptic_g2.curve", "cyclic_trigonal_34.curve"])
+def test_rows_are_gauge_invariant(spec):
+    # a row built from the zeta-carrying tau ratio has the gauged row's normal
+    # form modulo the lower layers: its zeta-coefficients vanish on the Jacobian
+    top = 9
+    model = spec_model(spec, top)
+    carrying = zeta_model(model)
+    db = derive_range(RelationDB(model.curve), model, top - 1)
+    zeta_rows = 0
+    for w in range(4, top + 1):
+        for lam in enumerate_rank2(w):
+            gauged = plucker_relation(lam, model)
+            ungauged = plucker_relation(lam, carrying)
+            assert model.ctx.is_zeta_free(gauged), lam.parts
+            zeta_rows += not model.ctx.is_zeta_free(ungauged)
+            assert (db.reduce(gauged, w, include_equal=False)
+                    == db.reduce(ungauged, w, include_equal=False)), lam.parts
+    assert zeta_rows
