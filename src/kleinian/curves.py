@@ -18,11 +18,14 @@ relation of the derivation engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from math import lcm
 
-from .errors import ConfigError, ConventionError, TruncationError
-from .poly import MultiPoly, Symbol, add_terms, monomial_mul, param
+from .errors import ConfigError, ConventionError, SeriesError, TruncationError
+from .poly import (EMPTY_MONOMIAL, Monomial, MultiPoly, ScaledPoly, Symbol, add_product,
+                   add_terms, monomial_mul, param, scaled_products)
 from .rationals import Q, QType, q_str, qify
-from .series import BiSeries, LaurentSeries, divide_homogeneous
+from .series import LaurentSeries
 
 HYPERELLIPTIC_G2 = "hyperelliptic_g2"
 CYCLIC_TRIGONAL_34 = "cyclic_trigonal_34"
@@ -188,11 +191,15 @@ class LocalExpansion:
     def y_power(self, b: int) -> LaurentSeries:
         """y^b = lead^b xi^(-sb) unit^(b/n), to the relative precision of y.
 
-        Memoized per exponent; callers must not mutate the returned series.
+        Every power but y itself (which :func:`_certify` proves) is proved
+        by :func:`_check_power` before it is memoized; callers must not
+        mutate the returned series.
         """
         got = self._y_powers.get(b)
         if got is None:
             g = self.unit.unit_power(Q(b, self.curve.n))
+            if b != 1:
+                _check_power(self, b, g)
             got = self._y_powers[b] = (g * self.lead ** b).shift(-self.curve.s * b)
         return got
 
@@ -223,6 +230,46 @@ def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
     return loc
 
 
+def _ode_residual(f: LaurentSeries, g: dict[int, ScaledPoly], n: int, b: int,
+                  stop: int) -> tuple[int, ScaledPoly] | None:
+    """The first nonzero r_k = sum_j (n k - (n+b) j) f_j g_(k-j), 1 <= k < stop.
+
+    r_k is the xi^(k-1) coefficient of n f g' - b f' g, summed in integer
+    numerators; g maps exponents to coefficients.  Returns (k, r_k) or None.
+    """
+    f_terms = sorted((j, ScaledPoly.of(c)) for j, c in f.coeffs.items())
+    for k in range(1, stop):
+        terms = [(n * k - (n + b) * j, fj, g[k - j]) for j, fj in f_terms
+                 if j <= k and k - j in g and n * k != (n + b) * j]
+        if terms:
+            r = scaled_products(terms)
+            if r.nums:
+                return k, r
+    return None
+
+
+def _check_power(loc: LocalExpansion, b: int, g: LaurentSeries):
+    """Prove g = f^(b/n) for the unit f = loc.unit, through g's order, or raise.
+
+    g_0 = 1, and g solves the first-order ODE n f g' = b f' g, whose
+    xi^(k-1) coefficient is r_k of :func:`_ode_residual`.  Since f_0 = 1,
+    the k-th equation fixes g_k from g_0 .. g_(k-1), so f^(b/n) is the one
+    solution with g_0 = 1; where g first deviates, at g_k, it is off by
+    r_k / (n k), and y^b by lead^b r_k / (n k) at xi^(k - sb).
+    """
+    n, s, lead = loc.curve.n, loc.curve.s, loc.lead
+    if g.valuation() != 0 or g.coeffs[0] != MultiPoly.one():
+        raise ConventionError("curve-equation defect: y^%d does not lead with %s xi^%d"
+                              % (b, q_str(lead ** b), -s * b))
+    scaled = {k: ScaledPoly.of(c) for k, c in g.coeffs.items()}
+    found = _ode_residual(loc.unit, scaled, n, b, min(g.order, loc.unit.order))
+    if found:
+        k, r = found
+        off = ScaledPoly(r.den * n * k, r.nums).poly() * lead ** b
+        raise ConventionError("curve-equation defect: y^%d is off by %s at xi^%d"
+                              % (b, off, k - s * b))
+
+
 def _certify(loc: LocalExpansion):
     """Prove y^n - phi(x) = 0 mod xi^order for the expansion, or raise.
 
@@ -231,7 +278,8 @@ def _certify(loc: LocalExpansion):
     (i) lead^n xi^(-ns) f = phi(xi^(-n)) term by term;
     (ii) g_0 = 1, and g solves the first-order ODE n f g' = f' g, whose
          xi^(k-1) coefficient reads r_k = sum_j (n k - (n+1) j) f_j g_(k-j)
-         = 0, for 1 <= k < order + ns.
+         = 0, for 1 <= k < order + ns (:func:`_ode_residual` with b = 1,
+         in integer numerators).
 
     Since f_0 = 1, the k-th equation fixes g_k from g_0 .. g_(k-1), so the
     ODE has the single solution f^(1/n) with g_0 = 1: g^n = f mod
@@ -240,6 +288,8 @@ def _certify(loc: LocalExpansion):
     proof is linear in the order.  A nonzero coefficient is reported as the
     first defect of y^n - phi(x); where g first deviates, at g_k, that
     defect is lead^n n (g_k - f^(1/n)_k) = lead^n r_k / k at xi^(k - ns).
+    Every other power of y is proved by the same ODE for its exponent
+    (:func:`_check_power`) when it is first computed.
     """
     curve, lead, f, y = loc.curve, loc.lead, loc.unit, loc.y
     n, s = curve.n, curve.s
@@ -257,22 +307,12 @@ def _certify(loc: LocalExpansion):
         raise ConventionError("curve-equation defect at xi^%d: y does not lead with %s xi^%d"
                               % (-n * s, q_str(lead), -s))
     known = min(f.order, y.order + s)
-    f_terms = sorted((j, tuple(c.terms.items())) for j, c in f.coeffs.items())
-    for k in range(1, min(known, top)):
-        acc: dict = {}
-        for j, fj in f_terms:
-            if j > k:
-                break
-            c = n * k - (n + 1) * j
-            y_kj = y.coeffs.get(k - j - s)
-            if y_kj is None or not c:
-                continue
-            for m1, c1 in fj:
-                c1 = c1 * c
-                add_terms(acc, ((monomial_mul(m1, m2), c1 * c2) for m2, c2 in y_kj.terms.items()))
-        if acc:
-            defect = MultiPoly(acc) * (lead_n / (lead * k))
-            raise ConventionError("curve-equation defect at xi^%d: %s" % (k - n * s, defect))
+    found = _ode_residual(f, {k + s: ScaledPoly.of(c) for k, c in y.coeffs.items()}, n, 1,
+                          min(known, top))
+    if found:
+        k, r = found
+        defect = r.poly() * (lead_n / (lead * k))
+        raise ConventionError("curve-equation defect at xi^%d: %s" % (k - n * s, defect))
     if known - n * s < loc.order:
         raise TruncationError("defect only verified to order %d" % (known - n * s))
 
@@ -426,73 +466,104 @@ def required_expansion_order(curve: CurveSpec, table_size: int) -> int:
 def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) -> OmegaAlgTable:
     """Expand the algebraic bi-differential; see :class:`OmegaAlgTable`.
 
-    The double pole is removed exactly: (x - z)^2 factors as
-    (xi - eta)^2 P(xi, eta)^2 / (xi eta)^(2n) with P homogeneous, the series
-    numerator is divided symbolically by P^2 and then, after subtracting 1,
-    by (xi - eta)^2; both divisions are exact in the series ring.
+    With x = xi^(-n) and z = eta^(-n), (x - z)^2 = (xi^n - eta^n)^2 / (xi eta)^(2n),
+    so omega_alg = M(xi, eta) dxi deta / (xi^n - eta^n)^2, where M sums, over
+    the polar's monomials, the products of x^a y^b dx xi^(2n) / f_y and its
+    (z, w) counterpart.  Their minus signs cancel, and the monomials are
+    grouped by their (z, w) exponents: the xi-side series of a group are
+    summed, so each group costs one outer product.  M is accumulated in
+    integer numerators over one denominator D.
+
+    The double pole is removed exactly.  Since (xi - eta) P = xi^n - eta^n
+    with P = xi^(n-1) + xi^(n-2) eta + ... + eta^(n-1), M's degree-(2n-2)
+    part must be P^2 (the kernel dxi deta / (xi - eta)^2) and its
+    degree-(2n-1) part must vanish; the degree-d entries are then M's
+    degree-(d+2n) part divided by (xi^n - eta^n)^2, one exact division in
+    integers, w_i = q_i + 2 w_(i-n) - w_(i-2n), with a zero remainder.
     """
     if loc is None:
         loc = local_expansion(curve, required_expansion_order(curve, size))
     n = curve.n
-    polar = kleinian_polar(curve)
-    shift_deg = 2 * curve.n - 2
-    deg_cap = 2 * (size - 1) + 2 + shift_deg  # largest total degree ever read
+    deg_cap = 2 * (size - 1) + 2 * n  # largest total degree ever read
 
-    def factor(a: int, b: int) -> LaurentSeries:
-        """x^a y^b dx xi^(2n) / f_y = -xi^(n-1-na) y^(b+1-n), capped at deg_cap."""
-        series = -loc.y_power(b + 1 - n).shift(n - 1 - n * a)
-        if series.order <= deg_cap + 1:
-            return series
-        return series.truncate(deg_cap + 1)
+    @cache
+    def factor(a: int, b: int) -> tuple[int, int, dict[int, dict[Monomial, int]]]:
+        """x^a y^b dx xi^(2n) / -f_y = xi^(n-1-na) y^(b+1-n) below xi^(deg_cap+1),
+        as (order, den, numerators per exponent)."""
+        e = n - 1 - n * a
+        y = loc.y_power(b + 1 - n)
+        order = min(y.order + e, deg_cap + 1)
+        coeffs = {k + e: c for k, c in y.coeffs.items() if k + e < order}
+        den = lcm(*(q.denominator for c in coeffs.values() for q in c.terms.values()))
+        return order, den, {
+            k: {m: q.numerator * (den // q.denominator) for m, q in c.terms.items()}
+            for k, c in coeffs.items()}
 
-    coeffs: dict[tuple[int, int], MultiPoly] = {}
-    orders = []
-    for mono, coeff in polar.terms.items():
+    groups: dict[tuple[int, int], list] = {}
+    for mono, coeff in kleinian_polar(curve).terms.items():
         exps = {s.name: e for s, e in mono}
-        pcoeff = MultiPoly.monomial(tuple((s, e) for s, e in mono if s.kind == "param"), coeff)
-        u = factor(exps.get("x", 0), exps.get("y", 0)) * pcoeff
-        v = factor(exps.get("z", 0), exps.get("w", 0))
-        orders += [u.order, v.order]
-        for i, a in u.coeffs.items():
-            for j, b in v.coeffs.items():
-                if i + j > deg_cap:
-                    continue
-                key = (i, j)
-                prod = a * b
-                got = coeffs.get(key)
-                coeffs[key] = prod if got is None else got + prod
-    M = BiSeries(coeffs, min(orders), min(orders))
+        pmono = tuple((s, e) for s, e in mono if s.kind == "param")
+        groups.setdefault((exps.get("z", 0), exps.get("w", 0)), []).append(
+            (factor(exps.get("x", 0), exps.get("y", 0)), pmono, coeff))
 
-    mi, mj = M.min_exponents()
-    if mi < 0 or mj < 0:
+    # per group: the summed xi-side series over one denominator, and the eta-side factor
+    products = []
+    orders = []
+    for key, members in groups.items():
+        den = lcm(*(coeff.denominator * fden for (_, fden, _), _, coeff in members))
+        side: dict[int, dict[Monomial, int]] = {}
+        for (forder, fden, fnums), pmono, coeff in members:
+            orders.append(forder)
+            scale = coeff.numerator * (den // (coeff.denominator * fden))
+            for k, nums in fnums.items():
+                add_terms(side.setdefault(k, {}),
+                          ((monomial_mul(pmono, m), v * scale) for m, v in nums.items()))
+        other = factor(*key)
+        orders.append(other[0])
+        products.append((den, side, other))
+    D = lcm(*(den * other[1] for den, _, other in products))
+    M: dict[tuple[int, int], dict[Monomial, int]] = {}
+    for den, side, (_, oden, onums) in products:
+        scale = D // (den * oden)
+        for i, a in side.items():
+            if not a:
+                continue
+            a = {m: v * scale for m, v in a.items()}
+            for j, b in onums.items():
+                if i + j <= deg_cap:
+                    add_product(M.setdefault((i, j), {}), a, b)
+
+    if any(nums and (i < 0 or j < 0) for (i, j), nums in M.items()):
         raise ConventionError("bi-differential numerator has negative exponents")
-
-    # P(xi,eta) = xi^(n-1) + xi^(n-2) eta + ... + eta^(n-1); divisor P^2
-    p_form = [Q(1)] * n
-    p2 = [Q(0)] * (2 * n - 1)
-    for i in range(n):
-        for j in range(n):
-            p2[i + j] += p_form[i] * p_form[j]
-    shift = 2 * n - 2  # degree of P^2
-
-    max_deg = 2 * (size - 1)
-    if max_deg + 2 + shift >= M.total_degree_valid():
+    if deg_cap >= min(orders):
         raise TruncationError("expansion order insufficient for a %dx%d table" % (size, size))
 
-    # Q := M / P^2 starts 1 + 0 + Q_2 + ...; the 1 is exactly the singular
-    # kernel d xi d eta/(xi-eta)^2 and the degree-1 part must vanish.
-    if divide_homogeneous(M.homogeneous_part(shift), p2) != [MultiPoly.one()]:
+    def part(d: int) -> list[dict[Monomial, int]]:
+        return [M.get((d - i, i), {}) for i in range(d + 1)]
+
+    # P^2 has coefficients 1, 2, .., n, .., 2, 1; it is exactly the kernel's
+    # numerator, and the degree-(2n-1) part must vanish
+    p2 = [min(i, 2 * n - 2 - i) + 1 for i in range(2 * n - 1)]
+    if part(2 * n - 2) != [{EMPTY_MONOMIAL: D * c} for c in p2]:
         raise ConventionError("double-pole normalization failed at degree 0")
-    for c in divide_homogeneous(M.homogeneous_part(shift + 1), p2):
-        if not c.is_zero():
-            raise ConventionError("double-pole subtraction left a degree-1 part")
+    if any(part(2 * n - 1)):
+        raise ConventionError("double-pole subtraction left a degree-1 part")
 
     entries: dict[tuple[int, int], MultiPoly] = {}
-    for d in range(0, max_deg + 1):
-        q_part = divide_homogeneous(M.homogeneous_part(d + 2 + shift), p2)
-        w_part = divide_homogeneous(q_part, [Q(1), Q(-2), Q(1)])
-        for i, c in enumerate(w_part):
-            k, l = d - i, i
-            if not c.is_zero() and k < size and l < size:
-                entries[(k, l)] = c
+    for d in range(0, 2 * (size - 1) + 1):
+        w: list[dict[Monomial, int]] = []
+        for i, c in enumerate(part(d + 2 * n)):
+            r = dict(c)
+            if 0 <= i - n <= d:
+                add_terms(r, ((m, 2 * v) for m, v in w[i - n].items()))
+            if i - 2 * n >= 0:
+                add_terms(r, ((m, -v) for m, v in w[i - 2 * n].items()))
+            if i <= d:
+                w.append(r)
+            elif r:
+                raise SeriesError("division by (xi^n - eta^n)^2 left remainder %s"
+                                  % ScaledPoly(D, r).poly())
+        for i, c in enumerate(w):
+            if c and d - i < size and i < size:
+                entries[(d - i, i)] = ScaledPoly(D, c).primitive().poly()
     return OmegaAlgTable(curve, size, entries)

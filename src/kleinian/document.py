@@ -64,8 +64,11 @@ def _notes(value) -> list[str]:
 
 
 def _monomial_from_json(data, curve, ctx) -> Monomial:
-    return tuple(sorted((symbol_from_name(name, curve, ctx), _integer(e, "exponent", 1))
-                        for name, e in data))
+    m = tuple(sorted((symbol_from_name(name, curve, ctx), _integer(e, "exponent", 1))
+                     for name, e in data))
+    if len({s for s, _ in m}) < len(m):
+        raise ConfigError("monomial %r names a symbol twice" % (data,))
+    return m
 
 
 def poly_json(p: MultiPoly) -> list:

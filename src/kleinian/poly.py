@@ -442,12 +442,16 @@ class ScaledPoly:
 
     def times(self, other: "ScaledPoly") -> "ScaledPoly":
         """The product, in integers."""
-        a, b = self.nums, other.nums
-        if len(a) > len(b):
-            a, b = b, a
-        return ScaledPoly(self.den * other.den,
-                          add_terms({}, ((monomial_mul(m1, m2), c1 * c2)
-                                         for m1, c1 in a.items() for m2, c2 in b.items())))
+        return ScaledPoly(self.den * other.den, add_product({}, self.nums, other.nums))
+
+
+def add_product(out: dict[Monomial, int], a: dict[Monomial, int],
+                b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Add the product of the numerator maps a and b into out in place."""
+    if len(a) > len(b):
+        a, b = b, a
+    return add_terms(out, ((monomial_mul(m1, m2), c1 * c2)
+                           for m1, c1 in a.items() for m2, c2 in b.items()))
 
 
 def scaled_sum(pairs: Iterable[tuple[QType | int, ScaledPoly]]) -> ScaledPoly:
@@ -461,3 +465,15 @@ def scaled_sum(pairs: Iterable[tuple[QType | int, ScaledPoly]]) -> ScaledPoly:
         if f:
             add_terms(out, ((m, n * f) for m, n in p.nums.items()))
     return ScaledPoly(den, out).primitive()
+
+
+def scaled_products(triples: Iterable[tuple[int, ScaledPoly, ScaledPoly]]) -> ScaledPoly:
+    """sum(c * a * b) over (c, a, b) triples with integer c: integer products
+    over the least common multiple of the a.den * b.den."""
+    triples = list(triples)
+    den = lcm(*(a.den * b.den for _, a, b in triples))
+    out: dict[Monomial, int] = {}
+    for c, a, b in triples:
+        c *= den // (a.den * b.den)
+        add_product(out, {m: v * c for m, v in a.nums.items()}, b.nums)
+    return ScaledPoly(den, out)

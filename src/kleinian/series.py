@@ -1,19 +1,18 @@
-"""Truncated Laurent series (one and two variables) with polynomial coefficients.
+"""Truncated Laurent series in one variable with polynomial coefficients.
 
 A :class:`LaurentSeries` stores finitely many coefficients of xi^k (k may be
 negative) together with an exclusive truncation order: coefficients at
 exponents >= order are unknown.  Truncation bookkeeping is pessimistic; an
 operation that cannot guarantee a requested order raises
 :class:`~kleinian.errors.TruncationError` rather than silently degrading.
-
-:class:`BiSeries` is the two-variable analogue used when expanding the
-fundamental bi-differential around the base point in both arguments.
+Rational powers of a unit (:meth:`LaurentSeries.unit_power`) run in integer
+numerators over one denominator per coefficient.
 """
 
 from __future__ import annotations
 
 from .errors import ResidueError, SeriesError, TruncationError
-from .poly import MultiPoly
+from .poly import EMPTY_MONOMIAL, MultiPoly, ScaledPoly, scaled_products
 from .rationals import Q, QType, qify
 
 _INF = 10 ** 9
@@ -187,26 +186,28 @@ class LaurentSeries:
     def unit_power(self, alpha) -> "LaurentSeries":
         """f^alpha for a unit f = 1 + O(xi) and any rational alpha, to f's order.
 
-        J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7):
-        g_0 = 1, g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) f_j g_{k-j}.
+        J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), with
+        alpha + 1 = p/q in lowest terms: g_0 = 1,
+        g_k = (1/(q k)) sum_{j=1..k} (p j - q k) f_j g_{k-j}.
+        Each g_k is summed in integer numerators over the least common
+        multiple of its terms' denominators and kept primitive as a
+        :class:`~kleinian.poly.ScaledPoly`; rationals are formed once per
+        coefficient of the result.
         """
         if self.valuation() != 0 or self.coeff(0) != MultiPoly.one() or self.order >= _INF:
             raise SeriesError("unit_power needs a truncated series 1 + O(xi)")
         a1 = qify(alpha) + 1
-        f = sorted((j, c) for j, c in self.coeffs.items() if j)
-        g: dict[int, MultiPoly] = {0: MultiPoly.one()}
+        p, q = a1.numerator, a1.denominator
+        f = sorted((j, ScaledPoly.of(c)) for j, c in self.coeffs.items() if j)
+        g: dict[int, ScaledPoly] = {0: ScaledPoly(1, {EMPTY_MONOMIAL: 1})}
         for k in range(1, self.order):
-            acc = MultiPoly.zero()
-            for j, fj in f:
-                if j > k:
-                    break
-                gk = g.get(k - j)
-                c = a1 * j - k
-                if gk is not None and c:
-                    acc = acc + (fj * c) * gk
-            if not acc.is_zero():
-                g[k] = acc * Q(1, k)
-        return LaurentSeries(g, self.order)
+            terms = [(p * j - q * k, fj, g[k - j]) for j, fj in f
+                     if j <= k and k - j in g and p * j != q * k]
+            if terms:
+                gk = scaled_products(terms)
+                if gk.nums:
+                    g[k] = ScaledPoly(q * k * gk.den, gk.nums).primitive()
+        return LaurentSeries({k: gk.poly() for k, gk in g.items()}, self.order)
 
     # -- calculus -------------------------------------------------------------
 
@@ -252,128 +253,3 @@ class LaurentSeries:
         for k in sorted(self.coeffs):
             result = result + power(k) * self.coeffs[k]
         return result
-
-
-# ---------------------------------------------------------------------------
-# two-variable series
-
-
-class BiSeries:
-    """Truncated power/Laurent series in two local parameters.
-
-    Coefficients are known for exponent pairs (i, j) with i < order_x and
-    j < order_y.  Used for the expansion of symmetric bi-differentials;
-    symmetry means coeff(i, j) == coeff(j, i).
-    """
-
-    __slots__ = ("coeffs", "order_x", "order_y")
-
-    def __init__(self, coeffs: dict[tuple[int, int], MultiPoly] | None = None,
-                 order_x: int = _INF, order_y: int = _INF):
-        cc = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                c = _as_poly(c)
-                if not c.is_zero() and i < order_x and j < order_y:
-                    cc[(i, j)] = c
-        self.coeffs = cc
-        self.order_x = order_x
-        self.order_y = order_y
-
-    @classmethod
-    def outer(cls, u: LaurentSeries, v: LaurentSeries) -> "BiSeries":
-        out = {}
-        for i, a in u.coeffs.items():
-            for j, b in v.coeffs.items():
-                out[(i, j)] = a * b
-        return cls(out, u.order, v.order)
-
-    @classmethod
-    def const(cls, c, order_x: int = _INF, order_y: int = _INF) -> "BiSeries":
-        return cls({(0, 0): _as_poly(c)}, order_x, order_y)
-
-    def coeff(self, i: int, j: int) -> MultiPoly:
-        if i >= self.order_x or j >= self.order_y:
-            raise TruncationError("coefficient (%d,%d) beyond truncation" % (i, j))
-        return self.coeffs.get((i, j), MultiPoly.zero())
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k)
-            out[k] = c if v is None else v + c
-        return BiSeries(out, min(self.order_x, other.order_x), min(self.order_y, other.order_y))
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + BiSeries({k: -c for k, c in other.coeffs.items()}, other.order_x, other.order_y)
-
-    def min_exponents(self) -> tuple[int, int]:
-        if not self.coeffs:
-            return (0, 0)
-        return (min(i for i, _ in self.coeffs), min(j for _, j in self.coeffs))
-
-    def __mul__(self, other) -> "BiSeries":
-        if isinstance(other, (int, QType, MultiPoly)):
-            c = _as_poly(other)
-            return BiSeries({k: v * c for k, v in self.coeffs.items()}, self.order_x, self.order_y)
-        vx, vy = other.min_exponents()
-        sx, sy = self.min_exponents()
-        ox = min(self.order_x + vx, other.order_x + sx)
-        oy = min(self.order_y + vy, other.order_y + sy)
-        out: dict[tuple[int, int], MultiPoly] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                if key[0] >= ox or key[1] >= oy:
-                    continue
-                v = out.get(key)
-                p = c1 * c2
-                out[key] = p if v is None else v + p
-        return BiSeries(out, ox, oy)
-
-    __rmul__ = __mul__
-
-    def total_degree_valid(self) -> int:
-        """Largest D such that every homogeneous part of degree < D is complete."""
-        return min(self.order_x, self.order_y)
-
-    def homogeneous_part(self, d: int) -> list[MultiPoly]:
-        """Coefficients [c_0 .. c_d] of xi^(d-i) eta^i in the degree-d part."""
-        if d >= self.total_degree_valid():
-            raise TruncationError("degree-%d part is not complete" % d)
-        return [self.coeffs.get((d - i, i), MultiPoly.zero()) for i in range(d + 1)]
-
-    def is_symmetric(self) -> bool:
-        return all(self.coeffs.get((j, i), MultiPoly.zero()) == c
-                   for (i, j), c in self.coeffs.items())
-
-
-def divide_homogeneous(numer: list[MultiPoly], divisor: list) -> list[MultiPoly]:
-    """Exact division of binary homogeneous forms.
-
-    Forms are coefficient lists [c_0..c_d] for sum c_i xi^(d-i) eta^i; the
-    divisor must be monic in xi (c_0 == 1) with rational coefficients, and
-    must divide exactly (a nonzero remainder raises SeriesError).
-    """
-    d = len(numer) - 1
-    e = len(divisor) - 1
-    if d < e:
-        if any(not c.is_zero() if isinstance(c, MultiPoly) else c for c in numer):
-            raise SeriesError("homogeneous division with nonzero remainder")
-        return [MultiPoly.zero()]
-    div = [qify(c) for c in divisor]
-    if div[0] != 1:
-        raise SeriesError("divisor must be monic in xi")
-    work = list(numer)
-    quot = [MultiPoly.zero()] * (d - e + 1)
-    for i in range(d - e + 1):
-        q = work[i]
-        quot[i] = q
-        if q.is_zero():
-            continue
-        for j in range(1, e + 1):
-            work[i + j] = work[i + j] - q * div[j]
-    for rem in work[d - e + 1:]:
-        if not rem.is_zero():
-            raise SeriesError("homogeneous division left remainder %s" % rem)
-    return quot

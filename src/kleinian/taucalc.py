@@ -38,7 +38,8 @@ from __future__ import annotations
 from itertools import product
 from math import comb, prod
 
-from .curves import CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg, winding_vectors
+from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg,
+                     required_expansion_order, winding_vectors)
 from .errors import TruncationError
 from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, scaled_sum, wp_symbol, zeta_symbol
 from .rationals import Q
@@ -108,7 +109,7 @@ class TauModel:
         """Tables sized for deriving relations up to the given weight."""
         k = max_weight + 1
         loc = local_expansion(curve, max(k + curve.n + curve.s + 2,
-                                         2 * k + 2 * curve.n + 4))
+                                         required_expansion_order(curve, k)))
         return cls(curve, winding_vectors(curve, k, loc), omega_alg(curve, k, loc), k)
 
     # -- the quadratic form t_k t_l |-> q_{kl} -------------------------------

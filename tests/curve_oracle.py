@@ -1,13 +1,28 @@
-"""y^n - phi(x) evaluated on series: the oracle for the Puiseux certificate.
+"""Direct, slower computations that kleinian.curves replaced: test oracles.
 
-This is the direct check that kleinian.curves replaced by the linear
-two-part certificate: y is raised to the n-th power by repeated squaring
-of series whose coefficients are polynomials in the curve parameters, so
-its cost grows quadratically in the expansion order.
+* y^n - phi(x) evaluated on series, the oracle for the Puiseux
+  certificate: y is raised to the n-th power by repeated squaring of
+  series whose coefficients are polynomials in the curve parameters, so
+  its cost grows quadratically in the expansion order;
+* J.C.P. Miller's power recurrence in rational arithmetic, the oracle for
+  the integer-numerator ``LaurentSeries.unit_power``;
+* the omega table by two exact divisions of a two-variable series
+  (:class:`BiSeries`), first by P^2 and then by (xi - eta)^2, the oracle
+  for ``curves.omega_alg``'s grouped integer pass with one division by
+  (xi^n - eta^n)^2.
 """
 
-from kleinian.curves import CurveSpec, LocalExpansion
+from kleinian.curves import CurveSpec, LocalExpansion, OmegaAlgTable, kleinian_polar
+from kleinian.errors import ConventionError, SeriesError, TruncationError
+from kleinian.poly import MultiPoly
+from kleinian.rationals import Q, QType, qify
 from kleinian.series import LaurentSeries
+
+_INF = 10 ** 9
+
+
+def _as_poly(c) -> MultiPoly:
+    return c if isinstance(c, MultiPoly) else MultiPoly.const(c)
 
 
 def curve_value(curve: CurveSpec, loc: LocalExpansion) -> LaurentSeries:
@@ -27,3 +42,225 @@ def defects_below(curve: CurveSpec, loc: LocalExpansion, order: int) -> dict:
     value = curve_value(curve, loc)
     assert value.order >= order, "oracle known only to xi^%d" % value.order
     return {k: c for k, c in value.coeffs.items() if k < order}
+
+
+def miller_power(f: LaurentSeries, alpha) -> LaurentSeries:
+    """f^alpha for a unit f = 1 + O(xi), to f's order, in rational arithmetic.
+
+    g_0 = 1, g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) f_j g_{k-j}
+    (Knuth, TAOCP Vol. 2, 4.7).
+    """
+    assert f.valuation() == 0 and f.coeff(0) == MultiPoly.one() and f.order < _INF
+    a1 = qify(alpha) + 1
+    terms = sorted((j, c) for j, c in f.coeffs.items() if j)
+    g: dict[int, MultiPoly] = {0: MultiPoly.one()}
+    for k in range(1, f.order):
+        acc = MultiPoly.zero()
+        for j, fj in terms:
+            if j > k:
+                break
+            gk = g.get(k - j)
+            c = a1 * j - k
+            if gk is not None and c:
+                acc = acc + (fj * c) * gk
+        if not acc.is_zero():
+            g[k] = acc * Q(1, k)
+    return LaurentSeries(g, f.order)
+
+
+# ---------------------------------------------------------------------------
+# two-variable series and the two-step omega table
+
+
+class BiSeries:
+    """Truncated power/Laurent series in two local parameters.
+
+    Coefficients are known for exponent pairs (i, j) with i < order_x and
+    j < order_y.  Used for the expansion of symmetric bi-differentials;
+    symmetry means coeff(i, j) == coeff(j, i).
+    """
+
+    __slots__ = ("coeffs", "order_x", "order_y")
+
+    def __init__(self, coeffs: dict[tuple[int, int], MultiPoly] | None = None,
+                 order_x: int = _INF, order_y: int = _INF):
+        cc = {}
+        if coeffs:
+            for (i, j), c in coeffs.items():
+                c = _as_poly(c)
+                if not c.is_zero() and i < order_x and j < order_y:
+                    cc[(i, j)] = c
+        self.coeffs = cc
+        self.order_x = order_x
+        self.order_y = order_y
+
+    @classmethod
+    def outer(cls, u: LaurentSeries, v: LaurentSeries) -> "BiSeries":
+        out = {}
+        for i, a in u.coeffs.items():
+            for j, b in v.coeffs.items():
+                out[(i, j)] = a * b
+        return cls(out, u.order, v.order)
+
+    @classmethod
+    def const(cls, c, order_x: int = _INF, order_y: int = _INF) -> "BiSeries":
+        return cls({(0, 0): _as_poly(c)}, order_x, order_y)
+
+    def coeff(self, i: int, j: int) -> MultiPoly:
+        if i >= self.order_x or j >= self.order_y:
+            raise TruncationError("coefficient (%d,%d) beyond truncation" % (i, j))
+        return self.coeffs.get((i, j), MultiPoly.zero())
+
+    def __add__(self, other: "BiSeries") -> "BiSeries":
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            v = out.get(k)
+            out[k] = c if v is None else v + c
+        return BiSeries(out, min(self.order_x, other.order_x), min(self.order_y, other.order_y))
+
+    def __sub__(self, other: "BiSeries") -> "BiSeries":
+        return self + BiSeries({k: -c for k, c in other.coeffs.items()}, other.order_x, other.order_y)
+
+    def min_exponents(self) -> tuple[int, int]:
+        if not self.coeffs:
+            return (0, 0)
+        return (min(i for i, _ in self.coeffs), min(j for _, j in self.coeffs))
+
+    def __mul__(self, other) -> "BiSeries":
+        if isinstance(other, (int, QType, MultiPoly)):
+            c = _as_poly(other)
+            return BiSeries({k: v * c for k, v in self.coeffs.items()}, self.order_x, self.order_y)
+        vx, vy = other.min_exponents()
+        sx, sy = self.min_exponents()
+        ox = min(self.order_x + vx, other.order_x + sx)
+        oy = min(self.order_y + vy, other.order_y + sy)
+        out: dict[tuple[int, int], MultiPoly] = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                key = (i1 + i2, j1 + j2)
+                if key[0] >= ox or key[1] >= oy:
+                    continue
+                v = out.get(key)
+                p = c1 * c2
+                out[key] = p if v is None else v + p
+        return BiSeries(out, ox, oy)
+
+    __rmul__ = __mul__
+
+    def total_degree_valid(self) -> int:
+        """Largest D such that every homogeneous part of degree < D is complete."""
+        return min(self.order_x, self.order_y)
+
+    def homogeneous_part(self, d: int) -> list[MultiPoly]:
+        """Coefficients [c_0 .. c_d] of xi^(d-i) eta^i in the degree-d part."""
+        if d >= self.total_degree_valid():
+            raise TruncationError("degree-%d part is not complete" % d)
+        return [self.coeffs.get((d - i, i), MultiPoly.zero()) for i in range(d + 1)]
+
+    def is_symmetric(self) -> bool:
+        return all(self.coeffs.get((j, i), MultiPoly.zero()) == c
+                   for (i, j), c in self.coeffs.items())
+
+
+def divide_homogeneous(numer: list[MultiPoly], divisor: list) -> list[MultiPoly]:
+    """Exact division of binary homogeneous forms.
+
+    Forms are coefficient lists [c_0..c_d] for sum c_i xi^(d-i) eta^i; the
+    divisor must be monic in xi (c_0 == 1) with rational coefficients, and
+    must divide exactly (a nonzero remainder raises SeriesError).
+    """
+    d = len(numer) - 1
+    e = len(divisor) - 1
+    if d < e:
+        if any(not c.is_zero() if isinstance(c, MultiPoly) else c for c in numer):
+            raise SeriesError("homogeneous division with nonzero remainder")
+        return [MultiPoly.zero()]
+    div = [qify(c) for c in divisor]
+    if div[0] != 1:
+        raise SeriesError("divisor must be monic in xi")
+    work = list(numer)
+    quot = [MultiPoly.zero()] * (d - e + 1)
+    for i in range(d - e + 1):
+        q = work[i]
+        quot[i] = q
+        if q.is_zero():
+            continue
+        for j in range(1, e + 1):
+            work[i + j] = work[i + j] - q * div[j]
+    for rem in work[d - e + 1:]:
+        if not rem.is_zero():
+            raise SeriesError("homogeneous division left remainder %s" % rem)
+    return quot
+
+
+def omega_alg_two_step(curve: CurveSpec, size: int, loc: LocalExpansion) -> OmegaAlgTable:
+    """The omega table by two exact divisions of a bi-series numerator.
+
+    The double pole is removed exactly: (x - z)^2 factors as
+    (xi - eta)^2 P(xi, eta)^2 / (xi eta)^(2n) with P homogeneous, the series
+    numerator is divided symbolically by P^2 and then, after subtracting 1,
+    by (xi - eta)^2; both divisions are exact in the series ring.
+    """
+    n = curve.n
+    polar = kleinian_polar(curve)
+    shift_deg = 2 * curve.n - 2
+    deg_cap = 2 * (size - 1) + 2 + shift_deg  # largest total degree ever read
+
+    def factor(a: int, b: int) -> LaurentSeries:
+        """x^a y^b dx xi^(2n) / f_y = -xi^(n-1-na) y^(b+1-n), capped at deg_cap."""
+        series = -loc.y_power(b + 1 - n).shift(n - 1 - n * a)
+        if series.order <= deg_cap + 1:
+            return series
+        return series.truncate(deg_cap + 1)
+
+    coeffs: dict[tuple[int, int], MultiPoly] = {}
+    orders = []
+    for mono, coeff in polar.terms.items():
+        exps = {s.name: e for s, e in mono}
+        pcoeff = MultiPoly.monomial(tuple((s, e) for s, e in mono if s.kind == "param"), coeff)
+        u = factor(exps.get("x", 0), exps.get("y", 0)) * pcoeff
+        v = factor(exps.get("z", 0), exps.get("w", 0))
+        orders += [u.order, v.order]
+        for i, a in u.coeffs.items():
+            for j, b in v.coeffs.items():
+                if i + j > deg_cap:
+                    continue
+                key = (i, j)
+                prod = a * b
+                got = coeffs.get(key)
+                coeffs[key] = prod if got is None else got + prod
+    M = BiSeries(coeffs, min(orders), min(orders))
+
+    mi, mj = M.min_exponents()
+    if mi < 0 or mj < 0:
+        raise ConventionError("bi-differential numerator has negative exponents")
+
+    # P(xi,eta) = xi^(n-1) + xi^(n-2) eta + ... + eta^(n-1); divisor P^2
+    p_form = [Q(1)] * n
+    p2 = [Q(0)] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            p2[i + j] += p_form[i] * p_form[j]
+    shift = 2 * n - 2  # degree of P^2
+
+    max_deg = 2 * (size - 1)
+    if max_deg + 2 + shift >= M.total_degree_valid():
+        raise TruncationError("expansion order insufficient for a %dx%d table" % (size, size))
+
+    # Q := M / P^2 starts 1 + 0 + Q_2 + ...; the 1 is exactly the singular
+    # kernel d xi d eta/(xi-eta)^2 and the degree-1 part must vanish.
+    if divide_homogeneous(M.homogeneous_part(shift), p2) != [MultiPoly.one()]:
+        raise ConventionError("double-pole normalization failed at degree 0")
+    for c in divide_homogeneous(M.homogeneous_part(shift + 1), p2):
+        if not c.is_zero():
+            raise ConventionError("double-pole subtraction left a degree-1 part")
+
+    entries: dict[tuple[int, int], MultiPoly] = {}
+    for d in range(0, max_deg + 1):
+        q_part = divide_homogeneous(M.homogeneous_part(d + 2 + shift), p2)
+        w_part = divide_homogeneous(q_part, [Q(1), Q(-2), Q(1)])
+        for i, c in enumerate(w_part):
+            k, l = d - i, i
+            if not c.is_zero() and k < size and l < size:
+                entries[(k, l)] = c
+    return OmegaAlgTable(curve, size, entries)

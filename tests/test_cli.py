@@ -264,8 +264,18 @@ def _document_naming(symbol):
                        "terms": [{"coeff": {"num": "1", "den": "1"}, "monomial": [[symbol, 1]]}]}]})
 
 
+def _document_with_monomial(monomial):
+    """A genus-2 document whose only relation is p1111 + monomial."""
+    doc = json.loads(_document_naming("p1111"))
+    doc["relations"][0]["terms"].append({"coeff": {"num": "1", "den": "1"}, "monomial": monomial})
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text", ["not json", "[]", '{"format": "kleinian-relations-v1"}'] + [
-    pytest.param(_document_naming(name), id=name) for name in ("p10", "z0", "p13", "z3")])
+    pytest.param(_document_naming(name), id=name) for name in ("p10", "z0", "p13", "z3")] + [
+    # a symbol named twice in one monomial, under two spellings or one
+    pytest.param(_document_with_monomial(m), id="*".join(name for name, _ in m))
+    for m in ([["p12", 1], ["p21", 1]], [["p11", 1], ["p11", 1]])])
 def test_malformed_document_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

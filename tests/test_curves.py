@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from kleinian import curves
 from kleinian.curves import (
     CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, LocalExpansion, curve_by_family, differentials,
-    kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars, winding_vectors,
+    kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars,
+    required_expansion_order, winding_vectors,
 )
-from kleinian.errors import ConfigError, ConventionError, TruncationError
+from kleinian.errors import ConfigError, ConventionError, SeriesError, TruncationError
 from kleinian.poly import MultiPoly
 from kleinian.rationals import Q
 from kleinian.series import LaurentSeries
+from kleinian.taucalc import TauModel
 
-from curve_oracle import defects_below
+from curve_oracle import defects_below, omega_alg_two_step
 
 CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "curve-specs")
@@ -126,6 +128,25 @@ def test_y_power_closed_form(curve):
     diff = loc.y_power(curve.n) - phi
     assert diff.order >= loc.order
     assert all(k >= loc.order for k in diff.coeffs)
+
+
+@pytest.mark.parametrize("which", ["lowest", "highest"])
+@pytest.mark.parametrize("curve", [G2, TRIG], ids=["g2", "trigonal"])
+def test_certificate_rejects_mutated_negative_power(monkeypatch, curve, which):
+    # y^(-1) (and y^(-2)) with one coefficient doubled past the lead: still
+    # weight-homogeneous and normalized, so only the power's own ODE sees it
+    unit_power = LaurentSeries.unit_power
+
+    def doubled(self, alpha):
+        got = unit_power(self, alpha)
+        if alpha >= 0:
+            return got
+        k = (min if which == "lowest" else max)(e for e in got.coeffs if e)
+        return LaurentSeries({**got.coeffs, k: got.coeffs[k] * 2}, got.order)
+
+    monkeypatch.setattr(LaurentSeries, "unit_power", doubled)
+    with pytest.raises(ConventionError, match="curve-equation defect"):
+        TauModel.build(curve, 8)
 
 
 def read_spec(name):
@@ -313,6 +334,47 @@ def test_polar_weight_homogeneous():
 
 
 # -- omega tables ---------------------------------------------------------------
+
+@pytest.mark.parametrize("curve, size", [(c, size) for c in CERTIFIED_CURVES for size in (4, 13)]
+                         + [(G2, 17)],
+                         ids=["%s-%d" % (name, size) for name in CERTIFIED_IDS for size in (4, 13)]
+                         + ["g2-17"])
+def test_omega_alg_matches_two_step_oracle(curve, size):
+    # one grouped integer pass and one division by (xi^n - eta^n)^2 give the
+    # entries of the bi-series divided by P^2 and then by (xi - eta)^2
+    loc = local_expansion(curve, required_expansion_order(curve, size))
+    assert omega_alg(curve, size, loc).entries == omega_alg_two_step(curve, size, loc).entries
+
+
+def _power_corrupted(curve, b, index):
+    """An expansion whose y^b has its coefficient at lead + index doubled
+    (every coefficient when index is None); nothing certifies it."""
+    good = local_expansion(curve, required_expansion_order(curve, 8))
+
+    class Corrupted(LocalExpansion):
+        def y_power(self, e):
+            got = super().y_power(e)
+            if e != b:
+                return got
+            if index is None:
+                return got * 2
+            k = got.valuation() + index
+            return LaurentSeries({**got.coeffs, k: got.coeffs[k] * 2}, got.order)
+    return Corrupted(curve, good.order, good.lead, good.unit)
+
+
+@pytest.mark.parametrize("curve, b, index, error, match", [
+    (G2, -1, None, ConventionError, "double-pole normalization"),
+    (TRIG, -2, None, ConventionError, "double-pole normalization"),
+    (G2, -1, 2, SeriesError, "left remainder"),
+    (TRIG, -1, 3, SeriesError, "left remainder"),
+], ids=["g2-kernel", "trigonal-kernel", "g2-remainder", "trigonal-remainder"])
+def test_omega_alg_rejects_corrupted_power(curve, b, index, error, match):
+    # a wrong y-power breaks the double pole: either the degree-(2n-2) part
+    # is no longer the kernel's P^2, or (xi^n - eta^n)^2 leaves a remainder
+    with pytest.raises(error, match=match):
+        omega_alg(curve, 8, _power_corrupted(curve, b, index))
+
 
 def test_omega_alg_genus2_printed_values():
     tbl = omega_alg(G2, 4)

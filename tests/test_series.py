@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from kleinian.errors import ResidueError, SeriesError
 from kleinian.poly import MultiPoly, param
 from kleinian.rationals import Q
-from kleinian.series import BiSeries, LaurentSeries, divide_homogeneous
+from kleinian.series import LaurentSeries
+
+from curve_oracle import BiSeries, divide_homogeneous, miller_power
 
 A = param("a4", 2)
 
@@ -44,6 +46,22 @@ def test_unit_power_binomial_series():
     assert f.unit_power(Q(-2, 3)) ** 3 * f ** 2 == LaurentSeries.const(1, 9)
     with pytest.raises(SeriesError):
         LaurentSeries({0: 2, 1: 1}, order=4).unit_power(Q(1, 2))
+
+
+B = param("a3", 4)
+UNIT_COEFFS = st.sampled_from([MultiPoly.const(Q(-3, 2)), MultiPoly.const(Q(5, 4)),
+                               MultiPoly.const(7), MultiPoly.sym(A),
+                               MultiPoly.sym(A, 2, Q(-1, 3)) + MultiPoly.const(Q(1, 6)),
+                               MultiPoly.sym(A) * MultiPoly.sym(B, 1, Q(2, 9))])
+ALPHAS = [Q(1, 2), Q(-1, 2), Q(1, 3), Q(-1, 3), Q(-2, 3), Q(-1), Q(2)]
+
+
+@given(st.dictionaries(st.integers(1, 7), UNIT_COEFFS, max_size=4), st.integers(1, 14),
+       st.sampled_from(ALPHAS))
+def test_unit_power_matches_rational_miller(coeffs, order, alpha):
+    # the integer-numerator recurrence equals the rational one term for term
+    f = LaurentSeries({0: 1, **coeffs}, order)
+    assert f.unit_power(alpha) == miller_power(f, alpha)
 
 
 COEFFS = st.sampled_from([MultiPoly.const(Q(-3, 2)), MultiPoly.const(1), MultiPoly.const(2),
