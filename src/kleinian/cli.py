@@ -15,10 +15,8 @@ import tempfile
 from dataclasses import replace
 
 from .curves import CurveSpec, HYPERELLIPTIC_G2, parse_spec
-from .document import RelationDocument, export_document, render_relation
-from .engine import (
-    RelationDB, classify, derive_range, kummer_quartic, reduce_mod_db,
-)
+from .document import METHODS, RelationDocument, export_document, render_relation
+from .engine import RelationDB, classify, derive_range, reduce_mod_db
 from .errors import ConfigError, ConventionError, InconsistentSystemError, ReductionError
 from .klein import jacobi_inversion_extract
 from .poly import monomial_str
@@ -64,11 +62,13 @@ def _atomic_write(path: str, text: str):
 # derive
 
 
-def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
-               enable_weight16: bool = False) -> RelationDocument:
+def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker") -> RelationDocument:
     """Derive the hierarchy of the curve's family, then substitute its values.
 
-    The relations among the p-functions hold identically in the curve
+    The plucker method derives every layer from weight 4 through
+    max_weight from the Plucker rows of the tau model; the classical
+    method extracts the genus-2 relations of the Klein identity.  The
+    relations among the p-functions hold identically in the curve
     parameters, so a curve with parameter values gets the relations of
     its generic family member with the values substituted; each keeps the
     solved monomial, class and source of its generic relation, and the
@@ -76,28 +76,17 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker",
     """
     if max_weight < 4:
         raise ConfigError("max-weight must be at least 4 (no rank-2 partitions below)")
-    if method not in ("plucker", "classical", "both"):
+    if method not in METHODS:
         raise ConfigError("unknown method %r" % method)
     if method in ("classical", "both") and curve.family != HYPERELLIPTIC_G2:
         raise ConfigError("the classical method applies to the genus-2 curve only")
-    # without the flag, layers stop at 15 (genus 2 adds the Kummer quartic at 16);
-    # refuse a max-weight whose higher layers would come out empty
-    gated = 17 if curve.family == HYPERELLIPTIC_G2 else 16
-    if method != "classical" and max_weight >= gated and not enable_weight16:
-        raise ConfigError("max-weight %d would skip the layers above %d; "
-                          "--enable-weight16 derives them" % (max_weight, gated - 1))
 
     generic = curve.generic()
     relations = []
     notes: dict[int, list[str]] = {}
     classical = []
     if method in ("plucker", "both"):
-        top = max_weight if enable_weight16 else min(max_weight, 15)
-        db = derive_range(RelationDB(generic), TauModel.build(generic, top), top)
-        if curve.family == HYPERELLIPTIC_G2 and max_weight >= 16 and not enable_weight16:
-            # the weight-16 layer is gated; the Kummer quartic comes from the
-            # quadratic-form identity instead
-            db.add_layer(16, [kummer_quartic(db)])
+        db = derive_range(RelationDB(generic), TauModel.build(generic, max_weight), max_weight)
         relations = db.relations()
         notes = db.notes
     if method in ("classical", "both"):
@@ -219,10 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("derive", help="derive the relation hierarchy for a curve")
     d.add_argument("--curve", required=True, help="path to a curve-spec file")
     d.add_argument("--max-weight", type=int, required=True)
-    d.add_argument("--method", choices=("plucker", "classical", "both"), default="plucker")
+    d.add_argument("--method", choices=METHODS, default="plucker")
     d.add_argument("--out", default="relations.json")
-    d.add_argument("--enable-weight16", action="store_true",
-                   help="derive the expensive weight-16 layer instead of gating it")
 
     v = sub.add_parser("verify", help="check a document against the built-in tables")
     v.add_argument("--doc", required=True)
@@ -244,8 +231,7 @@ def main(argv=None) -> int:
         if args.command == "derive":
             curve = _read_curve(args.curve)
             _check_writable(args.out)
-            doc = run_derive(curve, args.max_weight, args.method,
-                             enable_weight16=args.enable_weight16)
+            doc = run_derive(curve, args.max_weight, args.method)
             _atomic_write(args.out, doc.to_json())
             print("wrote %s (%d relations, curve %s)"
                   % (args.out, len(doc.relations) + len(doc.classical),

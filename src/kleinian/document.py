@@ -20,6 +20,7 @@ from .rationals import Q, q_str
 from .taucalc import AbelianContext
 
 FORMAT = "kleinian-relations-v1"
+METHODS = ("plucker", "classical", "both")
 
 
 def symbol_from_name(name: str, curve: CurveSpec, ctx: AbelianContext) -> Symbol:
@@ -173,6 +174,8 @@ class RelationDocument:
     def _from_data(cls, data) -> "RelationDocument":
         if data.get("format") != FORMAT:
             raise ConfigError("unrecognized document format %r" % data.get("format"))
+        if data["method"] not in METHODS:
+            raise ConfigError("unknown method %r" % (data["method"],))
         params = {k: v for k, v in data["curve"]["parameters"].items() if v != "symbolic"}
         curve = curve_by_family(data["curve"]["family"], params)
         ctx = AbelianContext(curve.gap_weights)

@@ -331,12 +331,6 @@ class RelationDB:
             out.extend(self.layers[w])
         return out
 
-    def find_solved(self, mono: Monomial) -> Relation | None:
-        for r in self.relations():
-            if r.solved_monomial == mono:
-                return r
-        return None
-
     # -- derivative closure ----------------------------------------------------
 
     def closure(self, max_weight: int, include_equal: bool = True):
@@ -706,37 +700,3 @@ def cross_differentiate(db: RelationDB) -> list[Relation]:
                         seen_exprs.append(rel.expr)
                         out.append(rel)
     return out
-
-
-def kummer_quartic(db: RelationDB) -> Relation:
-    """The genus-2 Kummer surface quartic from the three quadratic forms.
-
-    Expands (p111^2)(p112^2) - (p111 p112)^2 = 0 through the stored
-    solved forms; the result is an even, 3-index-free quartic in the
-    two-index symbols, homogeneous of weight 16, normalized on p12^4.
-    """
-    ctx = db.ctx
-    need = [((ctx.wp((1, 1, 1)), 2),),
-            ((ctx.wp((1, 1, 2)), 2),),
-            ((ctx.wp((1, 1, 1)), 1), (ctx.wp((1, 1, 2)), 1))]
-    rels = [db.find_solved(m) for m in need]
-    missing = [monomial_str(m) for m, r in zip(need, rels) if r is None]
-    if missing:
-        raise ReductionError("missing solved forms for the Kummer quartic: %s"
-                             % ", ".join(missing))
-    r6, r10, r8 = rels
-    quartic = r6.rhs * r10.rhs - r8.rhs * r8.rhs
-    if quartic.is_zero():
-        raise ReductionError("Kummer quartic collapsed to zero")
-    p12_4 = ((ctx.wp((1, 2)), 4),)
-    c = quartic.coeff(p12_4)
-    if c == 0:
-        raise ReductionError("Kummer quartic has no p12^4 term")
-    norm = quartic * (Q(1) / c)
-    if any(wp_degree(m, 3) for m in norm.terms) or not ctx.is_zeta_free(norm):
-        raise ReductionError("Kummer quartic is not basic")
-    if not norm.is_homogeneous(16):
-        raise ReductionError("Kummer quartic is not weight-16 homogeneous")
-    if ctx.parity(norm) != norm:
-        raise ReductionError("Kummer quartic is not even")
-    return Relation(norm, 16, QUARTIC_EVEN, p12_4, ())

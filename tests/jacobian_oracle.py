@@ -12,9 +12,14 @@ A relation in these five symbols holds on the Jacobian iff, after
 clearing (x1 - x2) denominators and reducing y_k^2 by the curve, the
 result is the zero polynomial.  Entirely independent of both derivation
 engines.
+
+The module also keeps the Kummer quartic built from the quadratic-form
+identity, the oracle for the derived weight-16 QUARTIC_EVEN relation.
 """
 
-from kleinian.poly import MultiPoly, Symbol
+from kleinian.engine import QUARTIC_EVEN, Relation, wp_degree
+from kleinian.errors import ReductionError
+from kleinian.poly import MultiPoly, Symbol, monomial_str
 from kleinian.rationals import Q
 
 X1 = Symbol("u1", 2, "aux")
@@ -102,3 +107,37 @@ def vanishes_on_jacobian(curve, ctx, expr: MultiPoly) -> bool:
             num = num * diff ** (total_pow - dpow)
         total_num = total_num + num
     return _reduce_curve(curve, total_num).is_zero()
+
+
+def kummer_quartic(db) -> Relation:
+    """The genus-2 Kummer surface quartic from the three quadratic forms.
+
+    Expands (p111^2)(p112^2) - (p111 p112)^2 = 0 through the stored
+    solved forms; the result is an even, 3-index-free quartic in the
+    two-index symbols, homogeneous of weight 16, normalized on p12^4.
+    """
+    ctx = db.ctx
+    need = [((ctx.wp((1, 1, 1)), 2),),
+            ((ctx.wp((1, 1, 2)), 2),),
+            ((ctx.wp((1, 1, 1)), 1), (ctx.wp((1, 1, 2)), 1))]
+    solved = {r.solved_monomial: r for r in db.relations()}
+    missing = [monomial_str(m) for m in need if m not in solved]
+    if missing:
+        raise ReductionError("missing solved forms for the Kummer quartic: %s"
+                             % ", ".join(missing))
+    r6, r10, r8 = (solved[m] for m in need)
+    quartic = r6.rhs * r10.rhs - r8.rhs * r8.rhs
+    if quartic.is_zero():
+        raise ReductionError("Kummer quartic collapsed to zero")
+    p12_4 = ((ctx.wp((1, 2)), 4),)
+    c = quartic.coeff(p12_4)
+    if c == 0:
+        raise ReductionError("Kummer quartic has no p12^4 term")
+    norm = quartic * (Q(1) / c)
+    if any(wp_degree(m, 3) for m in norm.terms) or not ctx.is_zeta_free(norm):
+        raise ReductionError("Kummer quartic is not basic")
+    if not norm.is_homogeneous(16):
+        raise ReductionError("Kummer quartic is not weight-16 homogeneous")
+    if ctx.parity(norm) != norm:
+        raise ReductionError("Kummer quartic is not even")
+    return Relation(norm, 16, QUARTIC_EVEN, p12_4, ())

@@ -1,24 +1,23 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-Criteria 1-9 are required and run in the plain suite; criterion 10 is the
-flag-gated stretch (set KLEINIAN_STRETCH=1) whose runtime is reported, not
-bounded.  All comparisons are exact - no tolerances anywhere.
+Criteria 1-10 run in the plain suite; criterion 10 derives the genus-2
+weight-16 layer and checks it against the Kummer quartic oracle.  All
+comparisons are exact - no tolerances anywhere.
 """
 
-import os
 import time
 
 import pytest
 
-from jacobian_oracle import vanishes_on_jacobian
+from jacobian_oracle import kummer_quartic, vanishes_on_jacobian
 from schur_oracle import jacobi_trudi
 from kleinian import cli
 from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
 from kleinian.engine import (
-    FOUR_INDEX, QUASILINEAR, QUARTIC_EVEN, RelationDB, classify,
-    cross_differentiate, derive_at_weight, kummer_quartic,
-    plucker_relation, reduce_mod_db, reduce_with_rules,
+    FOUR_INDEX, QUAD_THREE_INDEX, QUASILINEAR, QUARTIC_EVEN, RelationDB, classify,
+    cross_differentiate, derive_at_weight, plucker_relation, reduce_mod_db,
+    reduce_with_rules,
 )
 from kleinian.klein import jacobi_inversion_extract
 from kleinian.partitions import all_partitions, enumerate_rank2, transpose_classes
@@ -238,29 +237,29 @@ def test_trigonal_weight12_quartic_residual_fails_verify(trig_doc12, tmp_path, m
     assert "FAIL weight-12 quartic residual has" in capsys.readouterr().out
 
 
-requires_stretch = pytest.mark.skipif(
-    os.environ.get("KLEINIAN_STRETCH") != "1",
-    reason="stretch criterion: set KLEINIAN_STRETCH=1 (runtime is reported, not bounded)")
+@pytest.fixture(scope="module")
+def g2_doc16(g2):
+    return run_derive(g2, 16)
 
 
-@pytest.mark.stretch
-@requires_stretch
-def test_criterion_10_stretch_weight16(g2):
-    start = time.perf_counter()
+def test_criterion_10_weight16_layer(g2_doc16):
     # weight-16 enumeration: 140 rank-2 partitions in 72 transpose-classes
     parts = enumerate_rank2(16)
     classes = transpose_classes(parts)
     assert len(parts) == 140
     assert len(classes) == 72
-    model = TauModel.build(g2, 16)
-    db = RelationDB(g2)
-    from kleinian.engine import derive_range
-    derive_range(db, model, 10)
-    rules, _ = db.closure(16, include_equal=True)
-    sampled = [rep for rep, _ in classes[::12]]
-    for lam in sampled:
-        row = reduce_with_rules(plucker_relation(lam, model), rules)
-        assert db.ctx.is_zeta_free(row) or row.is_zero()
-    elapsed = time.perf_counter() - start
-    print("PASS criterion 10 (%6.2fs, reported): weight-16 classes=%d sampled=%d"
-          % (elapsed, len(classes), len(sampled)))
+    db = g2_doc16.to_db()
+    ctx = db.ctx
+    layer = db.layers[16]
+    for r in layer:
+        assert ctx.is_zeta_free(r.expr) and r.expr.is_homogeneous(16), r.label()
+    solved = {r.solved_monomial: r for r in layer}
+    # the derived quartic is the one the quadratic-form identity gives
+    kummer = kummer_quartic(db)
+    quartic = solved[kummer.solved_monomial]
+    assert (quartic.expr, quartic.cls) == (kummer.expr, kummer.cls)
+    # beside it the layer solves a quadratic three-index relation for p122*p222
+    (p122_p222,) = (ctx.wp_poly(1, 2, 2) * ctx.wp_poly(2, 2, 2)).terms
+    assert solved[p122_p222].cls == QUAD_THREE_INDEX
+    print("PASS criterion 10: weight-16 classes=%d relations=%d, Kummer quartic and "
+          "p122*p222 derived" % (len(classes), len(layer)))

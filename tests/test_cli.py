@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,7 +163,7 @@ def test_unwritable_out_is_refused_before_deriving(tmp_path, g2_spec_file, monke
     monkeypatch.setattr(cli, "run_derive", never_derive)
     out = unwritable_out(tmp_path, target)
     assert run(["derive", "--curve", g2_spec_file, "--max-weight", "16",
-                "--enable-weight16", "--out", str(out)]) == 2
+                "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write")
     assert not list(tmp_path.rglob(".kleinian-*"))
 
@@ -182,18 +181,14 @@ def test_failed_derive_leaves_existing_out_untouched(tmp_path, g2_spec_file, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "g2.curve"]
 
 
-@pytest.mark.parametrize("spec, weight",[(G2_SPEC, 17), (TRIG_SPEC, 16)])
-def test_gated_layers_refused_before_work(tmp_path, spec, weight):
-    # without --enable-weight16 the layers above 15 (above the weight-16
-    # Kummer stand-in on genus 2) would come out empty
-    curve = tmp_path / "c.curve"
-    curve.write_text(spec)
-    out = tmp_path / "o.json"
-    start = time.perf_counter()
-    assert run(["derive", "--curve", str(curve), "--max-weight", str(weight),
-                "--out", str(out)]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert not out.exists()
+def test_enable_weight16_is_an_unknown_argument(tmp_path, g2_spec_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_derive", never_derive)
+    with pytest.raises(SystemExit) as exc:
+        run(["derive", "--curve", g2_spec_file, "--max-weight", "16", "--enable-weight16",
+             "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --enable-weight16" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_reports_unresolved_rows(g2, tmp_path, capsys):
@@ -271,11 +266,20 @@ def _document_with_monomial(monomial):
     return json.dumps(doc)
 
 
+def _document_with_method(method):
+    """A genus-2 document that names the given derivation method."""
+    doc = json.loads(_document_naming("p1111"))
+    doc["method"] = method
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text", ["not json", "[]", '{"format": "kleinian-relations-v1"}'] + [
     pytest.param(_document_naming(name), id=name) for name in ("p10", "z0", "p13", "z3")] + [
     # a symbol named twice in one monomial, under two spellings or one
     pytest.param(_document_with_monomial(m), id="*".join(name for name, _ in m))
-    for m in ([["p12", 1], ["p21", 1]], [["p11", 1], ["p11", 1]])])
+    for m in ([["p12", 1], ["p21", 1]], [["p11", 1], ["p11", 1]])] + [
+    pytest.param(_document_with_method(m), id="method=%r" % (m,))
+    for m in ("bogus", 5, ["both"], None)])
 def test_malformed_document_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacobian_oracle import vanishes_on_jacobian
+from jacobian_oracle import kummer_quartic, vanishes_on_jacobian
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex,
     RelationDB, _basic_relations, classify, cross_differentiate, derive_at_weight,
-    derive_range, kummer_quartic, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
+    derive_range, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, enumerate_rank2, transpose_classes
