@@ -3,8 +3,9 @@
 A partition of rank r decomposes into r diagonal hooks with strictly
 decreasing arm lengths a_i = lambda_i - i and leg lengths b_i = lambda'_i - i.
 The derivation pipeline runs on rank-2 partitions (2+m, 2+n, 2^k, 1^l);
-the Schur polynomials of every rank are Giambelli determinants over the
-Frobenius coordinates (:mod:`kleinian.schur`).
+the Schur operators of every rank are Giambelli determinants over the
+Frobenius coordinates, taken in the power-sum basis, whose classes are
+all partitions of the weight (:mod:`kleinian.schur`).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def hook(arm: int, leg: int) -> Partition:
 
 
 def all_partitions(weight: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of the given weight (brute-force oracle helper)."""
+    """All partitions of the given weight: the classes mu of :mod:`kleinian.schur`."""
     if weight == 0:
         yield Partition(())
         return

@@ -1,110 +1,108 @@
-"""Schur polynomials in the KP times.
+"""Schur operators in the power-sum basis: integer character weights.
 
-The complete symmetric functions h_m (here called elementary Schur
-functions p_m) are generated by exp(sum_k t_k z^k) and satisfy the
-recursion m p_m = sum_{j<=m} j t_j p_{m-j}; the elementary symmetric
-functions e_m are generated by exp(sum_k (-1)^(k-1) t_k z^k), so they obey
-the same recursion with t_k -> (-1)^(k-1) t_k.  Both are computed by their
-recursions (exact, allocation-light) and memoized per process.
+A Schur function is a character sum over the power sums (Macdonald,
+*Symmetric Functions*, I.7),
 
-A single hook has the closed form s_(a|b) = sum_{k=0..b} (-1)^k
-p_{a+1+k} e_{b-k}, and Giambelli's formula writes s_lambda as the rank x
-rank determinant det(s_(a_i|b_j)) of the hooks on lambda's Frobenius
-coordinates (Macdonald, *Symmetric Functions*, I.3), so a rank-2 Schur
-polynomial is one 2x2 product of memoized hooks.
+    s_lambda = sum_{mu |- n} chi^lambda(mu) p_mu / z_mu,    n = |lambda|,
 
-Under wt(t_k) = -k every s_lambda is homogeneous of weight -|lambda|.
-Substituting the scaled derivation symbol D_k = (1/k) d/dt_k for t_k turns
-a weight -W polynomial into a weight +W (commuting) operator.
+and in the KP times p_k = k t_k.  Substituting the scaled derivation
+D_k = (1/k) d/dt_k for t_k turns p_mu into d^|mu|/dt_mu, so on the tau
+ratio
+
+    s_lambda(D~) tau / tau = (1/n!) sum_mu W_lambda(mu) tau_mu,
+
+where W_lambda(mu) = chi^lambda(mu) n!/z_mu, the character times the size
+of the class mu, is an integer.  No Schur polynomial is ever formed.
+
+A single hook (a|b) = (a+1, 1^b) has the character
+
+    chi^(a|b)(mu) = [q^b] prod_i (1 - (-q)^mu_i) / (1 + q),
+
+one integer polynomial per mu (at mu = (n) and (1^n) it gives (-1)^b
+and C(n-1, b)).  In these weights a product of symmetric functions is an
+integer convolution over the splits mu = alpha u beta,
+
+    W_fg(mu) = sum C(n, |alpha|) W_f(alpha) W_g(beta),
+
+so Giambelli's formula s_lambda = det(s_(a_i|b_j)) over lambda's
+Frobenius coordinates (Macdonald, I.3) gives every rank from the hooks.
+The hook weights are memoized when first asked for.
 """
 
 from __future__ import annotations
 
-from .partitions import Partition
-from .poly import MultiPoly, time_symbol
-from .rationals import Q
+from functools import cache
+from math import comb, factorial
 
-_pm_cache: list[MultiPoly] = []
-_em_cache: list[MultiPoly] = []
-_hook_cache: dict[tuple[int, int], MultiPoly] = {}
-_schur_cache: dict[tuple[int, ...], MultiPoly] = {}
+from .partitions import Partition, all_partitions
 
-
-def _newton(cache: list[MultiPoly], m: int, sign: int) -> MultiPoly:
-    """The m-th term of m x_m = sum_j sign^(j-1) j t_j x_{m-j}, x_0 = 1."""
-    if m < 0:
-        return MultiPoly.zero()
-    while len(cache) <= m:
-        k = len(cache)
-        if k == 0:
-            cache.append(MultiPoly.one())
-            continue
-        acc = MultiPoly.zero()
-        for j in range(1, k + 1):
-            acc = acc + MultiPoly.sym(time_symbol(j), coeff=j * sign ** (j - 1)) * cache[k - j]
-        cache.append(acc * Q(1, k))
-    return cache[m]
+#: class-function weights mu -> W(mu), mu a weakly decreasing tuple
+Weights = dict[tuple[int, ...], int]
 
 
-def elementary_schur(m: int) -> MultiPoly:
-    """p_m as an explicit polynomial in t_1..t_m (p_m = 0 for m < 0)."""
-    return _newton(_pm_cache, m, 1)
+def class_size(mu: tuple[int, ...]) -> int:
+    """n!/z_mu, the number of permutations of cycle type mu."""
+    z = 1
+    for k in set(mu):
+        m = mu.count(k)
+        z *= k ** m * factorial(m)
+    return factorial(sum(mu)) // z
 
 
-def elementary_symmetric(m: int) -> MultiPoly:
-    """e_m, the sign-flipped p_m: t_k -> (-1)^(k-1) t_k (e_m = 0 for m < 0)."""
-    return _newton(_em_cache, m, -1)
+def _hook_character(mu: tuple[int, ...], leg: int) -> int:
+    """[q^leg] of prod_i (1 - (-q)^mu_i) / (1 + q), truncated past q^leg."""
+    # (1 - (-q)^m) / (1 + q) = sum_{j<m} (-q)^j absorbs the division
+    coeffs = [(-1) ** j if j < mu[0] else 0 for j in range(leg + 1)]
+    for m in mu[1:]:
+        sign = (-1) ** (m + 1)
+        for j in range(leg, m - 1, -1):
+            coeffs[j] += sign * coeffs[j - m]
+    return coeffs[leg]
 
 
-def _det(entries: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant by expansion over the first row with minor memoization."""
-    n = len(entries)
-    cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
-
-    def minor(row: int, cols: tuple[int, ...]) -> MultiPoly:
-        if not cols:
-            return MultiPoly.one()
-        key = (row, cols)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = MultiPoly.zero()
-        for pos, c in enumerate(cols):
-            entry = entries[row][c]
-            if entry.is_zero():
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+def _product(f: Weights, nf: int, g: Weights, ng: int) -> Weights:
+    """Weights of the product of class functions of degrees nf and ng."""
+    scale = comb(nf + ng, nf)
+    out: Weights = {}
+    for alpha, x in f.items():
+        for beta, y in g.items():
+            mu = tuple(sorted(alpha + beta, reverse=True))
+            out[mu] = out.get(mu, 0) + scale * x * y
+    return out
 
 
-def hook_schur(arm: int, leg: int) -> MultiPoly:
-    """s_(arm|leg) = sum_{k=0..leg} (-1)^k p_{arm+1+k} e_{leg-k}, memoized."""
-    key = (arm, leg)
-    got = _hook_cache.get(key)
-    if got is None:
-        got = MultiPoly.zero()
-        for k in range(leg + 1):
-            term = elementary_schur(arm + 1 + k) * elementary_symmetric(leg - k)
-            got = got + (-term if k % 2 else term)
-        _hook_cache[key] = got
-    return got
+@cache
+def _hook_weights(arm: int, leg: int) -> Weights:
+    """Weights of the hook (arm|leg), memoized: the Giambelli minors share them."""
+    out = {}
+    for mu in all_partitions(arm + leg + 1):
+        chi = _hook_character(mu.parts, leg)
+        if chi:
+            out[mu.parts] = chi * class_size(mu.parts)
+    return out
 
 
-def giambelli_det(lam: Partition) -> MultiPoly:
-    """Giambelli expansion det(s_(a_i|b_j)) of a Schur polynomial in hooks."""
-    arms, legs = lam.frobenius()
-    return _det([[hook_schur(a, b) for b in legs] for a in arms])
+def _giambelli(arms: tuple[int, ...], legs: tuple[int, ...]) -> Weights:
+    """Weights of det(s_(a_i|b_j)), expanded along its first row."""
+    if not arms:
+        return {(): 1}
+    if len(arms) == 1:
+        return _hook_weights(arms[0], legs[0])
+    acc: Weights = {}
+    rest = arms[1:]
+    for pos, leg in enumerate(legs):
+        others = legs[:pos] + legs[pos + 1:]
+        sign = -1 if pos % 2 else 1
+        term = _product(_hook_weights(arms[0], leg), arms[0] + leg + 1,
+                        _giambelli(rest, others), sum(rest) + sum(others) + len(rest))
+        for mu, w in term.items():
+            acc[mu] = acc.get(mu, 0) + sign * w
+    return {mu: w for mu, w in acc.items() if w}
 
 
-def schur_poly(lam: Partition) -> MultiPoly:
-    """s_lambda in the times, by Giambelli's determinant, memoized."""
-    key = lam.parts
-    got = _schur_cache.get(key)
-    if got is None:
-        got = _schur_cache[key] = giambelli_det(lam)
-    return got
+def schur_weights(lam: Partition) -> Weights:
+    """W_lambda(mu) = chi^lambda(mu) n!/z_mu over the mu |- n with W != 0.
+
+    A hook's map is memoized and shared: do not mutate it.
+    """
+    return _giambelli(*lam.frobenius())

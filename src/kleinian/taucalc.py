@@ -28,22 +28,25 @@ with m_v, b_v the multiplicities of v in K - K[0] and B'.  Cumulants and
 moments are memoized per sorted multiset.
 
 The derivatives, and the hook values built from them, are memoized as
-:class:`ScaledPoly` values (integer numerators over one denominator);
-Schur-operator values are integer linear combinations of them, so the
-Plucker rows assembled from them need rationals only once per row.
+:class:`ScaledPoly` values (integer numerators over one denominator).
+A Schur operator acts as s_lambda(D~) tau/tau = (1/n!) sum_mu W_lambda(mu)
+tau_mu over the partitions mu of n = |lambda|, with the integer character
+weights of :mod:`kleinian.schur`, so its value is one integer combination
+of memoized derivatives over n! lcm(tau_mu.den), and the Plucker rows
+assembled from these values need rationals only once per row.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, lcm, prod
 
 from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg,
                      required_expansion_order, winding_vectors)
 from .errors import TruncationError
-from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, scaled_sum, wp_symbol, zeta_symbol
-from .rationals import Q
-from .schur import hook_schur, schur_poly
+from .partitions import Partition, hook as hook_partition
+from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, wp_symbol, zeta_symbol
+from .schur import schur_weights
 
 
 class AbelianContext:
@@ -182,29 +185,21 @@ class TauModel:
 
     # -- Schur-operator application ------------------------------------------
 
-    def apply_time_poly(self, poly: MultiPoly) -> ScaledPoly:
-        """Evaluate s(D~) tau / tau at t = 0 for a polynomial s in the times.
-
-        Each monomial prod t_k^{e_k} acts as prod (1/k d/dt_k)^{e_k}.
-        """
-        pairs = []
-        for mono, coeff in poly.terms.items():
-            times: list[int] = []
-            scale = Q(1)
-            for s, e in mono:
-                if s.kind != "time":
-                    raise ValueError("not a time polynomial: %s" % s)
-                k = s.indices[0]
-                times.extend([k] * e)
-                scale *= Q(1, k) ** e
-            pairs.append((coeff * scale, self.tau_t_derivative(tuple(times))))
-        return scaled_sum(pairs)
+    def schur_apply(self, lam: Partition) -> ScaledPoly:
+        """s_lambda(D~) tau / tau at t = 0, as (1/n!) sum_mu W_lambda(mu) tau_mu."""
+        pairs = [(w, self.tau_t_derivative(mu)) for mu, w in schur_weights(lam).items()]
+        den = lcm(*(tau.den for _, tau in pairs))
+        out: dict = {}
+        for w, tau in pairs:
+            f = w * (den // tau.den)
+            add_terms(out, ((m, n * f) for m, n in tau.nums.items()))
+        return ScaledPoly(factorial(lam.weight) * den, out).primitive()
 
     def hook(self, m: int, n: int) -> ScaledPoly:
         """s_(m|n)(D~) tau / tau at t = 0 (no sign factor), memoized."""
         got = self._hooks.get((m, n))
         if got is None:
-            got = self._hooks[m, n] = self.apply_time_poly(hook_schur(m, n))
+            got = self._hooks[m, n] = self.schur_apply(hook_partition(m, n))
         return got
 
     def a_hook(self, m: int, n: int) -> MultiPoly:
@@ -218,6 +213,3 @@ class TauModel:
             raise TruncationError("hook (%d|%d) beyond model truncation" % (m, n))
         val = self.hook(m, n).poly()
         return -val if n % 2 else val
-
-    def schur_apply(self, lam) -> ScaledPoly:
-        return self.apply_time_poly(schur_poly(lam))

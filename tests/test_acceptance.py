@@ -10,7 +10,7 @@ import time
 import pytest
 
 from jacobian_oracle import kummer_quartic, vanishes_on_jacobian
-from schur_oracle import jacobi_trudi
+from schur_oracle import elementary_schur, jacobi_trudi, power_sum_poly, schur_poly
 from kleinian import cli
 from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
@@ -23,7 +23,7 @@ from kleinian.klein import jacobi_inversion_extract
 from kleinian.partitions import all_partitions, enumerate_rank2, transpose_classes
 from kleinian.poly import MultiPoly, monomial_str, time_symbol
 from kleinian.rationals import Q
-from kleinian.schur import elementary_schur, schur_poly
+from kleinian.schur import schur_weights
 from kleinian.tables import (
     omega_table_values, relation_table, trigonal_weight12_quartic,
 )
@@ -185,6 +185,10 @@ def test_criterion_9_combinatorial_property_suite(g2_model, g2_db, trig_db):
     for w in range(1, 13):
         for lam in all_partitions(w):
             assert schur_poly(lam) == jacobi_trudi(lam)
+    # the power-sum weights of src, sum_mu W(mu)/n! p_mu, == Jacobi-Trudi, every rank
+    for w in range(0, 13):
+        for lam in all_partitions(w):
+            assert power_sum_poly(schur_weights(lam), w) == jacobi_trudi(lam), lam
     # elementary-Schur recursion for m <= 12
     for m in range(1, 13):
         rhs = MultiPoly.zero()
@@ -206,7 +210,7 @@ def test_criterion_9_combinatorial_property_suite(g2_model, g2_db, trig_db):
     for db in (g2_db, trig_db):
         for r in db.relations():
             assert r.expr.is_homogeneous(r.weight)
-    clock.done("Giambelli/JT, p-recursion, transpose identity, antisymmetry, grading")
+    clock.done("Giambelli/JT, power sums/JT, p-recursion, transpose identity, antisymmetry, grading")
 
 
 @pytest.fixture(scope="module")

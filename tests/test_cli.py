@@ -96,6 +96,34 @@ def test_method_classical_only(g2):
     assert doc.relations == [] and len(doc.classical) == 3
 
 
+def test_verify_checks_classical_document(tmp_path, g2_spec_file, capsys):
+    # a classical document is checked through its classical relations; the
+    # table rows the classical method does not derive are notes, not failures
+    out = str(tmp_path / "classical.json")
+    assert run(["derive", "--curve", g2_spec_file, "--max-weight", "8",
+                "--method", "classical", "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--doc", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines if line.startswith("PASS")] == [
+        ["PASS", "w4", "p1111"], ["PASS", "w6", "p1112"], ["PASS", "w7", "p11*p112"]]
+    notes = [line for line in lines if line.startswith("NOTE")]
+    assert len(notes) == 2 and not any(line.startswith("FAIL") for line in lines)
+    assert all(line.endswith("not derived by the classical method") for line in notes)
+    # a corrupted classical relation still fails
+    data = json.loads(open(out).read())
+    data["classical_relations"][0]["terms"][0]["coeff"] = {"num": "7", "den": "1"}
+    ok, lines = verify_document(RelationDocument.from_json(json.dumps(data)))
+    assert not ok
+    assert any(line.startswith("FAIL") and "p1111" in line for line in lines)
+    # a Plucker document missing a table row still fails
+    data = json.loads(run_derive(parse_spec(G2_SPEC), 8).to_json())
+    data["relations"] = data["relations"][1:]
+    ok, lines = verify_document(RelationDocument.from_json(json.dumps(data)))
+    assert not ok
+    assert "FAIL %-24s missing from document" % "w4 p1111" in lines
+
+
 def test_verify_detects_corruption(g2):
     doc = run_derive(g2, 4)
     data = json.loads(doc.to_json())

@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobian_oracle import kummer_quartic, vanishes_on_jacobian
+from schur_oracle import hook_schur, schur_poly
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex,
     RelationDB, _basic_relations, classify, cross_differentiate, derive_at_weight,
     derive_range, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
-from kleinian.partitions import Partition, enumerate_rank2, transpose_classes
+from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
 from kleinian.poly import (
     MultiPoly, ScaledPoly, add_terms, monomial_div, monomial_divides, monomial_key, monomial_mul,
     monomial_str, monomial_weight, param,
 )
 from kleinian.rationals import Q
-from kleinian.schur import hook_schur, schur_poly
 from kleinian.tables import relation_table
 from kleinian.taucalc import TauModel
 
@@ -283,6 +283,11 @@ def trig_model8(trig):
 
 
 @pytest.fixture(scope="module")
+def trig_model10(trig):
+    return TauModel.build(trig, 10)
+
+
+@pytest.fixture(scope="module")
 def trig_db8(trig, trig_model8):
     return derive_range(RelationDB(trig), trig_model8, 8)
 
@@ -299,10 +304,10 @@ def test_closure_is_inter_reduced_in_one_sweep(request, which, top):
         assert all(index.find(m) is None for m in rhs.terms), monomial_str(pivot)
 
 
-def test_transpose_pairs_combine_after_reduction(trig):
+def test_transpose_pairs_combine_after_reduction(trig, trig_model10):
     # a trigonal layer forms NF(a) +- NF(b) for a transpose pair: the normal
     # form is linear, so these are NF(a +- b), also under a fresh memo
-    model = TauModel.build(trig, 10)
+    model = trig_model10
     db = derive_range(RelationDB(trig), model, 9)
     for w in range(8, 11):
         rules, _ = db.closure(w, include_equal=False)
@@ -323,6 +328,18 @@ def test_plucker_rows_match_rational_reference(request, which, top):
     for w in range(4, top + 1):
         for lam in enumerate_rank2(w):
             assert plucker_relation(lam, model) == reference_plucker(lam, model), lam.parts
+
+
+@pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
+def test_schur_apply_matches_rational_expansion(request, which):
+    # the integer character weights against the rational Schur polynomial
+    # expanded term by term, for every hook and rank-2 partition through weight 10
+    model = request.getfixturevalue(which)
+    for w in range(1, 11):
+        for lam in all_partitions(w):
+            if lam.rank <= 2:
+                got = model.schur_apply(lam).poly()
+                assert got == reference_apply(model, schur_poly(lam)), lam.parts
 
 
 # -- hyperelliptic transpose identity ------------------------------------------

@@ -1,13 +1,18 @@
-"""Schur layer: printed low-order polynomials, recursion, Giambelli, operators."""
+"""Schur layer: printed low-order polynomials, recursion, Giambelli, operators,
+and the power-sum character weights of kleinian.schur against
+Murnaghan-Nakayama and the character table's own identities."""
 
-from schur_oracle import jacobi_trudi
+from math import factorial, prod
+
+from schur_oracle import (
+    elementary_schur, elementary_symmetric, giambelli_det, hook_schur, jacobi_trudi,
+    murnaghan_nakayama, schur_poly,
+)
 
 from kleinian.partitions import Partition, all_partitions, hook
 from kleinian.poly import MultiPoly, Symbol, time_symbol
 from kleinian.rationals import Q
-from kleinian.schur import (
-    elementary_schur, elementary_symmetric, giambelli_det, hook_schur, schur_poly,
-)
+from kleinian.schur import class_size, schur_weights
 
 T = [None] + [MultiPoly.sym(time_symbol(k)) for k in range(1, 9)]
 
@@ -170,3 +175,65 @@ def test_as_diff_operator_and_exponential_oracle():
 def test_operator_weight_grading():
     op = as_diff_operator(schur_poly(Partition((2, 2))))
     assert op.is_homogeneous(4)
+
+
+# -- power-sum character weights: W_lambda(mu) = chi^lambda(mu) n!/z_mu -----------
+
+CHARACTER_DEGREES = range(0, 11)
+
+
+def characters(lam: Partition) -> dict[tuple[int, ...], int]:
+    """chi^lambda(mu) for every mu |- |lambda|, read off the weights."""
+    weights = schur_weights(lam)
+    return {mu.parts: weights.get(mu.parts, 0) // class_size(mu.parts)
+            for mu in all_partitions(lam.weight)}
+
+
+def test_weights_are_characters_times_class_sizes():
+    # every W_lambda(mu) z_mu / n! is an integer, and n!/z_mu counts S_n
+    for n in CHARACTER_DEGREES:
+        assert sum(class_size(mu.parts) for mu in all_partitions(n)) == factorial(n)
+        for lam in all_partitions(n):
+            for mu, w in schur_weights(lam).items():
+                assert sum(mu) == n and w != 0
+                assert w % class_size(mu) == 0, (lam, mu)
+
+
+def test_characters_match_murnaghan_nakayama():
+    # hooks, rank 2 and (from n = 9) rank 3 against the border-strip recursion
+    ranks = set()
+    for n in CHARACTER_DEGREES:
+        for lam in all_partitions(n):
+            ranks.add(lam.rank)
+            for mu, chi in characters(lam).items():
+                assert chi == murnaghan_nakayama(lam.parts, mu), (lam, mu)
+    assert ranks == {0, 1, 2, 3}
+
+
+def test_character_rows_are_orthonormal():
+    # sum_mu chi^lambda(mu) chi^nu(mu) / z_mu = delta_{lambda nu}
+    for n in CHARACTER_DEGREES:
+        table = {lam.parts: characters(lam) for lam in all_partitions(n)}
+        for lam, row in table.items():
+            for nu, other in table.items():
+                inner = sum(row[mu] * other[mu] * class_size(mu) for mu in row)
+                assert inner == (factorial(n) if lam == nu else 0), (lam, nu)
+
+
+def test_character_degree_is_hook_length_count():
+    # chi^lambda(1^n) = f^lambda = n! / prod of hook lengths
+    for n in CHARACTER_DEGREES:
+        for lam in all_partitions(n):
+            cols = lam.transpose().parts
+            hooks = prod(p - j + cols[j] - i - 1
+                         for i, p in enumerate(lam.parts) for j in range(p))
+            assert characters(lam)[(1,) * n] == factorial(n) // hooks, lam
+
+
+def test_trivial_and_sign_characters():
+    for n in range(1, CHARACTER_DEGREES[-1] + 1):
+        trivial = characters(Partition((n,)))
+        sign = characters(Partition((1,) * n))
+        for mu in trivial:
+            assert trivial[mu] == 1
+            assert sign[mu] == (-1) ** (n - len(mu)), mu

@@ -25,9 +25,9 @@ from kleinian.engine import RelationDB, derive_range, plucker_relation
 from kleinian.errors import TruncationError
 from kleinian.partitions import enumerate_rank2
 from kleinian.poly import MultiPoly
-from kleinian.schur import hook_schur
 from kleinian.series import LaurentSeries
 from kleinian.taucalc import AbelianContext, TauModel
+from schur_oracle import hook_schur
 from tau_oracle import ZetaTau, zeta_free_part, zeta_model
 
 CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
