@@ -1,9 +1,9 @@
 """Command-line front end: derive, verify, show, export.
 
-Exit codes: 0 success, 1 verification mismatch (for a trigonal document
-through weight 12 or more, this includes a printed weight-12 quartic that
-does not reduce to zero), 2 configuration error, 3 internal inconsistency
-(the convention-bug class).
+Exit codes: 0 success, 1 verification mismatch (this includes a printed
+ideal-membership check, such as the trigonal weight-12 quartic, that does
+not reduce to zero once the document reaches its weight), 2 configuration
+error, 3 internal inconsistency (the convention-bug class).
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import sys
 import tempfile
 from dataclasses import replace
 
-from .curves import CurveSpec, HYPERELLIPTIC_G2, parse_spec
+from .curves import CurveSpec, parse_spec
 from .document import METHODS, RelationDocument, export_document, render_relation
 from .engine import RelationDB, classify, derive_range, reduce_mod_db
 from .errors import ConfigError, ConventionError, InconsistentSystemError, ReductionError
 from .klein import jacobi_inversion_extract
 from .poly import monomial_str
-from .tables import relation_table, trigonal_weight12_quartic
+from .tables import ideal_checks, relation_table
 from .taucalc import AbelianContext, TauModel
 
 
@@ -67,7 +67,8 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker") -> Re
 
     The plucker method derives every layer from weight 4 through
     max_weight from the Plucker rows of the tau model; the classical
-    method extracts the genus-2 relations of the Klein identity.  The
+    method extracts the genus-2 relations of the Klein identity, those of
+    weight at most max_weight.  The
     relations among the p-functions hold identically in the curve
     parameters, so a curve with parameter values gets the relations of
     its generic family member with the values substituted; each keeps the
@@ -78,21 +79,19 @@ def run_derive(curve: CurveSpec, max_weight: int, method: str = "plucker") -> Re
         raise ConfigError("max-weight must be at least 4 (no rank-2 partitions below)")
     if method not in METHODS:
         raise ConfigError("unknown method %r" % method)
-    if method in ("classical", "both") and curve.family != HYPERELLIPTIC_G2:
-        raise ConfigError("the classical method applies to the genus-2 curve only")
 
     generic = curve.generic()
     relations = []
     notes: dict[int, list[str]] = {}
     classical = []
+    if method in ("classical", "both"):
+        # first: the classical engine rejects other curves before any work
+        _, _, classical = jacobi_inversion_extract(generic)
+        classical = [r for r in classical if r.weight <= max_weight]
     if method in ("plucker", "both"):
         db = derive_range(RelationDB(generic), TauModel.build(generic, max_weight), max_weight)
         relations = db.relations()
         notes = db.notes
-    if method in ("classical", "both"):
-        _, _, classical = jacobi_inversion_extract(generic)
-    if method == "classical":
-        relations = []
     if method == "both":
         stored = {r.solved_monomial: r for r in relations}
         for r in classical:
@@ -115,8 +114,9 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
 
     A curve with parameter values is checked against the generic table,
     classified and then specialized, as :func:`run_derive` derives it.  A
-    classical document is checked through its classical relations; the
-    table rows that the classical method does not derive are notes.
+    classical document is checked through its classical relations; a
+    missing row that the classical engine derives fails, and the other
+    table rows are notes.
     """
     curve = doc.curve
     ctx = AbelianContext(curve.gap_weights)
@@ -124,13 +124,15 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
     ok = True
     classical_only = doc.method == "classical"
     source = {r.solved_monomial: r for r in (doc.classical if classical_only else doc.relations)}
+    if classical_only:
+        classical_rows = {r.solved_monomial for r in jacobi_inversion_extract(curve.generic())[2]}
     for weight, cls, expr in relation_table(curve.generic(), ctx):
         if weight > doc.max_weight:
             continue
         want = classify(expr, weight, ctx)
         name = "w%d %s" % (weight, monomial_str(want.solved_monomial))
         got = source.get(want.solved_monomial)
-        if got is None and classical_only:
+        if got is None and classical_only and want.solved_monomial not in classical_rows:
             lines.append("NOTE %-24s not derived by the classical method" % name)
         elif got is None:
             ok = False
@@ -160,27 +162,23 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
                                                      monomial_str(r.solved_monomial)))
     for weight, notes in sorted(doc.notes.items()):
         lines.extend("NOTE w%d %s" % (weight, note) for note in notes)
-    if doc.curve.family != HYPERELLIPTIC_G2:
-        # the printed weight-12 quartic reduced modulo the derived database:
-        # a verdict once the layers reach weight 12, a report below
-        quartic = trigonal_weight12_quartic(doc.curve, ctx)
+    checks = ideal_checks(curve, ctx)
+    db = doc.to_db() if checks else None
+    for weight, name, expr in checks:
         try:
-            residual = reduce_mod_db(quartic, doc.to_db())
+            residual = reduce_mod_db(expr, db)
         except ReductionError as exc:
             # the rules are the document's own: a cycle among them is bad input
             raise ConfigError("document relations do not reduce: %s" % exc) from exc
-        if doc.max_weight >= 12:
+        if doc.max_weight >= weight:
             ok = ok and residual.is_zero()
-            lines.append("PASS weight-12 quartic lies in the derived ideal"
-                         if residual.is_zero() else
-                         "FAIL weight-12 quartic residual has %d terms"
-                         % len(residual.terms))
+            lines.append("PASS %s lies in the derived ideal" % name if residual.is_zero() else
+                         "FAIL %s residual has %d terms" % (name, len(residual.terms)))
         elif residual.is_zero():
-            lines.append("NOTE weight-12 quartic lies in the derived ideal")
+            lines.append("NOTE %s lies in the derived ideal" % name)
         else:
-            lines.append("NOTE weight-12 quartic residual has %d terms "
-                         "(database through weight %d)"
-                         % (len(residual.terms), doc.max_weight))
+            lines.append("NOTE %s residual has %d terms (database through weight %d)"
+                         % (name, len(residual.terms), doc.max_weight))
     return ok, lines
 
 

@@ -1,18 +1,19 @@
 """Curve families and their local data at the branch point at infinity.
 
-Two plane curves with a single point at infinity are supported:
+An (n,s)-curve y^n = phi(x), deg phi = s, has one point at infinity.  A
+family is one row of :data:`FAMILIES`; everything else is computed from
+(n, s): the genus (n-1)(s-1)/2, the Weierstrass gaps (the integers missing
+from the semigroup <n, s>), the parameter weights n (s - power), phi, the
+holomorphic differentials and, for n = 2, Baker's Kleinian polar (the
+trigonal polar is written by hand).  The families are ``hyperelliptic_g2``,
+y^2 = 4x^5 + a4 x^4 + ... + a0, and ``cyclic_trigonal_34``,
+y^3 = x^4 + m3 x^3 + m6 x^2 + m9 x + m12.
 
-* ``hyperelliptic_g2``: y^2 = 4x^5 + a4 x^4 + a3 x^3 + a2 x^2 + a1 x + a0,
-  genus 2, Weierstrass gaps (1, 3), wt(a_k) = 10 - 2k;
-* ``cyclic_trigonal_34``: y^3 = x^4 + m3 x^3 + m6 x^2 + m9 x + m12,
-  genus 3, gaps (1, 2, 5), wt(m_{3j}) = 3j.
-
-The local parameter is fixed by x = xi^(-n) exactly.  The branch of y and
-the overall sign of the differentials are normalized so that every
-holomorphic differential expands as du_i = xi^(w_i - 1)(1 + O(xi)) dxi
-with leading coefficient exactly +1; this single global convention keeps
-all downstream signs coherent and is pinned by the weight-4 calibration
-relation of the derivation engine.
+The local parameter is fixed by x = xi^(-n) exactly.  Every holomorphic
+differential is scaled to du_i = xi^(w_i - 1)(1 + O(xi)) dxi with leading
+coefficient exactly +1; this single global convention keeps all downstream
+signs coherent and is pinned by the weight-4 calibration relation of the
+derivation engine.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from .series import LaurentSeries
 
 HYPERELLIPTIC_G2 = "hyperelliptic_g2"
 CYCLIC_TRIGONAL_34 = "cyclic_trigonal_34"
+
+# family: (n, s, top coefficient of phi, lead of y, parameter names by descending power)
+FAMILIES = {
+    HYPERELLIPTIC_G2: (2, 5, 4, -2, ("a4", "a3", "a2", "a1", "a0")),
+    CYCLIC_TRIGONAL_34: (3, 4, 1, 1, ("m3", "m6", "m9", "m12")),
+}
 
 _FAMILY_ALIASES = {
     "hyperelliptic_g2": HYPERELLIPTIC_G2,
@@ -82,23 +89,19 @@ class CurveSpec:
     # -- defining polynomial -------------------------------------------------
 
     def rhs_coeffs(self) -> dict[int, MultiPoly]:
-        """Coefficients of phi(x), where the curve is y^n = phi(x)."""
-        ps = {p.name: self.parameter_poly(p) for p in self.parameters}
-        if self.family == HYPERELLIPTIC_G2:
-            return {5: MultiPoly.const(4), 4: ps["a4"], 3: ps["a3"],
-                    2: ps["a2"], 1: ps["a1"], 0: ps["a0"]}
-        return {4: MultiPoly.one(), 3: ps["m3"], 2: ps["m6"],
-                1: ps["m9"], 0: ps["m12"]}
+        """Coefficients of phi(x), where the curve is y^n = phi(x), by descending power."""
+        out = {self.s: MultiPoly.const(FAMILIES[self.family][2])}
+        for i, p in enumerate(self.parameters):
+            out[self.s - 1 - i] = self.parameter_poly(p)
+        return out
 
 
 def _make_curve(family: str, values: tuple[tuple[str, QType], ...]) -> CurveSpec:
-    if family == HYPERELLIPTIC_G2:
-        params = tuple(param("a%d" % k, 10 - 2 * k) for k in (4, 3, 2, 1, 0))
-        return CurveSpec(family, 2, 5, 2, (1, 3), params, values)
-    if family == CYCLIC_TRIGONAL_34:
-        params = tuple(param("m%d" % (3 * j), 3 * j) for j in (1, 2, 3, 4))
-        return CurveSpec(family, 3, 4, 3, (1, 2, 5), params, values)
-    raise ConfigError("unknown curve family %r" % family)
+    n, s, _, _, names = FAMILIES[family]
+    semigroup = {n * a + s * b for a in range(s) for b in range(n)}
+    gaps = tuple(k for k in range(1, (n - 1) * (s - 1)) if k not in semigroup)
+    params = tuple(param(name, n * (i + 1)) for i, name in enumerate(names))  # n (s - power)
+    return CurveSpec(family, n, s, (n - 1) * (s - 1) // 2, gaps, params, values)
 
 
 def curve_by_family(family: str, values: dict[str, object] | None = None) -> CurveSpec:
@@ -215,8 +218,7 @@ def _unit_part(curve: CurveSpec, order: int) -> LaurentSeries:
 def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
     """x = xi^(-n) and y from the closed power recurrence, exactly to the given order.
 
-    The y-branch is the rational one; for the hyperelliptic curve the sign
-    is chosen so the normalized differentials have +1 leading coefficients.
+    The y-branch is the rational one, leading with the family's lead of y.
     The curve equation y^n = phi(x) is proved through xi^order by
     :func:`_certify`, in time linear in the order.
     """
@@ -224,8 +226,7 @@ def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
     if order < n + s:
         raise TruncationError("order must be at least n+s = %d" % (n + s))
     work = order + (n - 1) * s + 2  # y^n is then known to order + 2
-    lead = Q(-2) if curve.family == HYPERELLIPTIC_G2 else Q(1)
-    loc = LocalExpansion(curve, order, lead, _unit_part(curve, work + s))
+    loc = LocalExpansion(curve, order, Q(FAMILIES[curve.family][3]), _unit_part(curve, work + s))
     _certify(loc)
     return loc
 
@@ -322,21 +323,18 @@ def _certify(loc: LocalExpansion):
 
 
 def differentials(curve: CurveSpec, loc: LocalExpansion) -> list[LaurentSeries]:
-    """Densities du_i/dxi at infinity, normalized to leading coefficient +1."""
-    x = loc.x
-    dx = x.differentiate()
-    if curve.family == HYPERELLIPTIC_G2:
-        inv_y = loc.y_power(-1)
-        dus = [x * dx * inv_y, dx * inv_y]
-    else:
-        inv_3y = loc.y_power(-1) * Q(1, 3)
-        inv_3y2 = loc.y_power(-2) * Q(1, 3)
-        # global sign flipped so the leading coefficients come out +1
-        dus = [-(dx * inv_3y), -(x * dx * inv_3y2), -(dx * inv_3y2)]
-    for i, du in enumerate(dus):
-        w = curve.gap_weights[i]
-        if du.valuation() != w - 1 or du.coeff(w - 1) != MultiPoly.one():
-            raise ConventionError("du_%d leading term %r violates normalization" % (i + 1, du))
+    """Densities du_i/dxi at infinity, normalized to leading coefficient +1.
+
+    du_i = x^a y^b dx / f_y for the one monomial x^a y^b, b < n, of weight
+    2g - 1 - w_i; with x = xi^(-n) and f_y = n y^(n-1) its density is
+    -y^(b+1-n) xi^(-n(a+1)-1), of valuation w_i - 1 since ns - n - s = 2g - 1.
+    """
+    n, s, g = curve.n, curve.s, curve.genus
+    dus = []
+    for w in curve.gap_weights:
+        a, b = next((a, b) for a in range(s) for b in range(n) if n * a + s * b == 2 * g - 1 - w)
+        du = loc.y_power(b + 1 - n).shift(-n * (a + 1) - 1)
+        dus.append(du * (Q(1) / du.coeff(w - 1).rational_value()))
     return dus
 
 
@@ -405,17 +403,19 @@ def kleinian_polar(curve: CurveSpec) -> MultiPoly:
 
     omega_alg(Q,S) = F dx dz / (f_y(Q) f_w(S) (x-z)^2); on the diagonal
     F((x,y),(x,y)) = f_y(x,y)^2, which normalizes the double pole to 1.
+    For n = 2 it is Baker's closed form for y^2 = sum_j lambda_j x^j,
+    F = sum_k (xz)^k (2 lambda_(2k) + lambda_(2k+1) (x+z)) + 2yw
+    (Buchstaber, Enolski & Leykin, Rev. Math. Math. Phys. 10, 1997).
     """
     xs, ys, zs, ws = polar_vars(curve.n, curve.s)
     xv, yv = MultiPoly.sym(xs), MultiPoly.sym(ys)
     zv, wv = MultiPoly.sym(zs), MultiPoly.sym(ws)
-    if curve.family == HYPERELLIPTIC_G2:
-        ps = {p.name: curve.parameter_poly(p) for p in curve.parameters}
-        xz = xv * zv
-        F = (xz * xz * (xv + zv) * 4 + xz * xz * ps["a4"] * 2
-             + xz * (xv + zv) * ps["a3"] + xz * ps["a2"] * 2
-             + (xv + zv) * ps["a1"] + ps["a0"] * 2)
-        return F + yv * wv * 2
+    if curve.n == 2:
+        lam = curve.rhs_coeffs()
+        F = yv * wv * 2
+        for k in range(curve.s // 2 + 1):
+            F = F + (xv * zv) ** k * (lam[2 * k] * 2 + lam[2 * k + 1] * (xv + zv))
+        return F
     return (yv * yv * wv * wv * 3
             + wv * _polar_T(xv, zv, curve) + yv * _polar_T(zv, xv, curve))
 
@@ -425,9 +425,8 @@ class OmegaAlgTable:
 
     entry(k, l) is the coefficient of xi^k eta^l dxi deta after removing
     the double pole dxi deta/(xi-eta)^2; the table is symmetric, entry
-    (k, l) is weight-homogeneous of weight k+l+2, and the family vanishing
-    pattern (odd index for hyperelliptic, k+l != 1 mod 3 for trigonal)
-    holds for every entry.
+    (k, l) is weight-homogeneous of weight k+l+2, and it vanishes unless n
+    divides k+l+2 and, for n = 2, both indices are even.
     """
 
     def __init__(self, curve: CurveSpec, size: int, entries: dict[tuple[int, int], MultiPoly]):
@@ -443,7 +442,7 @@ class OmegaAlgTable:
         return self.entries.get((k, l), MultiPoly.zero())
 
     def _validate(self):
-        fam = self.curve.family
+        n = self.curve.n
         for (k, l), c in self.entries.items():
             if c.is_zero():
                 continue
@@ -452,10 +451,8 @@ class OmegaAlgTable:
             if not self.curve.values and not c.is_homogeneous(k + l + 2):
                 raise ConventionError("omega_alg(%d,%d) not homogeneous of weight %d: %s"
                                       % (k, l, k + l + 2, c))
-            if fam == HYPERELLIPTIC_G2 and (k % 2 or l % 2):
-                raise ConventionError("hyperelliptic omega_alg(%d,%d) should vanish" % (k, l))
-            if fam == CYCLIC_TRIGONAL_34 and (k + l) % 3 != 1:
-                raise ConventionError("trigonal omega_alg(%d,%d) should vanish" % (k, l))
+            if (k + l + 2) % n or (n == 2 and (k % 2 or l % 2)):
+                raise ConventionError("omega_alg(%d,%d) should vanish for n = %d" % (k, l, n))
 
 
 def required_expansion_order(curve: CurveSpec, table_size: int) -> int:

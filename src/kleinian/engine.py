@@ -4,8 +4,8 @@ Layers are strictly sequential: the weight-W layer assumes a database
 complete for all weights below W.  A layer generates one determinant
 identity per rank-2 partition of weight W and reduces it modulo the lower
 layers and their derivative closure as soon as it is built, so the layer
-holds reduced rows only.  Transpose pairs are folded for the hyperelliptic
-curve, where both members give the same row; for the trigonal curve their
+holds reduced rows only.  Transpose pairs are folded for a hyperelliptic
+(n = 2) curve, where both members give the same row; otherwise their
 symmetric and antisymmetric combinations are formed from the two reduced
 rows, which is exact because reduction is linear (see below).  The layer
 then solves the surviving rows for the monomials that contain a p-symbol
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .curves import CurveSpec, HYPERELLIPTIC_G2
+from .curves import CurveSpec
 from .errors import InconsistentSystemError, ReductionError
 from .partitions import Partition, enumerate_rank2, transpose_classes
 from .poly import (
@@ -574,8 +574,8 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
     relations are not yet stored (callers decide, usually via
     :func:`derive_range`).  The closure is built first, and each
     partition's Plucker row is reduced modulo it as soon as it is built.
-    Transpose pairs are folded for the hyperelliptic curve, where both
-    members give the same row; for the trigonal curve the pair gives
+    Transpose pairs are folded for n = 2, where both members give the
+    same row; otherwise the pair gives
     NF(a) + NF(b) and NF(a) - NF(b), which equal NF(a + b) and NF(a - b)
     because the normal form is a linear map.
     """
@@ -587,7 +587,10 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
         raise ReductionError("database incomplete below weight %d: missing %s"
                              % (weight, sorted(missing)))
     ctx = db.ctx
-    fold = model.curve.family == HYPERELLIPTIC_G2
+    # tau_mu = 0 whenever mu has a part divisible by n; for n = 2 only
+    # all-odd mu remain, and the sign character is +1 on those, so
+    # W_lambda' = W_lambda and a transpose pair gives one row
+    fold = model.curve.n == 2
     _, collision_rows = db.closure(weight, include_equal=False)
 
     def reduced(lam: Partition) -> MultiPoly:

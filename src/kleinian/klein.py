@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .curves import CurveSpec, HYPERELLIPTIC_G2, local_expansion, polar_vars, kleinian_polar, winding_vectors
+from .curves import CurveSpec, local_expansion, polar_vars, kleinian_polar, winding_vectors
 from .engine import FOUR_INDEX, classify
 from .errors import ConfigError, ConventionError
 from .poly import MultiPoly, Symbol
@@ -32,7 +32,7 @@ YP = Symbol("yk", 5, "aux")
 
 
 def _check_genus2(curve: CurveSpec):
-    if curve.family != HYPERELLIPTIC_G2:
+    if (curve.n, curve.s) != (2, 5):
         raise ConfigError("the classical engine supports only the genus-2 curve")
 
 

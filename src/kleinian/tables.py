@@ -110,11 +110,7 @@ def trigonal_omega_values(curve: CurveSpec):
 
 
 def trigonal_weight12_quartic(curve: CurveSpec, ctx: AbelianContext) -> MultiPoly:
-    """The printed weight-12 quartic relation of the trigonal Kummer variety.
-
-    Kept only as verification data; the reduce step reports its residual
-    against a derived trigonal database.
-    """
+    """The printed weight-12 quartic relation of the trigonal Kummer variety."""
     m = _params(curve)
     p = ctx.wp_poly
     return (
@@ -132,14 +128,17 @@ def trigonal_weight12_quartic(curve: CurveSpec, ctx: AbelianContext) -> MultiPol
 
 
 def relation_table(curve: CurveSpec, ctx: AbelianContext):
-    if curve.family == HYPERELLIPTIC_G2:
-        return genus2_relations(curve, ctx)
-    if curve.family == CYCLIC_TRIGONAL_34:
-        return trigonal_relations(curve, ctx)
-    raise ValueError("no builtin tables for %s" % curve.family)
+    return {HYPERELLIPTIC_G2: genus2_relations,
+            CYCLIC_TRIGONAL_34: trigonal_relations}[curve.family](curve, ctx)
 
 
 def omega_table_values(curve: CurveSpec):
-    if curve.family == HYPERELLIPTIC_G2:
-        return genus2_omega_values(curve)
-    return trigonal_omega_values(curve)
+    return {HYPERELLIPTIC_G2: genus2_omega_values,
+            CYCLIC_TRIGONAL_34: trigonal_omega_values}[curve.family](curve)
+
+
+def ideal_checks(curve: CurveSpec, ctx: AbelianContext) -> list[tuple[int, str, MultiPoly]]:
+    """Printed relations that the derived ideal must contain, as (weight, name, polynomial)."""
+    if curve.family == CYCLIC_TRIGONAL_34:
+        return [(12, "weight-12 quartic", trigonal_weight12_quartic(curve, ctx))]
+    return []

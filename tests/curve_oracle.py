@@ -6,13 +6,19 @@
   its cost grows quadratically in the expansion order;
 * J.C.P. Miller's power recurrence in rational arithmetic, the oracle for
   the integer-numerator ``LaurentSeries.unit_power``;
+* the hand-written holomorphic differentials of both curves, formed as
+  general series products, the oracle for ``curves.differentials``, which
+  computes them from (n, s);
+* the hand-written genus-2 Kleinian polar, the oracle for Baker's closed
+  form in ``curves.kleinian_polar``;
 * the omega table by two exact divisions of a two-variable series
   (:class:`BiSeries`), first by P^2 and then by (xi - eta)^2, the oracle
   for ``curves.omega_alg``'s grouped integer pass with one division by
   (xi^n - eta^n)^2.
 """
 
-from kleinian.curves import CurveSpec, LocalExpansion, OmegaAlgTable, kleinian_polar
+from kleinian.curves import (CurveSpec, LocalExpansion, OmegaAlgTable, kleinian_polar,
+                             polar_vars)
 from kleinian.errors import ConventionError, SeriesError, TruncationError
 from kleinian.poly import MultiPoly
 from kleinian.rationals import Q, QType, qify
@@ -66,6 +72,36 @@ def miller_power(f: LaurentSeries, alpha) -> LaurentSeries:
         if not acc.is_zero():
             g[k] = acc * Q(1, k)
     return LaurentSeries(g, f.order)
+
+
+# ---------------------------------------------------------------------------
+# the hand-written differentials and genus-2 polar
+
+
+def hand_written_differentials(curve: CurveSpec, loc: LocalExpansion) -> list[LaurentSeries]:
+    """du_i/dxi: x dx/y and dx/y for genus 2; -dx/(3y), -x dx/(3y^2), -dx/(3y^2) for trigonal."""
+    x = loc.x
+    dx = x.differentiate()
+    if curve.n == 2:
+        inv_y = loc.y_power(-1)
+        return [x * dx * inv_y, dx * inv_y]
+    inv_3y = loc.y_power(-1) * Q(1, 3)
+    inv_3y2 = loc.y_power(-2) * Q(1, 3)
+    # global sign flipped so the leading coefficients come out +1
+    return [-(dx * inv_3y), -(x * dx * inv_3y2), -(dx * inv_3y2)]
+
+
+def hand_written_genus2_polar(curve: CurveSpec) -> MultiPoly:
+    """F((x,y),(z,w)) of y^2 = 4x^5 + a4 x^4 + a3 x^3 + a2 x^2 + a1 x + a0."""
+    xs, ys, zs, ws = polar_vars(curve.n, curve.s)
+    xv, yv = MultiPoly.sym(xs), MultiPoly.sym(ys)
+    zv, wv = MultiPoly.sym(zs), MultiPoly.sym(ws)
+    ps = {p.name: curve.parameter_poly(p) for p in curve.parameters}
+    xz = xv * zv
+    F = (xz * xz * (xv + zv) * 4 + xz * xz * ps["a4"] * 2
+         + xz * (xv + zv) * ps["a3"] + xz * ps["a2"] * 2
+         + (xv + zv) * ps["a1"] + ps["a0"] * 2)
+    return F + yv * wv * 2
 
 
 # ---------------------------------------------------------------------------

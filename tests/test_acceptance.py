@@ -11,7 +11,7 @@ import pytest
 
 from jacobian_oracle import kummer_quartic, vanishes_on_jacobian
 from schur_oracle import elementary_schur, jacobi_trudi, power_sum_poly, schur_poly
-from kleinian import cli
+from kleinian import cli, tables
 from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
 from kleinian.engine import (
@@ -234,7 +234,7 @@ def test_trigonal_weight12_quartic_residual_fails_verify(trig_doc12, tmp_path, m
     def perturbed(curve, ctx):
         return trigonal_weight12_quartic(curve, ctx) + ctx.wp_poly((1, 1)) ** 6
 
-    monkeypatch.setattr(cli, "trigonal_weight12_quartic", perturbed)
+    monkeypatch.setattr(tables, "trigonal_weight12_quartic", perturbed)
     doc = tmp_path / "trig.json"
     doc.write_text(trig_doc12.to_json())
     assert cli.main(["verify", "--doc", str(doc)]) == 1

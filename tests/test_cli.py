@@ -110,6 +110,14 @@ def test_verify_checks_classical_document(tmp_path, g2_spec_file, capsys):
     notes = [line for line in lines if line.startswith("NOTE")]
     assert len(notes) == 2 and not any(line.startswith("FAIL") for line in lines)
     assert all(line.endswith("not derived by the classical method") for line in notes)
+    # a missing row that the classical engine derives fails; the rest are notes
+    data = json.loads(open(out).read())
+    data["classical_relations"] = []
+    ok, lines = verify_document(RelationDocument.from_json(json.dumps(data)))
+    assert not ok
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL %-24s missing from document" % name for name in ("w4 p1111", "w6 p1112", "w7 p11*p112")]
+    assert sum(line.startswith("NOTE") for line in lines) == 2
     # a corrupted classical relation still fails
     data = json.loads(open(out).read())
     data["classical_relations"][0]["terms"][0]["coeff"] = {"num": "7", "den": "1"}
@@ -236,11 +244,33 @@ def test_verify_reports_unresolved_rows(g2, tmp_path, capsys):
             RelationDocument.from_json(json.dumps(data))
 
 
-def test_classical_rejected_for_trigonal(tmp_path):
+def test_classical_rejected_for_trigonal(tmp_path, monkeypatch):
+    # the classical engine's own ConfigError comes before any Plucker work
+    def no_work(*args):
+        raise AssertionError("tau model built before the curve was rejected")
+
+    monkeypatch.setattr(cli.TauModel, "build", no_work)
     spec = tmp_path / "trig.curve"
     spec.write_text(TRIG_SPEC)
-    assert run(["derive", "--curve", str(spec), "--max-weight", "5",
-                "--method", "classical", "--out", str(tmp_path / "o.json")]) == 2
+    for method in ("classical", "both"):
+        assert run(["derive", "--curve", str(spec), "--max-weight", "5",
+                    "--method", method, "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("method", ["classical", "both"])
+@pytest.mark.parametrize("weight", [4, 5, 6])
+def test_classical_relations_stop_at_max_weight(tmp_path, g2_spec_file, capsys, method, weight):
+    # the classical engine extracts weights 4, 6 and 7; a document keeps only
+    # those up to its max_weight, so both engines agree and it verifies
+    out = str(tmp_path / "doc.json")
+    assert run(["derive", "--curve", g2_spec_file, "--max-weight", str(weight),
+                "--method", method, "--out", out]) == 0
+    doc = RelationDocument.from_json(open(out).read())
+    assert [r.weight for r in doc.classical] == [w for w in (4, 6, 7) if w <= weight]
+    assert all(r.weight <= weight for r in doc.relations)
+    capsys.readouterr()
+    assert run(["verify", "--doc", out]) == 0
+    assert not any(line.startswith("FAIL") for line in capsys.readouterr().out.splitlines())
 
 
 def test_specialized_curve_derivation(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kleinian import curves
 from kleinian.curves import (
-    CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, LocalExpansion, curve_by_family, differentials,
-    kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars,
+    CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, LocalExpansion, OmegaAlgTable, curve_by_family,
+    differentials, kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars,
     required_expansion_order, winding_vectors,
 )
 from kleinian.errors import ConfigError, ConventionError, SeriesError, TruncationError
@@ -17,7 +17,8 @@ from kleinian.rationals import Q
 from kleinian.series import LaurentSeries
 from kleinian.taucalc import TauModel
 
-from curve_oracle import defects_below, omega_alg_two_step
+from curve_oracle import (defects_below, hand_written_differentials, hand_written_genus2_polar,
+                          omega_alg_two_step)
 
 CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "curve-specs")
@@ -36,6 +37,16 @@ def test_parse_families():
     assert (c.n, c.s, c.genus, c.gap_weights) == (2, 5, 2, (1, 3))
     c = parse_spec("# comment\nfamily = cyclic_trigonal_34\n")
     assert (c.n, c.s, c.genus, c.gap_weights) == (3, 4, 3, (1, 2, 5))
+
+
+def test_genus_and_gaps_from_n_and_s():
+    # the gaps are the integers missing from the semigroup <n, s>
+    assert (G2.genus, G2.gap_weights) == (2, (1, 3))
+    assert (TRIG.genus, TRIG.gap_weights) == (3, (1, 2, 5))
+    assert [(p.name, p.weight) for p in G2.parameters] == [
+        ("a4", 2), ("a3", 4), ("a2", 6), ("a1", 8), ("a0", 10)]
+    assert [(p.name, p.weight) for p in TRIG.parameters] == [
+        ("m3", 3), ("m6", 6), ("m9", 9), ("m12", 12)]
 
 
 def test_parse_specialization_and_errors():
@@ -276,6 +287,17 @@ def test_differentials_leading_terms():
         assert d.coeff(w - 1) == MultiPoly.one()
 
 
+@pytest.mark.parametrize("curve", CERTIFIED_CURVES, ids=CERTIFIED_IDS)
+def test_differentials_match_hand_written_oracle(curve):
+    # x^a y^b dx / f_y from (n, s), scaled once, equals the hand-written
+    # series products coefficient for coefficient, at the same orders
+    loc = local_expansion(curve, 30)
+    got = differentials(curve, loc)
+    want = hand_written_differentials(curve, loc)
+    assert [d.order for d in got] == [d.order for d in want]
+    assert [d.coeffs for d in got] == [d.coeffs for d in want]
+
+
 def test_winding_gap_structure_and_parity():
     R = winding_vectors(G2, 12)
     for i, w in enumerate(G2.gap_weights, start=1):
@@ -313,6 +335,12 @@ def test_polar_genus2_diagonal_identity():
     y2 = MultiPoly.sym(ys, 2)
     # diag - 4 y^2 should vanish modulo y^2 = phi(x): diag = 2*phi + 2*y^2
     assert diag - y2 * 2 == phi * 2
+
+
+@pytest.mark.parametrize("curve", [G2, SPECIALIZED["specialized_example"]],
+                         ids=["g2", "specialized_example"])
+def test_polar_genus2_is_bakers_closed_form(curve):
+    assert kleinian_polar(curve) == hand_written_genus2_polar(curve)
 
 
 def test_polar_trigonal_diagonal_identity():
@@ -396,6 +424,15 @@ def test_omega_alg_trigonal_printed_values():
     assert tbl.entry(0, 4) == ps["m6"] * Q(-2, 3) + ps["m3"] * ps["m3"] * Q(5, 9)
     assert tbl.entry(1, 3) == ps["m6"] * Q(-2, 3) + ps["m3"] * ps["m3"] * Q(4, 9)
     assert tbl.entry(2, 2).is_zero()
+
+
+@pytest.mark.parametrize("curve, key, value", [
+    (G2, (1, 1), MultiPoly.sym(G2.parameters[0], 2)),  # a4^2: weight 4, odd index
+    (SPECIALIZED["specialized_trigonal"], (0, 0), MultiPoly.one()),  # 3 does not divide 2
+], ids=["g2-odd-index", "specialized-trigonal-mod-3"])
+def test_omega_table_rejects_entry_that_should_vanish(curve, key, value):
+    with pytest.raises(ConventionError, match="should vanish"):
+        OmegaAlgTable(curve, 4, {key: value})
 
 
 def test_omega_alg_monomial_curve_vanishes_at_low_order():

@@ -109,6 +109,17 @@ def time_multisets(weight):
     return [K for n in range(1, weight + 1) for K in parts(n, n)]
 
 
+@pytest.mark.parametrize("which, n, count", [("g2", 2, 96), ("trig", 3, 57)])
+def test_tau_vanishes_on_a_part_divisible_by_n(request, which, n, count):
+    # the premise of folding transpose pairs when n = 2: tau_mu carries
+    # only multisets mu with no part divisible by n
+    model = TauModel.build(request.getfixturevalue(which), 10)
+    divisible = [K for K in time_multisets(10) if any(k % n == 0 for k in K)]
+    assert len(divisible) == count
+    for K in divisible:
+        assert model.tau_t_derivative(K).poly().is_zero(), K
+
+
 def test_ladder_first_rungs(g2):
     ctx = AbelianContext(g2.gap_weights)
     cache = {}
