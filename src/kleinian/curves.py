@@ -358,11 +358,6 @@ class WindingData:
             raise TruncationError("winding vector R_%d not computed" % k)
         return self.vectors[k - 1][i - 1]
 
-    def vector(self, k: int) -> tuple[MultiPoly, ...]:
-        if not 1 <= k <= len(self.vectors):
-            raise TruncationError("winding vector R_%d not computed" % k)
-        return self.vectors[k - 1]
-
 
 def winding_vectors(curve: CurveSpec, count: int, loc: LocalExpansion | None = None) -> WindingData:
     if loc is None:

@@ -26,8 +26,6 @@ METHODS = ("plucker", "classical", "both")
 def symbol_from_name(name: str, curve: CurveSpec, ctx: AbelianContext) -> Symbol:
     if name.startswith("p") and name[1:].isdigit():
         return ctx.wp(tuple(int(c) for c in name[1:]))
-    if name.startswith("z") and name[1:].isdigit():
-        return ctx.zeta(int(name[1:]))
     for p in curve.parameters:
         if p.name == name:
             return p
@@ -50,6 +48,13 @@ def _coeff_from_json(d) -> object:
 
 def _monomial_json(m: Monomial) -> list:
     return [[s.name, e] for s, e in m]
+
+
+def _parameter(name: str, value) -> str:
+    if type(value) is not str or q_str(value) != value:
+        raise ConfigError("parameter %s must be \"symbolic\" or a rational written as "
+                          "\"n\" or \"n/d\", got %r" % (name, value))
+    return value
 
 
 def _integer(value, what: str, minimum: int) -> int:
@@ -176,7 +181,8 @@ class RelationDocument:
             raise ConfigError("unrecognized document format %r" % data.get("format"))
         if data["method"] not in METHODS:
             raise ConfigError("unknown method %r" % (data["method"],))
-        params = {k: v for k, v in data["curve"]["parameters"].items() if v != "symbolic"}
+        params = {k: _parameter(k, v) for k, v in data["curve"]["parameters"].items()
+                  if v != "symbolic"}
         curve = curve_by_family(data["curve"]["family"], params)
         ctx = AbelianContext(curve.gap_weights)
         relations, classical = (
@@ -213,8 +219,6 @@ _LATEX_HEADS = {"a": r"\alpha_", "m": r"\mu_"}
 def _latex_symbol(s: Symbol) -> str:
     if s.kind == "wp":
         return r"\wp_{%s}" % "".join(map(str, s.indices))
-    if s.kind == "zeta":
-        return r"\zeta_{%d}" % s.indices[0]
     head, tail = s.name[0], s.name[1:]
     if head in _LATEX_HEADS and tail.isdigit():
         return "%s{%s}" % (_LATEX_HEADS[head], tail)

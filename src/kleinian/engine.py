@@ -86,7 +86,7 @@ def column_order_key(col: Monomial):
 class Relation:
     """A derived identity, stored in solved form pivot = pivot - expr.
 
-    expr is weight-homogeneous, zeta-free, and has the solved monomial
+    expr is weight-homogeneous and has the solved monomial
     with coefficient exactly +1; on a curve with parameter values it is
     the generic relation with the values substituted (see
     :func:`kleinian.cli.run_derive`), which keeps the coefficient +1 but
@@ -104,10 +104,6 @@ class Relation:
         if self.solved_monomial is None:
             return -self.expr
         return MultiPoly.monomial(self.solved_monomial) - self.expr
-
-    def label(self) -> str:
-        head = monomial_str(self.solved_monomial) if self.solved_monomial else "0"
-        return "[w%d %s] %s = %s" % (self.weight, self.cls, head, self.rhs.text())
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +522,12 @@ def linear_solve(system: list[MultiPoly], sources: list[tuple[Partition, ...]] |
 
 def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
              source: tuple[Partition, ...] = ()) -> Relation:
-    """Normalize a reduced zeta-free homogeneous relation into solved form."""
+    """Normalize a reduced homogeneous relation into solved form."""
     if expr.is_zero():
         raise ValueError("cannot classify the zero relation")
     if not expr.is_homogeneous(weight):
         raise ReductionError("relation is not homogeneous of weight %d: %s"
                              % (weight, expr.text()))
-    if not ctx.is_zeta_free(expr):
-        raise ReductionError("zeta symbols survive in relation %s" % expr.text())
     row = _split_row(expr, source)
     pivot = None
     for col in sorted(row.cols, key=column_order_key):
@@ -604,14 +598,7 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
             # the normal form is linear: NF(a) +- NF(b) is NF(a +- b)
             a, b = reduced(rep), reduced(tr)
             built = [((rep, tr), a + b), ((rep, tr), a - b)]
-        for src, red in built:
-            if red.is_zero():
-                continue
-            if not ctx.is_zeta_free(red):
-                raise ReductionError(
-                    "zeta survives reduction at weight %d (source %s); lower layers incomplete"
-                    % (weight, [p.parts for p in src]))
-            rows.append((src, red))
+        rows.extend((src, red) for src, red in built if not red.is_zero())
     for w, expr in collision_rows:
         if w == weight and not expr.is_zero():
             rows.append(((), expr))
@@ -669,37 +656,3 @@ def derive_range(db: RelationDB, model: TauModel, max_weight: int) -> RelationDB
         db.add_layer(w, derive_at_weight(w, db, model))
     return db
 
-
-def cross_differentiate(db: RelationDB) -> list[Relation]:
-    """Quasilinear relations from mixed-derivative compatibility.
-
-    For stored FOUR_INDEX relations with pivots p_A, p_B and single
-    indices j, i such that A+{j} = B+{i}, the difference of derivatives
-    d_j(rel_A) - d_i(rel_B) has no 5-index content; after reduction by
-    the strictly lower layers it is either zero or a quasilinear
-    relation at weight |A| + w_j.
-    """
-    ctx = db.ctx
-    four = [r for r in db.relations() if r.cls == FOUR_INDEX]
-    four.sort(key=lambda r: (r.weight, monomial_key(r.solved_monomial)))
-    out = []
-    seen_exprs = []
-    for ia in range(len(four)):
-        for ib in range(ia + 1, len(four)):
-            ra, rb = four[ia], four[ib]
-            A = ra.solved_monomial[0][0].indices
-            B = rb.solved_monomial[0][0].indices
-            for j in range(1, ctx.genus + 1):
-                for i in range(1, ctx.genus + 1):
-                    if tuple(sorted(A + (j,))) != tuple(sorted(B + (i,))):
-                        continue
-                    w = ra.weight + ctx.gaps[j - 1]
-                    expr = ctx.diff(ra.expr, j) - ctx.diff(rb.expr, i)
-                    red = db.reduce(expr, w, include_equal=False)
-                    if red.is_zero():
-                        continue
-                    rel = classify(red, w, ctx, ())
-                    if rel.expr not in seen_exprs:
-                        seen_exprs.append(rel.expr)
-                        out.append(rel)
-    return out

@@ -15,11 +15,7 @@ class ConfigError(KleinianError):
 
 
 class SeriesError(KleinianError):
-    """Illegal series operation (non-invertible leading term, bad composition)."""
-
-
-class ResidueError(SeriesError):
-    """Integration of a series with a nonzero xi^-1 coefficient."""
+    """Illegal series operation (non-invertible leading term, inexact division)."""
 
 
 class TruncationError(SeriesError):
@@ -31,7 +27,11 @@ class InconsistentSystemError(KleinianError):
 
 
 class ReductionError(KleinianError):
-    """Reduction failed: zeta symbols survived, or the rule set is cyclic."""
+    """Reduction failed: the rule set is cyclic.
+
+    Also raised when a layer's inputs break its preconditions: a lower
+    layer is missing, or a relation is not homogeneous of its weight.
+    """
 
 
 class ConventionError(KleinianError):

@@ -68,24 +68,6 @@ class Partition:
         legs = tuple(t[i] - i - 1 for i in range(r))
         return arms, legs
 
-    @staticmethod
-    def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> "Partition":
-        r = len(arms)
-        if len(legs) != r:
-            raise ValueError("arms and legs must have equal length")
-        if any(arms[i] <= arms[i + 1] for i in range(r - 1)) or \
-           any(legs[i] <= legs[i + 1] for i in range(r - 1)):
-            raise ValueError("Frobenius coordinates must be strictly decreasing")
-        rows = [arms[i] + i + 1 for i in range(r)]
-        # column lengths below the diagonal give the remaining rows
-        cols = [legs[i] + i + 1 for i in range(r)]
-        extra = []
-        for i in range(r, max(cols, default=0)):
-            c = sum(1 for col in cols if col > i)
-            if c:
-                extra.append(c)
-        return Partition(tuple(rows) + tuple(extra))
-
 
 def hook(arm: int, leg: int) -> Partition:
     """Single-hook partition (arm | leg) = (arm+1, 1^leg)."""

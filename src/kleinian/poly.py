@@ -32,9 +32,8 @@ class Symbol:
     """A named generator with a fixed Sato weight, interned.
 
     kind distinguishes curve parameters ("param"), Kleinian symbols
-    ("wp", "zeta"), formal times ("time") and auxiliary point coordinates
-    ("aux").  indices carries the multi-index of wp/zeta symbols and the k
-    of t_k.
+    ("wp") and auxiliary point coordinates ("aux").  indices carries the
+    multi-index of wp symbols.
 
     The constructor returns the one instance for each (name, weight, kind,
     indices), so equality and hashing are object identity; attributes are
@@ -84,23 +83,10 @@ def wp_symbol(indices: Iterable[int], gap_weights: tuple[int, ...]) -> Symbol:
     idx = tuple(sorted(indices))
     if len(idx) < 2:
         raise ValueError("wp symbols need at least two indices")
-    weight = sum(_gap_weight(i, gap_weights) for i in idx)
+    if idx[0] < 1 or idx[-1] > len(gap_weights):
+        raise ValueError("indices %r outside 1..%d" % (idx, len(gap_weights)))
+    weight = sum(gap_weights[i - 1] for i in idx)
     return Symbol("p" + "".join(map(str, idx)), weight, "wp", idx)
-
-
-def zeta_symbol(i: int, gap_weights: tuple[int, ...]) -> Symbol:
-    return Symbol("z%d" % i, _gap_weight(i, gap_weights), "zeta", (i,))
-
-
-def _gap_weight(i: int, gap_weights: tuple[int, ...]) -> int:
-    if not 1 <= i <= len(gap_weights):
-        raise ValueError("index %d outside 1..%d" % (i, len(gap_weights)))
-    return gap_weights[i - 1]
-
-
-def time_symbol(k: int) -> Symbol:
-    """The KP time t_k, of weight -k."""
-    return Symbol("t%d" % k, -k, "time", (k,))
 
 
 # A monomial: tuple of (Symbol, positive exponent), sorted by symbol name.
@@ -128,14 +114,6 @@ def _factor_name(factor: tuple[Symbol, int]) -> str:
 
 def monomial_weight(m: Monomial) -> int:
     return sum(s.weight * e for s, e in m)
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether monomial a divides monomial b."""
-    if not a:
-        return True
-    left = dict(b)
-    return all(left.get(s, 0) >= e for s, e in a)
 
 
 def monomial_div(b: Monomial, a: Monomial) -> Monomial:
@@ -308,12 +286,6 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=monomial_key)
-
-    def symbols(self) -> set[Symbol]:
-        out: set[Symbol] = set()
-        for m in self.terms:
-            out.update(s for s, _ in m)
-        return out
 
     # -- weight grading ----------------------------------------------------
 

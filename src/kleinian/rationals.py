@@ -18,9 +18,6 @@ except ImportError:  # gmpy2 is optional (the mpq extra): fall back to the stdli
 #: concrete type of a rational, for isinstance checks
 QType = type(Q(0))
 
-ZERO = Q(0)
-ONE = Q(1)
-
 
 def qify(value) -> QType:
     """Coerce ints, strings like ``"3/2"`` and rationals to the Q type."""

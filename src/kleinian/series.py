@@ -11,7 +11,7 @@ numerators over one denominator per coefficient.
 
 from __future__ import annotations
 
-from .errors import ResidueError, SeriesError, TruncationError
+from .errors import SeriesError, TruncationError
 from .poly import EMPTY_MONOMIAL, MultiPoly, ScaledPoly, scaled_products
 from .rationals import Q, QType, qify
 
@@ -209,47 +209,3 @@ class LaurentSeries:
                     g[k] = ScaledPoly(q * k * gk.den, gk.nums).primitive()
         return LaurentSeries({k: gk.poly() for k, gk in g.items()}, self.order)
 
-    # -- calculus -------------------------------------------------------------
-
-    def differentiate(self) -> "LaurentSeries":
-        """d/dxi, acting on the series as a function of xi."""
-        out = {}
-        for k, c in self.coeffs.items():
-            if k != 0:
-                out[k - 1] = c * k
-        return LaurentSeries(out, self.order - 1)
-
-    def integrate(self) -> "LaurentSeries":
-        """Integrate ``self * dxi`` term-by-term with zero constant.
-
-        Raises :class:`ResidueError` if the xi^-1 coefficient is nonzero,
-        i.e. the integrand is not the expansion of a meromorphic function.
-        """
-        if -1 in self.coeffs and not self.coeffs[-1].is_zero():
-            raise ResidueError("nonzero residue %s; integrand is not holomorphic" % self.coeffs[-1])
-        out = {k + 1: c * Q(1, k + 1) for k, c in self.coeffs.items() if k != -1}
-        return LaurentSeries(out, self.order + 1)
-
-    def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
-        """Substitute ``inner`` for xi, with pessimistic truncation tracking."""
-        v_in = inner.valuation()
-        if v_in < 1:
-            if any(k < 0 for k in self.coeffs):
-                raise SeriesError("composition with a pole needs inner valuation >= 1")
-            raise SeriesError("inner series must have strictly positive valuation")
-        # dropping the outer tail a_N xi^N + ... loses O(inner^N) = O(xi^(N*v_in))
-        tail_order = self.order * v_in
-        result = LaurentSeries.zero(tail_order)
-        inv = inner.inverse() if any(k < 0 for k in self.coeffs) else None
-        pow_cache: dict[int, LaurentSeries] = {0: LaurentSeries.const(1)}
-
-        def power(k: int) -> LaurentSeries:
-            if k in pow_cache:
-                return pow_cache[k]
-            p = power(k - 1) * inner if k > 0 else power(k + 1) * inv
-            pow_cache[k] = p
-            return p
-
-        for k in sorted(self.coeffs):
-            result = result + power(k) * self.coeffs[k]
-        return result

@@ -45,12 +45,12 @@ from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, ome
                      required_expansion_order, winding_vectors)
 from .errors import TruncationError
 from .partitions import Partition, hook as hook_partition
-from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, wp_symbol, zeta_symbol
+from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, wp_symbol
 from .schur import schur_weights
 
 
 class AbelianContext:
-    """Symbol factory and calculus for expressions in zeta_i, p_J, parameters."""
+    """Symbol factory and calculus for expressions in p_J and parameters."""
 
     def __init__(self, gap_weights: tuple[int, ...]):
         self.gaps = tuple(gap_weights)
@@ -61,33 +61,20 @@ class AbelianContext:
             indices = tuple(indices[0])
         return wp_symbol(indices, self.gaps)
 
-    def zeta(self, i: int) -> Symbol:
-        return zeta_symbol(i, self.gaps)
-
     def wp_poly(self, *indices) -> MultiPoly:
         return MultiPoly.sym(self.wp(*indices))
 
-    def _dsym(self, i: int, s: Symbol) -> MultiPoly | None:
-        if s.kind == "zeta":
-            return -self.wp_poly(s.indices + (i,))
-        if s.kind == "wp":
-            return self.wp_poly(s.indices + (i,))
-        return None
-
     def diff(self, expr: MultiPoly, i: int) -> MultiPoly:
-        """Derivative along u_i: d zeta_j = -p_ij, d p_J = p_{J+i}."""
-        return expr.derive(lambda s: self._dsym(i, s))
+        """Derivative along u_i: d p_J = p_{J+i}; parameters are constants."""
+        return expr.derive(lambda s: self.wp_poly(s.indices + (i,)) if s.kind == "wp" else None)
 
     def parity(self, expr: MultiPoly) -> MultiPoly:
-        """Involution u -> -u: zeta_i -> -zeta_i, p_J -> (-1)^|J| p_J."""
+        """Involution u -> -u: p_J -> (-1)^|J| p_J."""
         out = {}
         for m, c in expr.terms.items():
-            flips = sum(e * len(s.indices) for s, e in m if s.kind in ("zeta", "wp"))
+            flips = sum(e * len(s.indices) for s, e in m if s.kind == "wp")
             out[m] = -c if flips % 2 else c
         return MultiPoly(out)
-
-    def is_zeta_free(self, expr: MultiPoly) -> bool:
-        return not any(s.kind == "zeta" for m in expr.terms for s, _ in m)
 
 
 class TauModel:
@@ -201,15 +188,3 @@ class TauModel:
         if got is None:
             got = self._hooks[m, n] = self.schur_apply(hook_partition(m, n))
         return got
-
-    def a_hook(self, m: int, n: int) -> MultiPoly:
-        """Grassmannian basis entry A_(m|n), weight-homogeneous of m+n+1.
-
-        A :class:`MultiPoly`, normalized as (-1)^n s_{m+1,1^n}(D~) tau / tau,
-        which satisfies the antisymmetry A_(m|n)(u) = -A_(n|m)(-u).  In the
-        zeta-free gauge A_(0|0) = tau_(1) = 0 (ungauged, it is +zeta_1).
-        """
-        if m + n + 1 > self.max_time_index:
-            raise TruncationError("hook (%d|%d) beyond model truncation" % (m, n))
-        val = self.hook(m, n).poly()
-        return -val if n % 2 else val

@@ -7,8 +7,8 @@
 * J.C.P. Miller's power recurrence in rational arithmetic, the oracle for
   the integer-numerator ``LaurentSeries.unit_power``;
 * the hand-written holomorphic differentials of both curves, formed as
-  general series products, the oracle for ``curves.differentials``, which
-  computes them from (n, s);
+  general series products with dx = x'(xi) dxi, the oracle for
+  ``curves.differentials``, which computes them from (n, s);
 * the hand-written genus-2 Kleinian polar, the oracle for Baker's closed
   form in ``curves.kleinian_polar``;
 * the omega table by two exact divisions of a two-variable series
@@ -78,10 +78,15 @@ def miller_power(f: LaurentSeries, alpha) -> LaurentSeries:
 # the hand-written differentials and genus-2 polar
 
 
+def differentiate(f: LaurentSeries) -> LaurentSeries:
+    """d/dxi of a Laurent series, known to one order less."""
+    return LaurentSeries({k - 1: c * k for k, c in f.coeffs.items() if k}, f.order - 1)
+
+
 def hand_written_differentials(curve: CurveSpec, loc: LocalExpansion) -> list[LaurentSeries]:
     """du_i/dxi: x dx/y and dx/y for genus 2; -dx/(3y), -x dx/(3y^2), -dx/(3y^2) for trigonal."""
     x = loc.x
-    dx = x.differentiate()
+    dx = differentiate(x)
     if curve.n == 2:
         inv_y = loc.y_power(-1)
         return [x * dx * inv_y, dx * inv_y]

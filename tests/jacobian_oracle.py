@@ -14,12 +14,14 @@ result is the zero polynomial.  Entirely independent of both derivation
 engines.
 
 The module also keeps the Kummer quartic built from the quadratic-form
-identity, the oracle for the derived weight-16 QUARTIC_EVEN relation.
+identity, the oracle for the derived weight-16 QUARTIC_EVEN relation, and
+the quasilinear relations obtained by cross-differentiating the stored
+four-index relations, an independent route to the quasilinear layers.
 """
 
-from kleinian.engine import QUARTIC_EVEN, Relation, wp_degree
+from kleinian.engine import FOUR_INDEX, QUARTIC_EVEN, Relation, classify, is_basic
 from kleinian.errors import ReductionError
-from kleinian.poly import MultiPoly, Symbol, monomial_str
+from kleinian.poly import MultiPoly, Symbol, monomial_key, monomial_str
 from kleinian.rationals import Q
 
 X1 = Symbol("u1", 2, "aux")
@@ -134,10 +136,45 @@ def kummer_quartic(db) -> Relation:
     if c == 0:
         raise ReductionError("Kummer quartic has no p12^4 term")
     norm = quartic * (Q(1) / c)
-    if any(wp_degree(m, 3) for m in norm.terms) or not ctx.is_zeta_free(norm):
+    if not all(is_basic(m) for m in norm.terms):
         raise ReductionError("Kummer quartic is not basic")
     if not norm.is_homogeneous(16):
         raise ReductionError("Kummer quartic is not weight-16 homogeneous")
     if ctx.parity(norm) != norm:
         raise ReductionError("Kummer quartic is not even")
     return Relation(norm, 16, QUARTIC_EVEN, p12_4, ())
+
+
+def cross_differentiate(db) -> list[Relation]:
+    """Quasilinear relations from mixed-derivative compatibility.
+
+    For stored FOUR_INDEX relations with pivots p_A, p_B and single
+    indices j, i such that A+{j} = B+{i}, the difference of derivatives
+    d_j(rel_A) - d_i(rel_B) has no 5-index content; after reduction by
+    the strictly lower layers it is either zero or a quasilinear
+    relation at weight |A| + w_j.
+    """
+    ctx = db.ctx
+    four = [r for r in db.relations() if r.cls == FOUR_INDEX]
+    four.sort(key=lambda r: (r.weight, monomial_key(r.solved_monomial)))
+    out = []
+    seen_exprs = []
+    for ia in range(len(four)):
+        for ib in range(ia + 1, len(four)):
+            ra, rb = four[ia], four[ib]
+            A = ra.solved_monomial[0][0].indices
+            B = rb.solved_monomial[0][0].indices
+            for j in range(1, ctx.genus + 1):
+                for i in range(1, ctx.genus + 1):
+                    if tuple(sorted(A + (j,))) != tuple(sorted(B + (i,))):
+                        continue
+                    w = ra.weight + ctx.gaps[j - 1]
+                    expr = ctx.diff(ra.expr, j) - ctx.diff(rb.expr, i)
+                    red = db.reduce(expr, w, include_equal=False)
+                    if red.is_zero():
+                        continue
+                    rel = classify(red, w, ctx, ())
+                    if rel.expr not in seen_exprs:
+                        seen_exprs.append(rel.expr)
+                        out.append(rel)
+    return out

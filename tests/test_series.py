@@ -1,9 +1,9 @@
-"""Laurent/bi-series layer: arithmetic, composition, integration, division."""
+"""Laurent/bi-series layer: arithmetic, inversion, powers, division."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kleinian.errors import ResidueError, SeriesError
+from kleinian.errors import SeriesError
 from kleinian.poly import MultiPoly, param
 from kleinian.rationals import Q
 from kleinian.series import LaurentSeries
@@ -80,47 +80,6 @@ def test_inverse_needs_rational_lead():
     s = LaurentSeries({0: MultiPoly.sym(A)}, order=4)
     with pytest.raises(SeriesError):
         s.inverse()
-
-
-def test_compose_identity_inner():
-    outer = LaurentSeries({2: 1}, order=9)
-    xi = LaurentSeries.xi_power(1, order=9)
-    assert outer.compose(xi).coeff(2) == MultiPoly.one()
-
-
-def test_compose_pole_with_geometric_check():
-    # compose(1/xi, xi + xi^2) = 1/xi - 1 + xi - xi^2 + ...; check by product
-    outer = LaurentSeries({-1: 1}, order=6)
-    inner = LaurentSeries({1: 1, 2: 1}, order=8)
-    comp = outer.compose(inner)
-    assert comp.coeff(-1) == MultiPoly.one()
-    assert comp.coeff(0) == MultiPoly.const(-1)
-    prod = comp * inner
-    assert prod.coeff(0) == MultiPoly.one()
-    for k in range(1, prod.order):
-        assert prod.coeff(k).is_zero()
-
-
-def test_compose_valuation_violation():
-    outer = LaurentSeries({-1: 1}, order=4)
-    inner = LaurentSeries({0: 1, 1: 1}, order=4)
-    with pytest.raises(SeriesError):
-        outer.compose(inner)
-
-
-def test_integrate_basics():
-    assert LaurentSeries({2: 1}, 9).integrate().coeff(3) == MultiPoly.const(Q(1, 3))
-    assert LaurentSeries({0: 1}, 9).integrate().coeff(1) == MultiPoly.one()
-
-
-def test_integrate_rejects_residue():
-    with pytest.raises(ResidueError):
-        LaurentSeries({-1: 1}, 5).integrate()
-
-
-def test_integrate_then_differentiate_roundtrip():
-    s = LaurentSeries({0: 1, 1: Q(1, 2), 3: 7}, order=9)
-    assert s.integrate().differentiate().coeffs == s.coeffs
 
 
 def test_biseries_outer_and_symmetry():
