@@ -13,7 +13,7 @@ import json
 
 from . import ENGINE_VERSION
 from .curves import CurveSpec, curve_by_family
-from .engine import Relation, RelationDB
+from .engine import CLASSES, Relation, RelationDB
 from .errors import ConfigError
 from .poly import Monomial, MultiPoly, Symbol, monomial_key, monomial_str
 from .rationals import Q, q_str
@@ -100,15 +100,22 @@ def relation_json(r: Relation) -> dict:
     }
 
 
+def _relation_class(value) -> str:
+    if type(value) is not str or value not in CLASSES:
+        raise ConfigError("relation class must be one of %s, got %r" % (", ".join(CLASSES), value))
+    return value
+
+
 def relation_from_json(data, curve, ctx) -> Relation:
     from .partitions import Partition
     solved = data["solved_monomial"]
     return Relation(
         expr=poly_from_json(data["terms"], curve, ctx),
         weight=_integer(data["weight"], "weight", 0),
-        cls=data["class"],
+        cls=_relation_class(data["class"]),
         solved_monomial=_monomial_from_json(solved, curve, ctx) if solved else None,
-        source=tuple(Partition(tuple(p)) for p in data["source_partitions"]),
+        source=tuple(Partition(tuple(_integer(k, "source partition part", 1) for k in p))
+                     for p in data["source_partitions"]),
     )
 
 

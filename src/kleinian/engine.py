@@ -25,20 +25,25 @@ closure and memoized on its :class:`PivotIndex`, and this is the one
 reduction path: every layer row, collision row and check reduced against
 a closure combines the memoized forms, and so does the closure's own
 inter-reduction, a single sweep that replaces each right-hand side by its
-normal form.
+normal form.  The same linearity lets a layer reduce each tau-derivative
+once: the Schur part (1/n!) sum_mu W_lambda(mu) tau_mu of every row is
+combined from the memoized NF(tau_mu), which the closure keeps until the
+next layer is added, and one normal form of the assembled row then
+rewrites only its hook products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import Callable
 
 from .curves import CurveSpec
 from .errors import InconsistentSystemError, ReductionError
 from .partitions import Partition, enumerate_rank2, transpose_classes
 from .poly import (
     Monomial, MultiPoly, ScaledPoly, Symbol, add_terms, monomial_div, monomial_key,
-    monomial_mul, monomial_str, monomial_weight, scaled_sum,
+    monomial_mul, monomial_str, monomial_weight, scaled_products, scaled_sum,
 )
 from .rationals import Q
 from .taucalc import AbelianContext, TauModel
@@ -48,6 +53,8 @@ QUAD_THREE_INDEX = "QUAD_THREE_INDEX"
 QUASILINEAR = "QUASILINEAR"
 QUARTIC_EVEN = "QUARTIC_EVEN"
 OTHER = "OTHER"
+#: every class a relation can be given
+CLASSES = (FOUR_INDEX, QUAD_THREE_INDEX, QUASILINEAR, QUARTIC_EVEN, OTHER)
 
 
 def wp_degree(mono: Monomial, min_indices: int) -> int:
@@ -302,8 +309,10 @@ class RelationDB:
         self.ctx = ctx or AbelianContext(curve.gap_weights)
         self.layers: dict[int, list[Relation]] = {}
         self.notes: dict[int, list[str]] = {}
-        # closures of the current layers only: add_layer empties it
-        self._closure_cache: dict[tuple[int, bool], tuple[dict, list, PivotIndex]] = {}
+        # closures of the current layers only, each with its memos of
+        # NF(tau_mu) per tau model: add_layer empties it
+        self._closure_cache: dict[tuple[int, bool],
+                                  tuple[dict, list, PivotIndex, dict[TauModel, dict]]] = {}
 
     # -- storage -------------------------------------------------------------
 
@@ -339,13 +348,31 @@ class RelationDB:
         relation at that weight; it is returned as a row for the layer
         instead of being minted as a rule.
         """
-        rules, rows, _ = self._closure(max_weight, include_equal)
+        rules, rows, _, _ = self._closure(max_weight, include_equal)
         return rules, rows
 
     def reduce(self, expr: MultiPoly, max_weight: int, include_equal: bool = True) -> MultiPoly:
         """Normal form of expr modulo the closure at max_weight."""
-        rules, _, index = self._closure(max_weight, include_equal)
+        rules, _, index, _ = self._closure(max_weight, include_equal)
         return reduce_with_rules(expr, rules, index)
+
+    def layer_reduction(self, weight: int, model: TauModel
+                        ) -> tuple[PivotIndex, Callable[[tuple[int, ...]], ScaledPoly]]:
+        """The pivot index of the closure below weight, and mu -> NF(tau_mu) under it.
+
+        Each NF(tau_mu) is computed on first use and kept with the closure,
+        so every row of the layer shares it and add_layer drops it.
+        """
+        _, _, index, memos = self._closure(weight, False)
+        memo = memos.setdefault(model, {})
+
+        def tau(mu: tuple[int, ...]) -> ScaledPoly:
+            got = memo.get(mu)
+            if got is None:
+                got = memo[mu] = index.normal_form(model.tau_t_derivative(mu))
+            return got
+
+        return index, tau
 
     def _closure(self, max_weight: int, include_equal: bool):
         """The closure's rules, rows and pivot index, built once per layer set."""
@@ -389,7 +416,7 @@ class RelationDB:
             r = reduce_with_rules(c, rules, index)
             if not r.is_zero():
                 rows.append((w, r))
-        result = self._closure_cache[key] = (rules, rows, index)
+        result = self._closure_cache[key] = (rules, rows, index, {})
         return result
 
 
@@ -405,22 +432,25 @@ def reduce_mod_db(expr: MultiPoly, db: RelationDB, max_weight: int | None = None
 # rows and elimination
 
 
-def plucker_relation(lam: Partition, model: TauModel) -> MultiPoly:
+def plucker_relation(lam: Partition, model: TauModel,
+                     tau: Callable[[tuple[int, ...]], ScaledPoly] | None = None) -> ScaledPoly:
     """Row of the determinant identity attached to a rank-2 partition.
 
     The value of s_lambda(D~) on the gauged tau ratio minus the 2x2
     determinant of its single-hook values, all built from the model's
     zeta-free time-derivatives; vanishes identically on the Jacobian and
-    is homogeneous of weight |lambda|.  Summed in integers over one denominator; rationals
-    are formed once, for the returned row.
+    is homogeneous of weight |lambda|.  Summed in integers over one
+    denominator.  tau stands for the derivatives in the Schur part (see
+    :meth:`TauModel.schur_apply`): a layer passes their normal forms, and
+    the row then has the normal form of the unreduced row.
     """
     if lam.rank != 2:
         raise ValueError("partition %r has rank %d, need rank 2" % (lam.parts, lam.rank))
     (a1, a2), (b1, b2) = lam.frobenius()
     h = model.hook
-    return scaled_sum(((1, model.schur_apply(lam)),
-                       (-1, h(a1, b1).times(h(a2, b2))),
-                       (1, h(a1, b2).times(h(a2, b1))))).poly()
+    return scaled_sum(((1, model.schur_apply(lam, tau)),
+                       (1, scaled_products(((-1, h(a1, b1), h(a2, b2)),
+                                            (1, h(a1, b2), h(a2, b1)))))))
 
 
 @dataclass
@@ -561,17 +591,51 @@ def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
     return Relation(norm, weight, cls, pivot, source)
 
 
+def layer_rows(weight: int, db: RelationDB, model: TauModel
+               ) -> list[tuple[tuple[Partition, ...], MultiPoly]]:
+    """The nonzero reduced rows of the layer at weight, with their partitions.
+
+    The closure is built first, and each partition's Plucker row is reduced
+    modulo it as soon as it is built: the row is assembled from the
+    memoized NF(tau_mu) (:meth:`RelationDB.layer_reduction`) and the hook
+    determinant, and one normal form of that sum rewrites the hook products
+    and leaves the reduced tau terms as they are (NF is idempotent).
+    Transpose pairs are folded for n = 2, where both members give the same
+    row; otherwise the pair gives NF(a) + NF(b) and NF(a) - NF(b), which
+    equal NF(a + b) and NF(a - b) because the normal form is a linear map.
+    The closure's collision rows of this weight follow, with no partition.
+    """
+    # tau_mu = 0 whenever mu has a part divisible by n; for n = 2 only
+    # all-odd mu remain, and the sign character is +1 on those, so
+    # W_lambda' = W_lambda and a transpose pair gives one row
+    fold = model.curve.n == 2
+    _, collision_rows = db.closure(weight, include_equal=False)
+    index, tau = db.layer_reduction(weight, model)
+
+    def reduced(lam: Partition) -> ScaledPoly:
+        return index.normal_form(plucker_relation(lam, model, tau))
+
+    rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
+    for rep, tr in transpose_classes(enumerate_rank2(weight)):
+        if fold or rep == tr:
+            built = [((rep,), reduced(rep))]
+        else:
+            a, b = reduced(rep), reduced(tr)
+            built = [((rep, tr), scaled_sum(((1, a), (1, b)))),
+                     ((rep, tr), scaled_sum(((1, a), (-1, b))))]
+        rows.extend((src, red.poly()) for src, red in built if red.nums)
+    for w, expr in collision_rows:
+        if w == weight and not expr.is_zero():
+            rows.append(((), expr))
+    return rows
+
+
 def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relation]:
     """Generate, reduce and solve the rank-2 layer at one weight.
 
     The database must be complete for all lower weights; the returned
     relations are not yet stored (callers decide, usually via
-    :func:`derive_range`).  The closure is built first, and each
-    partition's Plucker row is reduced modulo it as soon as it is built.
-    Transpose pairs are folded for n = 2, where both members give the
-    same row; otherwise the pair gives
-    NF(a) + NF(b) and NF(a) - NF(b), which equal NF(a + b) and NF(a - b)
-    because the normal form is a linear map.
+    :func:`derive_range`).  The rows are those of :func:`layer_rows`.
     """
     if weight < 4:
         raise ValueError("no rank-2 partitions below weight 4")
@@ -581,27 +645,7 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
         raise ReductionError("database incomplete below weight %d: missing %s"
                              % (weight, sorted(missing)))
     ctx = db.ctx
-    # tau_mu = 0 whenever mu has a part divisible by n; for n = 2 only
-    # all-odd mu remain, and the sign character is +1 on those, so
-    # W_lambda' = W_lambda and a transpose pair gives one row
-    fold = model.curve.n == 2
-    _, collision_rows = db.closure(weight, include_equal=False)
-
-    def reduced(lam: Partition) -> MultiPoly:
-        return db.reduce(plucker_relation(lam, model), weight, include_equal=False)
-
-    rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
-    for rep, tr in transpose_classes(enumerate_rank2(weight)):
-        if fold or rep == tr:
-            built = [((rep,), reduced(rep))]
-        else:
-            # the normal form is linear: NF(a) +- NF(b) is NF(a +- b)
-            a, b = reduced(rep), reduced(tr)
-            built = [((rep, tr), a + b), ((rep, tr), a - b)]
-        rows.extend((src, red) for src, red in built if not red.is_zero())
-    for w, expr in collision_rows:
-        if w == weight and not expr.is_zero():
-            rows.append(((), expr))
+    rows = layer_rows(weight, db, model)
     if not rows:
         return []
     # rows with no 3-index content, before the solve or left by it, are

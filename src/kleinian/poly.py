@@ -405,16 +405,21 @@ class ScaledPoly:
             return MultiPoly({m: Q(n) for m, n in self.nums.items()})
         return MultiPoly({m: Q(n, den) for m, n in self.nums.items()})
 
+    @property
+    def terms(self) -> dict[Monomial, QType]:
+        """The rational coefficients, as in :attr:`MultiPoly.terms`.
+
+        Formed anew on each read, for code that inspects a row's terms (the
+        span counters of ``perfbench/tracer.py``), not for a hot path.
+        """
+        return self.poly().terms
+
     def primitive(self) -> "ScaledPoly":
         """The same polynomial with the content common to den and nums divided out."""
         g = gcd(self.den, *self.nums.values())
         if g == 1:
             return self
         return ScaledPoly(self.den // g, {m: n // g for m, n in self.nums.items()})
-
-    def times(self, other: "ScaledPoly") -> "ScaledPoly":
-        """The product, in integers."""
-        return ScaledPoly(self.den * other.den, add_product({}, self.nums, other.nums))
 
 
 def add_product(out: dict[Monomial, int], a: dict[Monomial, int],

@@ -33,12 +33,16 @@ A Schur operator acts as s_lambda(D~) tau/tau = (1/n!) sum_mu W_lambda(mu)
 tau_mu over the partitions mu of n = |lambda|, with the integer character
 weights of :mod:`kleinian.schur`, so its value is one integer combination
 of memoized derivatives over n! lcm(tau_mu.den), and the Plucker rows
-assembled from these values need rationals only once per row.
+assembled from these values need rationals only once per row.  The sum
+takes its tau_mu from a source the caller may replace: a relation layer
+passes the normal forms NF(tau_mu) modulo its closure, reduced once per
+layer, while the hooks always use the derivatives themselves.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable
 from math import comb, factorial, lcm, prod
 
 from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg,
@@ -172,9 +176,16 @@ class TauModel:
 
     # -- Schur-operator application ------------------------------------------
 
-    def schur_apply(self, lam: Partition) -> ScaledPoly:
-        """s_lambda(D~) tau / tau at t = 0, as (1/n!) sum_mu W_lambda(mu) tau_mu."""
-        pairs = [(w, self.tau_t_derivative(mu)) for mu, w in schur_weights(lam).items()]
+    def schur_apply(self, lam: Partition,
+                    tau: Callable[[tuple[int, ...]], ScaledPoly] | None = None) -> ScaledPoly:
+        """s_lambda(D~) tau / tau at t = 0, as (1/n!) sum_mu W_lambda(mu) tau_mu.
+
+        tau maps mu to the value that stands for tau_mu, by default the
+        time-derivative itself; a layer passes the normal forms NF(tau_mu),
+        which gives NF of the sum, since the normal form is linear.
+        """
+        tau = tau or self.tau_t_derivative
+        pairs = [(w, tau(mu)) for mu, w in schur_weights(lam).items()]
         den = lcm(*(tau.den for _, tau in pairs))
         out: dict = {}
         for w, tau in pairs:

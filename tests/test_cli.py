@@ -317,7 +317,7 @@ def test_specialized_document_annihilates_its_own_tau_model(tmp_path, capsys, sp
     model = TauModel.build(parse_spec(open(curve_file).read()), weight)
     for w in range(4, weight + 1):
         for lam in enumerate_rank2(w):
-            assert reduce_mod_db(plucker_relation(lam, model), db).is_zero(), lam.parts
+            assert reduce_mod_db(plucker_relation(lam, model).poly(), db).is_zero(), lam.parts
 
 
 def _document_naming(symbol):
@@ -352,6 +352,13 @@ def _document_with_method(method):
     return json.dumps(doc)
 
 
+def _document_with_relation(key, value):
+    """A genus-2 document whose relation has the given value under key."""
+    doc = json.loads(_document_naming("p1111"))
+    doc["relations"][0][key] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text", ["not json", "[]", '{"format": "kleinian-relations-v1"}'] + [
     pytest.param(_document_naming(name), id=name) for name in ("p10", "z0", "p13", "z3")] + [
     # the model has no z_i (zeta_i drops out of the gauged tau ratio), not
@@ -365,12 +372,19 @@ def _document_with_method(method):
     pytest.param(_document_with_monomial(m), id="*".join(name for name, _ in m))
     for m in ([["p12", 1], ["p21", 1]], [["p11", 1], ["p11", 1]])] + [
     pytest.param(_document_with_method(m), id="method=%r" % (m,))
-    for m in ("bogus", 5, ["both"], None)])
+    for m in ("bogus", 5, ["both"], None)] + [
+    # a class is one of the engine's class names
+    pytest.param(_document_with_relation("class", c), id="class=%r" % (c,))
+    for c in (5, "FOUR", "four_index", None, ["OTHER"])] + [
+    # source partition parts are positive integers, never floats or booleans
+    pytest.param(_document_with_relation("source_partitions", p), id="source=%r" % (p,))
+    for p in ([[2.5, 1.5]], [[2, 2.0]], [[True, True]], [[4, 0]], [["2", "2"]], [2])])
 def test_malformed_document_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert run(["verify", "--doc", str(bad)]) == 2
     assert run(["show", "--doc", str(bad)]) == 2
+    assert run(["export", "--doc", str(bad), "--format", "json"]) == 2
 
 
 @pytest.mark.parametrize("den", [1.5, float("inf"), 1, None])

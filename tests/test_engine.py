@@ -9,7 +9,7 @@ from tau_oracle import is_zeta_free, zeta
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex,
     RelationDB, _basic_relations, classify, derive_at_weight, derive_range, is_basic,
-    linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
+    layer_rows, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
@@ -18,6 +18,7 @@ from kleinian.poly import (
     monomial_str, monomial_weight, param,
 )
 from kleinian.rationals import Q
+from kleinian.schur import schur_weights
 from kleinian.tables import relation_table
 from kleinian.taucalc import TauModel
 
@@ -317,7 +318,7 @@ def test_transpose_pairs_combine_after_reduction(trig, trig_model10):
         for rep, tr in transpose_classes(enumerate_rank2(w)):
             if rep == tr:
                 continue
-            a, b = plucker_relation(rep, model), plucker_relation(tr, model)
+            a, b = plucker_relation(rep, model).poly(), plucker_relation(tr, model).poly()
             assert a != b, rep.parts
             ra, rb = (db.reduce(x, w, include_equal=False) for x in (a, b))
             for combined, expr in ((ra + rb, a + b), (ra - rb, a - b)):
@@ -330,7 +331,7 @@ def test_plucker_rows_match_rational_reference(request, which, top):
     model = request.getfixturevalue(which)
     for w in range(4, top + 1):
         for lam in enumerate_rank2(w):
-            assert plucker_relation(lam, model) == reference_plucker(lam, model), lam.parts
+            assert plucker_relation(lam, model).poly() == reference_plucker(lam, model), lam.parts
 
 
 @pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
@@ -345,6 +346,77 @@ def test_schur_apply_matches_rational_expansion(request, which):
                 assert got == reference_apply(model, schur_poly(lam)), lam.parts
 
 
+# -- layer rows from reduced tau-derivatives -----------------------------------
+
+@pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
+def test_layer_rows_are_normal_forms_of_unreduced_rows(request, which):
+    # each row the layer assembles from NF(tau_mu) and reduces once is the
+    # normal form of the unreduced Plucker row under a fresh index; a
+    # trigonal transpose pair gives the same +- combinations
+    model = request.getfixturevalue(which)
+    fold = model.curve.n == 2
+    db = RelationDB(model.curve)
+    for w in range(4, 11):
+        rules, _ = db.closure(w, include_equal=False)
+        fresh = PivotIndex(rules)
+
+        def nf(lam):
+            return reduce_with_rules(plucker_relation(lam, model).poly(), rules, fresh)
+
+        want = []
+        for rep, tr in transpose_classes(enumerate_rank2(w)):
+            if fold or rep == tr:
+                want.append(((rep,), nf(rep)))
+            else:
+                a, b = nf(rep), nf(tr)
+                want += [((rep, tr), a + b), ((rep, tr), a - b)]
+        want = [(src, row) for src, row in want if not row.is_zero()]
+        assert [(src, row) for src, row in layer_rows(w, db, model) if src] == want, w
+        db.add_layer(w, derive_at_weight(w, db, model))
+
+
+@pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
+def test_each_tau_derivative_is_reduced_once_per_layer(request, which, monkeypatch):
+    model = request.getfixturevalue(which)
+    seen = []  # every argument, kept alive so that identities stay unique
+    normal_form = PivotIndex.normal_form
+
+    def spy(index, expr):
+        seen.append(expr)
+        return normal_form(index, expr)
+
+    monkeypatch.setattr(PivotIndex, "normal_form", spy)
+    db = RelationDB(model.curve)
+    for w in range(4, 11):
+        del seen[:]
+        db.add_layer(w, derive_at_weight(w, db, model))
+        key_of = {id(v): k for k, v in model._tau.items()}
+        reduced = [key_of[id(e)] for e in seen if id(e) in key_of]
+        assert len(reduced) == len(set(reduced)), w
+        assert set(reduced) == {tuple(sorted(mu)) for lam in enumerate_rank2(w)
+                                for mu in schur_weights(lam)}, w
+
+
+def test_tau_normal_forms_are_dropped_with_the_layer_closure(g2, g2_model, monkeypatch):
+    db = derive_range(RelationDB(g2), g2_model, 7)
+    rels = derive_at_weight(8, db, g2_model)
+    memo = db._closure_cache[8, False][3][g2_model]
+    assert memo
+    db.add_layer(8, rels)
+    assert not db._closure_cache
+    calls = []
+    normal_form = PivotIndex.normal_form
+    monkeypatch.setattr(PivotIndex, "normal_form",
+                        lambda index, expr: calls.append(expr) or normal_form(index, expr))
+    _, tau = db.layer_reduction(8, g2_model)
+    del calls[:]  # the closure's own sweep
+    mu = next(iter(memo))
+    assert tau(mu).poly() == memo[mu].poly()
+    tau(mu)
+    assert len(calls) == 1
+    assert db._closure_cache[8, False][3][g2_model] is not memo
+
+
 # -- hyperelliptic transpose identity ------------------------------------------
 
 def test_hyperelliptic_transpose_identity(g2_model):
@@ -352,7 +424,8 @@ def test_hyperelliptic_transpose_identity(g2_model):
         for rep, tr in transpose_classes(enumerate_rank2(w)):
             if rep == tr:
                 continue
-            assert plucker_relation(rep, g2_model) == plucker_relation(tr, g2_model), rep.parts
+            assert (plucker_relation(rep, g2_model).poly()
+                    == plucker_relation(tr, g2_model).poly()), rep.parts
 
 
 def test_plucker_rank_check(g2_model):
@@ -361,7 +434,7 @@ def test_plucker_rank_check(g2_model):
 
 
 def test_plucker_weight4_is_kdv4(g2, g2_model):
-    expr = plucker_relation(Partition((2, 2)), g2_model)
+    expr = plucker_relation(Partition((2, 2)), g2_model).poly()
     rel = classify(expr * Q(-12), 4, g2_model.ctx)
     weight, cls, printed = relation_table(g2, g2_model.ctx)[0]
     assert rel.expr == classify(printed, 4, g2_model.ctx).expr
@@ -544,3 +617,10 @@ def test_derive_requires_complete_lower_layers(g2, g2_model):
     db = RelationDB(g2)
     with pytest.raises(ReductionError):
         derive_at_weight(6, db, g2_model)
+
+
+@pytest.mark.xfail(raises=ReductionError, strict=True,
+                   reason="the weight-15 closure is cyclic: p111*p22^3 rewrites to itself")
+def test_trigonal_derives_through_weight_15(trig):
+    db = derive_range(RelationDB(trig), TauModel.build(trig, 15), 15)
+    assert 15 in db.layers

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kleinian.poly import (
-    MultiPoly, ScaledPoly, Symbol, monomial_div, monomial_key, monomial_mul, param, scaled_sum,
-    wp_symbol,
+    MultiPoly, ScaledPoly, Symbol, monomial_div, monomial_key, monomial_mul, param,
+    scaled_products, scaled_sum, wp_symbol,
 )
 from kleinian.rationals import Q
 from schur_oracle import time_symbol
@@ -171,9 +171,12 @@ def test_scaled_poly_matches_rational_arithmetic(p, q, k, n, d):
     sp, sq = ScaledPoly.of(p), ScaledPoly.of(q)
     assert sp.poly() == p
     assert gcd(sp.den, *sp.nums.values()) == 1
-    assert sp.times(sq).poly() == p * q
+    assert sp.terms == p.terms
+    product = scaled_products([(1, sp, sq)])
+    assert product.poly() == p * q
+    assert scaled_products([(k, sp, sq), (-1, sq, sp)]).poly() == p * q * (k - 1)
     c = Q(n, d)
-    assert scaled_sum([(c, sp), (k, sq), (1, sp.times(sq))]).poly() == p * c + q * k + p * q
+    assert scaled_sum([(c, sp), (k, sq), (1, product)]).poly() == p * c + q * k + p * q
     # a form that is not primitive stands for the same polynomial
     wide = ScaledPoly(sp.den * 6, {m: v * 6 for m, v in sp.nums.items()})
     assert wide.poly() == p
