@@ -24,7 +24,7 @@ from math import lcm
 
 from .errors import ConfigError, ConventionError, SeriesError, TruncationError
 from .poly import (EMPTY_MONOMIAL, Monomial, MultiPoly, ScaledPoly, Symbol, add_product,
-                   add_terms, monomial_mul, param, scaled_products)
+                   add_terms, factors, monomial, param, scaled_products)
 from .rationals import Q, QType, q_str, qify
 from .series import LaurentSeries
 
@@ -203,7 +203,10 @@ class LocalExpansion:
             g = self.unit.unit_power(Q(b, self.curve.n))
             if b != 1:
                 _check_power(self, b, g)
-            got = self._y_powers[b] = (g * self.lead ** b).shift(-self.curve.s * b)
+            scale = self.lead ** b
+            if scale != 1:  # lead^b is 1 for y^0 and for a lead of 1 (trigonal)
+                g = g * scale
+            got = self._y_powers[b] = g.shift(-self.curve.s * b)
         return got
 
 
@@ -493,8 +496,8 @@ def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) ->
 
     groups: dict[tuple[int, int], list] = {}
     for mono, coeff in kleinian_polar(curve).terms.items():
-        exps = {s.name: e for s, e in mono}
-        pmono = tuple((s, e) for s, e in mono if s.kind == "param")
+        exps = {s.name: e for s, e in factors(mono)}
+        pmono = monomial((s, e) for s, e in factors(mono) if s.kind == "param")
         groups.setdefault((exps.get("z", 0), exps.get("w", 0)), []).append(
             (factor(exps.get("x", 0), exps.get("y", 0)), pmono, coeff))
 
@@ -508,8 +511,7 @@ def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) ->
             orders.append(forder)
             scale = coeff.numerator * (den // (coeff.denominator * fden))
             for k, nums in fnums.items():
-                add_terms(side.setdefault(k, {}),
-                          ((monomial_mul(pmono, m), v * scale) for m, v in nums.items()))
+                add_product(side.setdefault(k, {}), {pmono: scale}, nums)
         other = factor(*key)
         orders.append(other[0])
         products.append((den, side, other))

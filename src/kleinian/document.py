@@ -10,12 +10,14 @@ Rationals are serialized as {"num": ..., "den": ...} decimal strings
 from __future__ import annotations
 
 import json
+from math import gcd
 
 from . import ENGINE_VERSION
 from .curves import CurveSpec, curve_by_family
 from .engine import CLASSES, Relation, RelationDB
 from .errors import ConfigError
-from .poly import Monomial, MultiPoly, Symbol, monomial_key, monomial_str
+from .poly import (EMPTY_MONOMIAL, Monomial, MultiPoly, Symbol, factors, monomial, monomial_key,
+                   monomial_str)
 from .rationals import Q, q_str
 from .taucalc import AbelianContext
 
@@ -37,17 +39,24 @@ def _coeff_json(c) -> dict:
 
 
 def _decimal(value, what: str) -> int:
-    if type(value) is not str:
-        raise ConfigError("%s must be a decimal string, got %r" % (what, value))
+    if type(value) is not str or str(int(value)) != value:
+        raise ConfigError("%s must be a decimal string as written by export, got %r"
+                          % (what, value))
     return int(value)
 
 
 def _coeff_from_json(d) -> object:
-    return Q(_decimal(d["num"], "numerator"), _decimal(d["den"], "denominator"))
+    """A nonzero rational written as to_json writes it: in lowest terms, with a
+    positive denominator."""
+    num, den = _decimal(d["num"], "numerator"), _decimal(d["den"], "denominator")
+    if not num or den < 1 or gcd(num, den) != 1:
+        raise ConfigError("coefficient %s/%s is not a nonzero rational in lowest terms "
+                          "with a positive denominator" % (num, den))
+    return Q(num, den)
 
 
 def _monomial_json(m: Monomial) -> list:
-    return [[s.name, e] for s, e in m]
+    return [[s.name, e] for s, e in factors(m)]
 
 
 def _parameter(name: str, value) -> str:
@@ -70,11 +79,9 @@ def _notes(value) -> list[str]:
 
 
 def _monomial_from_json(data, curve, ctx) -> Monomial:
-    m = tuple(sorted((symbol_from_name(name, curve, ctx), _integer(e, "exponent", 1))
-                     for name, e in data))
-    if len({s for s, _ in m}) < len(m):
-        raise ConfigError("monomial %r names a symbol twice" % (data,))
-    return m
+    # a symbol named twice, or an exponent beyond the packed field, is a ValueError
+    return monomial((symbol_from_name(name, curve, ctx), _integer(e, "exponent", 1))
+                    for name, e in data)
 
 
 def poly_json(p: MultiPoly) -> list:
@@ -83,11 +90,14 @@ def poly_json(p: MultiPoly) -> list:
 
 
 def poly_from_json(data, curve, ctx) -> MultiPoly:
-    acc = MultiPoly.zero()
+    """The polynomial of a relation's terms, each monomial named once."""
+    terms = {}
     for term in data:
-        acc = acc + MultiPoly.monomial(_monomial_from_json(term["monomial"], curve, ctx),
-                                       _coeff_from_json(term["coeff"]))
-    return acc
+        m = _monomial_from_json(term["monomial"], curve, ctx)
+        if m in terms:
+            raise ConfigError("monomial %s occurs twice in one relation" % monomial_str(m))
+        terms[m] = _coeff_from_json(term["coeff"])
+    return MultiPoly(terms)
 
 
 def relation_json(r: Relation) -> dict:
@@ -140,6 +150,10 @@ def _solved_once(relations: list[Relation], where: str) -> list[Relation]:
     return relations
 
 
+def _relation_order(r: Relation):
+    return (r.weight, r.cls, monomial_key(r.solved_monomial or EMPTY_MONOMIAL))
+
+
 class RelationDocument:
     """Serializable result of a derivation run."""
 
@@ -149,10 +163,8 @@ class RelationDocument:
         self.curve = curve
         self.max_weight = max_weight
         self.method = method
-        self.relations = sorted(
-            relations, key=lambda r: (r.weight, r.cls, monomial_key(r.solved_monomial or ())))
-        self.classical = sorted(
-            classical or [], key=lambda r: (r.weight, r.cls, monomial_key(r.solved_monomial or ())))
+        self.relations = sorted(relations, key=_relation_order)
+        self.classical = sorted(classical or [], key=_relation_order)
         self.notes = notes or {}
 
     def to_json(self) -> str:
@@ -238,7 +250,7 @@ def latex_poly(p: MultiPoly) -> str:
     bits = []
     for m, c in p.sorted_terms():
         mono = " ".join(_latex_symbol(s) if e == 1 else "%s^{%d}" % (_latex_symbol(s), e)
-                        for s, e in m)
+                        for s, e in factors(m))
         if not m:
             coeff = _latex_q(c)
         elif c == 1:

@@ -42,8 +42,9 @@ from .curves import CurveSpec
 from .errors import InconsistentSystemError, ReductionError
 from .partitions import Partition, enumerate_rank2, transpose_classes
 from .poly import (
-    Monomial, MultiPoly, ScaledPoly, Symbol, add_terms, monomial_div, monomial_key,
-    monomial_mul, monomial_str, monomial_weight, scaled_products, scaled_sum,
+    Monomial, MultiPoly, ScaledPoly, Symbol, add_product, add_terms, divides, factors,
+    monomial, monomial_div, monomial_key, monomial_str, monomial_weight, scaled_products,
+    scaled_sum,
 )
 from .rationals import Q
 from .taucalc import AbelianContext, TauModel
@@ -59,26 +60,27 @@ CLASSES = (FOUR_INDEX, QUAD_THREE_INDEX, QUASILINEAR, QUARTIC_EVEN, OTHER)
 
 def wp_degree(mono: Monomial, min_indices: int) -> int:
     """Total degree in p-symbols with at least the given number of indices."""
-    return sum(e for s, e in mono if s.kind == "wp" and len(s.indices) >= min_indices)
+    return sum(e for s, e in factors(mono) if s.kind == "wp" and len(s.indices) >= min_indices)
 
 
 def is_basic(mono: Monomial) -> bool:
     """Basic monomials: parameters and 2-index p-symbols only."""
     return all(s.kind == "param" or (s.kind == "wp" and len(s.indices) == 2)
-               for s, _ in mono)
+               for s, _ in factors(mono))
 
 
 def column_of(mono: Monomial) -> Monomial | None:
     """The unknown column of a monomial: its full p-part, when that part
     contains a symbol with >= 3 indices; None for basic monomials."""
-    if not any(s.kind == "wp" and len(s.indices) >= 3 for s, _ in mono):
+    pairs = factors(mono)
+    if not any(s.kind == "wp" and len(s.indices) >= 3 for s, _ in pairs):
         return None
-    return tuple((s, e) for s, e in mono if s.kind == "wp")
+    return monomial((s, e) for s, e in pairs if s.kind == "wp")
 
 
 def column_rank(col: Monomial) -> int:
     """Pivot preference: 4-index symbols, then quadratic 3-index, then linear."""
-    if any(len(s.indices) >= 4 for s, _ in col):
+    if any(len(s.indices) >= 4 for s, _ in factors(col)):
         return 0
     if wp_degree(col, 3) >= 2:
         return 1
@@ -120,11 +122,12 @@ class Relation:
 class PivotIndex:
     """Rule pivots bucketed by their first symbol, and the rules in scaled form.
 
-    A pivot that divides a monomial has its first symbol among that
-    monomial's symbols, so only those buckets are searched.  Each bucket is
-    kept in descending term order, so the first divisor found in a bucket
-    is that bucket's largest; the largest over all buckets is the pivot a
-    scan over every rule would pick.
+    A pivot that divides a monomial has its first symbol (by name) among
+    that monomial's symbols, so only those buckets are searched, with the
+    packed divisibility test :func:`~kleinian.poly.divides`.  Each bucket
+    is kept in descending term order, so the first divisor found in a
+    bucket is that bucket's largest; the largest over all buckets is the
+    pivot a scan over every rule would pick.
 
     The right-hand sides are held as integer numerators ``nums[pivot]``
     over one common denominator ``den``, the least common multiple of all
@@ -137,10 +140,10 @@ class PivotIndex:
     """
 
     def __init__(self, rules: dict[Monomial, MultiPoly]):
-        self.buckets: dict[Symbol, list[tuple[tuple, int, Monomial]]] = {}
+        self.buckets: dict[Symbol, list[tuple[tuple, Monomial]]] = {}
         for pivot in rules:
-            self.buckets.setdefault(pivot[0][0], []).append(
-                (monomial_key(pivot), monomial_weight(pivot), pivot))
+            self.buckets.setdefault(factors(pivot)[0][0], []).append(
+                (monomial_key(pivot), pivot))
         for bucket in self.buckets.values():
             bucket.sort(reverse=True)
         den = self.den = lcm(*{c.denominator for rhs in rules.values()
@@ -152,14 +155,12 @@ class PivotIndex:
 
     def find(self, mono: Monomial) -> Monomial | None:
         """The largest pivot that divides mono."""
-        mw = monomial_weight(mono)
-        have = dict(mono)
         best = best_key = None
-        for s in have:
-            for key, weight, pivot in self.buckets.get(s, ()):
+        for s, _ in factors(mono):
+            for key, pivot in self.buckets.get(s, ()):
                 if best is not None and key <= best_key:
                     break
-                if weight <= mw and all(have.get(t, 0) >= e for t, e in pivot):
+                if divides(pivot, mono):
                     best, best_key = pivot, key
                     break
         return best
@@ -219,8 +220,9 @@ class PivotIndex:
             pivot = find(m)
             if pivot is None:
                 return [m, None, 0]
-            cofactor = monomial_div(m, pivot)
-            return [m, [(monomial_mul(cofactor, r), n) for r, n in nums[pivot].items()], 0]
+            # the terms cofactor * r of the rewriting step: one integer add each
+            step = add_product({}, {monomial_div(m, pivot): 1}, nums[pivot])
+            return [m, list(step.items()), 0]
 
         stack, path = [frame(mono)], {mono}
         while stack:
@@ -392,11 +394,11 @@ class RelationDB:
         for r in stored:
             if r.cls != FOUR_INDEX:
                 continue
-            base = r.solved_monomial[0][0].indices
+            base = factors(r.solved_monomial)[0][0].indices
             # d_J = d_{J[-1]} d_{J[:-1]}: the sorted multisets list each prefix first
             derivs = {(): r.rhs}
             for J in _index_multisets(self.ctx.genus, gaps, max_weight - r.weight):
-                pivot = ((self.ctx.wp(base + J), 1),)
+                pivot = self.ctx.wp(base + J).unit
                 rhs = derivs[J] = self.ctx.diff(derivs[J[:-1]], J[-1])
                 if pivot in rules:
                     collisions.append((monomial_weight(pivot), rules[pivot] - rhs))
@@ -493,8 +495,7 @@ def _split_row(expr: MultiPoly, source: tuple[Partition, ...]) -> _Row:
             basic = basic + MultiPoly.monomial(mono, c)
         else:
             # col keeps the full p-part; the coefficient is parameters only
-            rest = tuple((s, e) for s, e in mono if s.kind != "wp")
-            coeff = MultiPoly.monomial(rest, c)
+            coeff = MultiPoly.monomial(monomial_div(mono, col), c)
             got = cols.get(col)
             cols[col] = coeff if got is None else got + coeff
     cols = {c: v for c, v in cols.items() if not v.is_zero()}
@@ -536,7 +537,7 @@ def linear_solve(system: list[MultiPoly], sources: list[tuple[Partition, ...]] |
     for r in free:
         if r.is_zero():
             continue
-        if not r.cols and not any(s.kind == "wp" for m in r.basic.terms for s, _ in m):
+        if not r.cols and not any(s.kind == "wp" for m in r.basic.terms for s, _ in factors(m)):
             raise InconsistentSystemError("inconsistent row: 0 = %s" % r.basic.text())
         residual.append(r)
     solved = []
@@ -568,7 +569,7 @@ def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
         # no 3-index content at all: an even relation among basic symbols
         lead = None
         for mono, c in expr.sorted_terms():
-            if not any(s.kind == "param" for s, _ in mono):
+            if not any(s.kind == "param" for s, _ in factors(mono)):
                 lead = mono
                 break
         lead = lead if lead is not None else expr.leading_monomial()
@@ -580,7 +581,7 @@ def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
     scale = Q(1) / row.cols[pivot].rational_value()
     norm = expr * scale
     rest = norm - MultiPoly.monomial(pivot)
-    if column_rank(pivot) == 0 and len(pivot) == 1 and pivot[0][1] == 1:
+    if column_rank(pivot) == 0 and pivot == factors(pivot)[0][0].unit:  # one 4-index p
         cls = FOUR_INDEX if all(is_basic(m) for m in rest.terms) else OTHER
         if cls == OTHER and all(wp_degree(m, 3) <= 1 for m in rest.terms):
             cls = QUASILINEAR  # a 4-index pivot with quasilinear remainder

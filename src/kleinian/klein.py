@@ -21,7 +21,7 @@ from math import factorial
 from .curves import CurveSpec, local_expansion, polar_vars, kleinian_polar, winding_vectors
 from .engine import FOUR_INDEX, classify
 from .errors import ConfigError, ConventionError
-from .poly import MultiPoly, Symbol
+from .poly import MultiPoly, Symbol, divides, factors, monomial, monomial_div
 from .rationals import Q
 from .series import LaurentSeries
 from .taucalc import AbelianContext
@@ -94,8 +94,8 @@ def klein_expand(curve: CurveSpec, order: int) -> list[tuple[int, MultiPoly]]:
         {zs: MultiPoly.sym(XP), ws: MultiPoly.sym(YP)})
     numer = LaurentSeries.zero(ord_series + 10)
     for mono, c in polar.terms.items():
-        exps = {s.name: e for s, e in mono}
-        rest = tuple((s, e) for s, e in mono if s.name not in ("x", "y"))
+        exps = {s.name: e for s, e in factors(mono)}
+        rest = monomial((s, e) for s, e in factors(mono) if s.name not in ("x", "y"))
         piece = LaurentSeries.xi_power(-curve.n * exps.get("x", 0)) * loc.y_power(exps.get("y", 0))
         numer = numer + piece * MultiPoly.monomial(rest, c)
     dx2 = x - LaurentSeries.const(MultiPoly.sym(XP))
@@ -109,20 +109,13 @@ def klein_expand(curve: CurveSpec, order: int) -> list[tuple[int, MultiPoly]]:
 def _reduce_point(expr: MultiPoly, jip2_rhs: MultiPoly, jip2a_rhs: MultiPoly) -> MultiPoly:
     """Eliminate y_k and powers x_k^2 and higher through the inversion problem."""
     expr = expr.substitute({YP: jip2a_rhs})
+    xk2 = monomial(((XP, 2),))
     for _ in range(64):
-        high = None
-        for mono in expr.terms:
-            for s, e in mono:
-                if s == XP and e >= 2:
-                    high = mono
-                    break
-            if high:
-                break
+        high = next((mono for mono in expr.terms if divides(xk2, mono)), None)
         if high is None:
             return expr
         c = expr.terms[high]
-        rest = tuple((s, e if s != XP else e - 2) for s, e in high)
-        rest = tuple((s, e) for s, e in rest if e)
+        rest = monomial_div(high, xk2)
         expr = expr - MultiPoly.monomial(high, c) + MultiPoly.monomial(rest, c) * jip2_rhs
     raise ConventionError("x_k-degree reduction did not terminate")
 
@@ -157,12 +150,11 @@ def jacobi_inversion_extract(curve: CurveSpec):
     linear = MultiPoly.zero()
     const = MultiPoly.zero()
     for mono, c in e0.terms.items():
-        stripped = tuple((s, e) for s, e in mono if s != XP)
-        deg = sum(e for s, e in mono if s == XP)
+        deg = dict(factors(mono)).get(XP, 0)
         if deg == 0:
             const = const + MultiPoly.monomial(mono, c)
         elif deg == 1:
-            linear = linear + MultiPoly.monomial(stripped, c)
+            linear = linear + MultiPoly.monomial(monomial_div(mono, XP.unit), c)
         else:
             raise ConventionError("x_k-degree reduction left degree %d" % deg)
     rel_1111 = classify(linear * 2, 4, ctx)

@@ -1,11 +1,28 @@
 """Sparse multivariate polynomials over the rationals in weight-graded symbols.
 
 A :class:`Symbol` is a named generator carrying a fixed Sato weight; symbols
-are interned, so they hash and compare by identity.  A monomial is a tuple
-of ``(symbol, exponent)`` pairs sorted by symbol name; a :class:`MultiPoly`
-maps monomials to nonzero rational coefficients.  The zero polynomial is
-the empty map.  All values are immutable in practice:
+are interned, so they hash and compare by identity.  A monomial is one
+Python int (packed exponent vectors, Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007); a
+:class:`MultiPoly` maps monomials to nonzero rational coefficients.  The
+zero polynomial is the empty map.  All values are immutable in practice:
 no method mutates its operands, so polynomials can be shared freely.
+
+This module alone knows the packed format.  Each symbol gets a fixed slot
+when it is first created, and a monomial is
+
+    sum_s e_s * 2^(16 + 8 slot_s) + w,    w = sum_s e_s wt(s),
+
+so the low 16 bits carry the total weight (signed, |w| < 2^14) and each
+slot an 8-bit exponent field whose top bit is a guard, clear in every
+monomial (0 <= e_s < 128).  The product of two monomials is their sum and
+a quotient their difference: neither can carry out of a field, and an
+exponent or weight that would leave its field sets a guard bit, which
+raises ``ValueError``.  Slots depend on the order in which symbols were
+created, so a monomial means nothing outside its process, and nothing
+orders by the int: other modules go through :func:`monomial` (encode),
+:func:`factors` (decode), :func:`divides`, :func:`monomial_key` and
+:func:`monomial_str`.
 
 A :class:`ScaledPoly` carries the same polynomial as integer numerators
 over one common denominator, so that sums and products of many terms run
@@ -19,7 +36,10 @@ by (symbol name, exponent).
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
+from threading import Lock
 from typing import Callable, Iterable
 
 from .rationals import Q, QType, q_str, qify
@@ -37,21 +57,23 @@ class Symbol:
 
     The constructor returns the one instance for each (name, weight, kind,
     indices), so equality and hashing are object identity; attributes are
-    read-only.
+    read-only.  The first construction also fixes the symbol's exponent
+    field (slot) in every monomial; unit is the monomial of the symbol
+    itself, and order = (name, weight, kind, indices) its place in a
+    monomial's factors.
     """
 
-    __slots__ = ("name", "weight", "kind", "indices")
+    __slots__ = ("name", "weight", "kind", "indices", "slot", "unit", "order")
 
     def __new__(cls, name: str, weight: int, kind: str = "param",
                 indices: tuple[int, ...] = ()) -> "Symbol":
         key = (name, weight, kind, indices)
         self = _INTERNED.get(key)
         if self is None:
-            self = object.__new__(cls)
-            for attr, value in zip(cls.__slots__, key):
-                object.__setattr__(self, attr, value)
-            # setdefault: a racing constructor keeps the instance stored first
-            self = _INTERNED.setdefault(key, self)
+            with _INTERN_LOCK:
+                self = _INTERNED.get(key)
+                if self is None:
+                    self = _INTERNED[key] = _new_symbol(cls, key)
         return self
 
     def __setattr__(self, attr, value):
@@ -72,6 +94,7 @@ class Symbol:
 
 
 _INTERNED: dict[tuple, Symbol] = {}
+_INTERN_LOCK = Lock()
 
 
 def param(name: str, weight: int) -> Symbol:
@@ -89,46 +112,107 @@ def wp_symbol(indices: Iterable[int], gap_weights: tuple[int, ...]) -> Symbol:
     return Symbol("p" + "".join(map(str, idx)), weight, "wp", idx)
 
 
-# A monomial: tuple of (Symbol, positive exponent), sorted by symbol name.
-Monomial = tuple[tuple[Symbol, int], ...]
+# ---------------------------------------------------------------------------
+# monomials: one int each (see the module docstring)
 
-EMPTY_MONOMIAL: Monomial = ()
+Monomial = int
+
+EMPTY_MONOMIAL: Monomial = 0
+
+_FIELD = 8                      # bits per exponent field, guard included
+_EXP_LIMIT = 1 << (_FIELD - 1)  # exponents stay below the guard bit
+_FIELD_MASK = (1 << _FIELD) - 1
+_WEIGHT_BITS = 16
+_WEIGHT_MASK = (1 << _WEIGHT_BITS) - 1
+# m + _OFFSET holds the weight w as w + 2^14 in [0, 2^15): no borrow, guard clear
+_OFFSET = 1 << (_WEIGHT_BITS - 2)
+# the guard bits, of the weight field and of every slot's field: (m + _OFFSET) & _GUARD
+# is zero exactly for a valid monomial m, or for the sum or difference of two valid
+# monomials that is one
+_GUARD = 1 << (_WEIGHT_BITS - 1)
+# the top two bits of every exponent field and the top three of the weight field:
+# m & _SMALL is zero when every exponent of m is below 64 and 0 <= w < 2^13, and then
+# the product of m and any such monomial is valid; the bitwise or of monomials is
+# clear of _SMALL exactly when each of them is
+_SMALL = 7 << (_WEIGHT_BITS - 3)
+_SYMBOLS: list[Symbol] = []     # by slot
+
+
+def _new_symbol(cls, key: tuple) -> Symbol:
+    """A symbol with the next free slot (called under the intern lock)."""
+    global _GUARD, _SMALL
+    weight = key[1]
+    if not -_OFFSET <= weight < _OFFSET:
+        raise ValueError("symbol weight %r outside [-%d, %d)" % (weight, _OFFSET, _OFFSET))
+    self = object.__new__(cls)
+    slot = len(_SYMBOLS)
+    shift = _WEIGHT_BITS + _FIELD * slot
+    for attr, value in zip(cls.__slots__, key + (slot, (1 << shift) + weight, key)):
+        object.__setattr__(self, attr, value)
+    _SYMBOLS.append(self)
+    _GUARD |= 1 << (shift + _FIELD - 1)
+    _SMALL |= 3 << (shift + _FIELD - 2)
+    return self
+
+
+def monomial(pairs: Iterable[tuple[Symbol, int]]) -> Monomial:
+    """The monomial prod s^e over (symbol, exponent) pairs of distinct symbols,
+    0 < e < 128, whose total weight fits the weight field."""
+    h = w = 0
+    for s, e in pairs:
+        if type(e) is not int or not 0 < e < _EXP_LIMIT:
+            raise ValueError("exponent %r of %s outside 1..%d" % (e, s.name, _EXP_LIMIT - 1))
+        shift = _FIELD * s.slot
+        if (h >> shift) & _FIELD_MASK:
+            raise ValueError("monomial names %s twice" % s.name)
+        h += e << shift
+        w += e * s.weight
+    if not -_OFFSET <= w < _OFFSET:
+        raise ValueError("monomial weight %d leaves the weight field" % w)
+    return (h << _WEIGHT_BITS) + w
+
+
+def factors(m: Monomial) -> tuple[tuple[Symbol, int], ...]:
+    """The (symbol, exponent) pairs of m, sorted by symbol name."""
+    h = (m + _OFFSET) >> _WEIGHT_BITS
+    out = []
+    while h:
+        slot = ((h & -h).bit_length() - 1) // _FIELD
+        shift = _FIELD * slot
+        e = (h >> shift) & _FIELD_MASK
+        out.append((_SYMBOLS[slot], e))
+        h ^= e << shift
+    if len(out) > 1:
+        out.sort(key=_factor_order)
+    return tuple(out)
+
+
+def _factor_order(factor: tuple[Symbol, int]) -> tuple:
+    return factor[0].order
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for s, e in b:
-        out[s] = out.get(s, 0) + e
-    if len(out) == 1:
-        return tuple(out.items())
-    return tuple(sorted(out.items(), key=_factor_name))
+    m = a + b
+    if (m + _OFFSET) & _GUARD:
+        raise ValueError("monomial product %s * %s leaves an exponent or the weight field"
+                         % (monomial_str(a), monomial_str(b)))
+    return m
 
 
-def _factor_name(factor: tuple[Symbol, int]) -> str:
-    return factor[0].name
-
-
-def monomial_weight(m: Monomial) -> int:
-    return sum(s.weight * e for s, e in m)
+def divides(a: Monomial, b: Monomial) -> bool:
+    """Whether a divides b (with a quotient whose weight fits the weight field)."""
+    return not (b - a + _OFFSET) & _GUARD
 
 
 def monomial_div(b: Monomial, a: Monomial) -> Monomial:
-    """b / a, assuming a divides b."""
-    out = dict(b)
-    for s, e in a:
-        r = out[s] - e
-        if r < 0:
-            raise ValueError("monomial does not divide")
-        if r:
-            out[s] = r
-        else:
-            del out[s]
-    # out keeps b's (sorted) insertion order
-    return tuple(out.items())
+    """b / a; a must divide b."""
+    if (b - a + _OFFSET) & _GUARD:
+        raise ValueError("monomial %s does not divide %s" % (monomial_str(a), monomial_str(b)))
+    return b - a
+
+
+def monomial_weight(m: Monomial) -> int:
+    return ((m + _OFFSET) & _WEIGHT_MASK) - _OFFSET
 
 
 def add_terms(out: dict[Monomial, QType],
@@ -148,15 +232,42 @@ def add_terms(out: dict[Monomial, QType],
     return out
 
 
+def add_product(out: dict[Monomial, object], a: dict[Monomial, object],
+                b: dict[Monomial, object]) -> dict[Monomial, object]:
+    """Add the product of the term maps a and b into out in place; sums that
+    cancel are dropped.  The coefficients may be integers or rationals."""
+    if len(a) > len(b):
+        a, b = b, a
+    if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _SMALL:
+        # an exponent of 64 or more, or a large or negative weight: check every product
+        return add_terms(out, ((monomial_mul(m1, m2), c1 * c2)
+                               for m1, c1 in a.items() for m2, c2 in b.items()))
+    get = out.get
+    bitems = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in bitems:
+            m = m1 + m2
+            v = get(m)
+            if v is None:
+                out[m] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
+
+
 def monomial_key(m: Monomial):
     """Canonical term-order key: (total weight, lexicographic monomial)."""
-    return (monomial_weight(m), tuple((s.name, e) for s, e in m))
+    return (monomial_weight(m), tuple((s.name, e) for s, e in factors(m)))
 
 
 def monomial_str(m: Monomial) -> str:
     if not m:
         return "1"
-    return "*".join(s.name if e == 1 else "%s^%d" % (s.name, e) for s, e in m)
+    return "*".join(s.name if e == 1 else "%s^%d" % (s.name, e) for s, e in factors(m))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +298,7 @@ class MultiPoly:
         coeff = qify(coeff)
         if not coeff:
             return cls.zero()
-        return cls({((s, exp),): coeff})
+        return cls({s.unit if exp == 1 else monomial(((s, exp),)): coeff})
 
     @classmethod
     def monomial(cls, m: Monomial, coeff=1) -> "MultiPoly":
@@ -228,12 +339,7 @@ class MultiPoly:
         other = _coerce(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero()
-        # iterate over the smaller operand's terms
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        return MultiPoly(add_terms({}, ((monomial_mul(m1, m2), c1 * c2)
-                                        for m1, c1 in a.items() for m2, c2 in b.items())))
+        return MultiPoly(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -305,8 +411,8 @@ class MultiPoly:
         pow_cache: dict[tuple[Symbol, int], MultiPoly] = {}
         for m, c in self.terms.items():
             term = MultiPoly.const(c)
-            plain: list[tuple[Symbol, int]] = []
-            for s, e in m:
+            plain = m
+            for s, e in factors(m):
                 if s in table:
                     key = (s, e)
                     p = pow_cache.get(key)
@@ -314,10 +420,9 @@ class MultiPoly:
                         p = table[s] ** e
                         pow_cache[key] = p
                     term = term * p
-                else:
-                    plain.append((s, e))
+                    plain = monomial_div(plain, monomial((key,)))
             if plain:
-                term = term * MultiPoly.monomial(tuple(sorted(plain)))
+                term = term * MultiPoly.monomial(plain)
             add_terms(out, term.terms.items())
         return MultiPoly(out)
 
@@ -325,14 +430,10 @@ class MultiPoly:
         """Formal derivation: dmap gives the image of each symbol (None = 0)."""
         out: dict[Monomial, QType] = {}
         for m, c in self.terms.items():
-            for i, (s, e) in enumerate(m):
+            for s, e in factors(m):
                 ds = dmap(s)
-                if not ds:
-                    continue
-                # removing or lowering one factor keeps the monomial sorted
-                rest = m[:i] + ((s, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                ce = c * e
-                add_terms(out, ((monomial_mul(rest, m2), ce * c2) for m2, c2 in ds.terms.items()))
+                if ds:
+                    add_product(out, {monomial_div(m, s.unit): c * e}, ds.terms)
         return MultiPoly(out)
 
     # -- rendering ----------------------------------------------------------
@@ -420,15 +521,6 @@ class ScaledPoly:
         if g == 1:
             return self
         return ScaledPoly(self.den // g, {m: n // g for m, n in self.nums.items()})
-
-
-def add_product(out: dict[Monomial, int], a: dict[Monomial, int],
-                b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Add the product of the numerator maps a and b into out in place."""
-    if len(a) > len(b):
-        a, b = b, a
-    return add_terms(out, ((monomial_mul(m1, m2), c1 * c2)
-                           for m1, c1 in a.items() for m2, c2 in b.items()))
 
 
 def scaled_sum(pairs: Iterable[tuple[QType | int, ScaledPoly]]) -> ScaledPoly:

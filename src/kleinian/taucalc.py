@@ -49,7 +49,7 @@ from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, ome
                      required_expansion_order, winding_vectors)
 from .errors import TruncationError
 from .partitions import Partition, hook as hook_partition
-from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, wp_symbol
+from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, factors, wp_symbol
 from .schur import schur_weights
 
 
@@ -76,7 +76,7 @@ class AbelianContext:
         """Involution u -> -u: p_J -> (-1)^|J| p_J."""
         out = {}
         for m, c in expr.terms.items():
-            flips = sum(e * len(s.indices) for s, e in m if s.kind == "wp")
+            flips = sum(e * len(s.indices) for s, e in factors(m) if s.kind == "wp")
             out[m] = -c if flips % 2 else c
         return MultiPoly(out)
 

@@ -20,7 +20,7 @@
 from kleinian.curves import (CurveSpec, LocalExpansion, OmegaAlgTable, kleinian_polar,
                              polar_vars)
 from kleinian.errors import ConventionError, SeriesError, TruncationError
-from kleinian.poly import MultiPoly
+from kleinian.poly import MultiPoly, factors, monomial
 from kleinian.rationals import Q, QType, qify
 from kleinian.series import LaurentSeries
 
@@ -257,8 +257,9 @@ def omega_alg_two_step(curve: CurveSpec, size: int, loc: LocalExpansion) -> Omeg
     coeffs: dict[tuple[int, int], MultiPoly] = {}
     orders = []
     for mono, coeff in polar.terms.items():
-        exps = {s.name: e for s, e in mono}
-        pcoeff = MultiPoly.monomial(tuple((s, e) for s, e in mono if s.kind == "param"), coeff)
+        exps = {s.name: e for s, e in factors(mono)}
+        pcoeff = MultiPoly.monomial(monomial((s, e) for s, e in factors(mono)
+                                             if s.kind == "param"), coeff)
         u = factor(exps.get("x", 0), exps.get("y", 0)) * pcoeff
         v = factor(exps.get("z", 0), exps.get("w", 0))
         orders += [u.order, v.order]

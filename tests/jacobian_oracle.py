@@ -21,7 +21,9 @@ four-index relations, an independent route to the quasilinear layers.
 
 from kleinian.engine import FOUR_INDEX, QUARTIC_EVEN, Relation, classify, is_basic
 from kleinian.errors import ReductionError
-from kleinian.poly import MultiPoly, Symbol, monomial_key, monomial_str
+from kleinian.poly import (
+    MultiPoly, Symbol, factors, monomial, monomial_div, monomial_key, monomial_str,
+)
 from kleinian.rationals import Q
 
 X1 = Symbol("u1", 2, "aux")
@@ -66,7 +68,7 @@ def _reduce_curve(curve, expr: MultiPoly) -> MultiPoly:
     for _ in range(64):
         target = None
         for mono in expr.terms:
-            for s, e in mono:
+            for s, e in factors(mono):
                 if s in (Y1, Y2) and e >= 2:
                     target = (mono, s)
                     break
@@ -76,8 +78,7 @@ def _reduce_curve(curve, expr: MultiPoly) -> MultiPoly:
             return expr
         mono, s = target
         c = expr.terms[mono]
-        rest = tuple((t, e - 2 if t == s else e) for t, e in mono)
-        rest = tuple((t, e) for t, e in rest if e)
+        rest = monomial_div(mono, monomial(((s, 2),)))
         phi = phi1 if s == Y1 else phi2
         expr = expr - MultiPoly.monomial(mono, c) + MultiPoly.monomial(rest, c) * phi
     raise AssertionError("curve reduction did not terminate")
@@ -92,7 +93,7 @@ def vanishes_on_jacobian(curve, ctx, expr: MultiPoly) -> bool:
     for mono, c in expr.terms.items():
         num = MultiPoly.const(c)
         dpow = 0
-        for s, e in mono:
+        for s, e in factors(mono):
             if s.kind == "wp":
                 if s not in table:
                     raise AssertionError("no divisor formula for %s" % s.name)
@@ -119,9 +120,9 @@ def kummer_quartic(db) -> Relation:
     two-index symbols, homogeneous of weight 16, normalized on p12^4.
     """
     ctx = db.ctx
-    need = [((ctx.wp((1, 1, 1)), 2),),
-            ((ctx.wp((1, 1, 2)), 2),),
-            ((ctx.wp((1, 1, 1)), 1), (ctx.wp((1, 1, 2)), 1))]
+    need = [monomial(((ctx.wp((1, 1, 1)), 2),)),
+            monomial(((ctx.wp((1, 1, 2)), 2),)),
+            monomial(((ctx.wp((1, 1, 1)), 1), (ctx.wp((1, 1, 2)), 1)))]
     solved = {r.solved_monomial: r for r in db.relations()}
     missing = [monomial_str(m) for m in need if m not in solved]
     if missing:
@@ -131,7 +132,7 @@ def kummer_quartic(db) -> Relation:
     quartic = r6.rhs * r10.rhs - r8.rhs * r8.rhs
     if quartic.is_zero():
         raise ReductionError("Kummer quartic collapsed to zero")
-    p12_4 = ((ctx.wp((1, 2)), 4),)
+    p12_4 = monomial(((ctx.wp((1, 2)), 4),))
     c = quartic.coeff(p12_4)
     if c == 0:
         raise ReductionError("Kummer quartic has no p12^4 term")
@@ -162,8 +163,8 @@ def cross_differentiate(db) -> list[Relation]:
     for ia in range(len(four)):
         for ib in range(ia + 1, len(four)):
             ra, rb = four[ia], four[ib]
-            A = ra.solved_monomial[0][0].indices
-            B = rb.solved_monomial[0][0].indices
+            A = factors(ra.solved_monomial)[0][0].indices
+            B = factors(rb.solved_monomial)[0][0].indices
             for j in range(1, ctx.genus + 1):
                 for i in range(1, ctx.genus + 1):
                     if tuple(sorted(A + (j,))) != tuple(sorted(B + (i,))):

@@ -18,7 +18,7 @@ Grassmannian normalization A_(m|n) of the model's hooks.
 from itertools import product
 from math import comb, prod
 
-from kleinian.poly import MultiPoly, ScaledPoly, Symbol, add_terms
+from kleinian.poly import MultiPoly, ScaledPoly, Symbol, add_terms, factors
 
 
 def zeta(ctx, i: int) -> MultiPoly:
@@ -105,12 +105,12 @@ class ZetaTau:
 def zeta_free_part(expr: MultiPoly) -> MultiPoly:
     """The terms of expr with no zeta symbol: its value at zeta = 0."""
     return MultiPoly({m: c for m, c in expr.terms.items()
-                      if not any(s.kind == "zeta" for s, _ in m)})
+                      if not any(s.kind == "zeta" for s, _ in factors(m))})
 
 
 def is_zeta_free(expr: MultiPoly) -> bool:
     """Whether expr is a polynomial in the p_J and the curve parameters alone."""
-    return all(s.kind in ("wp", "param") for m in expr.terms for s, _ in m)
+    return all(s.kind in ("wp", "param") for m in expr.terms for s, _ in factors(m))
 
 
 def a_hook(model, m: int, n: int) -> MultiPoly:

@@ -21,7 +21,7 @@ from kleinian.engine import (
 )
 from kleinian.klein import jacobi_inversion_extract
 from kleinian.partitions import all_partitions, enumerate_rank2, transpose_classes
-from kleinian.poly import MultiPoly, monomial_str
+from kleinian.poly import MultiPoly, factors, monomial, monomial_str
 from kleinian.rationals import Q
 from kleinian.schur import schur_weights
 from kleinian.tables import (
@@ -125,8 +125,8 @@ def test_criterion_5_kummer_quartic(g2, g2_db):
     k = kummer_quartic(g2_db)
     assert k.cls == QUARTIC_EVEN and k.weight == 16
     assert is_zeta_free(k.expr) and k.expr.is_homogeneous(16)
-    assert all(len(s.indices) <= 2 for m in k.expr.terms for s, _ in m if s.kind == "wp")
-    assert k.expr.coeff(((ctx.wp((1, 2)), 4),)) == 1
+    assert all(len(s.indices) <= 2 for m in k.expr.terms for s, _ in factors(m) if s.kind == "wp")
+    assert k.expr.coeff(monomial(((ctx.wp((1, 2)), 4),))) == 1
     assert ctx.parity(k.expr) == k.expr
     # the quadratic-form identity reduces to zero through the database
     p111, p112 = ctx.wp_poly(1, 1, 1), ctx.wp_poly(1, 1, 2)

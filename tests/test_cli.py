@@ -14,11 +14,12 @@ from kleinian import cli
 from kleinian.cli import main, run_derive, verify_document
 from kleinian.curves import parse_spec
 from kleinian.document import RelationDocument, export_document
-from kleinian.engine import plucker_relation, reduce_mod_db
+from kleinian.engine import Relation, plucker_relation, reduce_mod_db
 from kleinian.errors import ConfigError
+from kleinian.poly import EMPTY_MONOMIAL
 from kleinian.partitions import enumerate_rank2
 from kleinian.rationals import Q
-from kleinian.taucalc import TauModel
+from kleinian.taucalc import AbelianContext, TauModel
 
 G2_SPEC = "family = hyperelliptic_g2\n"
 TRIG_SPEC = "family = cyclic_trigonal_34\n"
@@ -63,6 +64,17 @@ def test_document_json_roundtrip(g2, tmp_path):
     assert len(again.relations) == len(doc.relations)
     for a, b in zip(again.relations, doc.relations):
         assert a.expr == b.expr and a.weight == b.weight and a.cls == b.cls
+
+
+def test_relation_without_solved_monomial_roundtrips(g2):
+    # an OTHER relation with no pivot sorts among the others by the empty
+    # monomial's key, and the document round-trips
+    doc = run_derive(g2, 6)
+    ctx = AbelianContext(g2.gap_weights)
+    expr = ctx.wp_poly(1, 1) * ctx.wp_poly(1, 1) - ctx.wp_poly(1, 2)
+    text = RelationDocument(g2, 6, "plucker",
+                            doc.relations + [Relation(expr, 4, "OTHER", None)]).to_json()
+    assert RelationDocument.from_json(text).to_json() == text
 
 
 def test_derivation_is_byte_deterministic(tmp_path, g2_spec_file):
@@ -296,7 +308,7 @@ def test_specialized_curve_derivation(tmp_path):
     doc = RelationDocument.from_json(open(out).read())
     # p1111 = 6 p11^2 + 2 p11 + 4 p12 - 2 with the parameters substituted
     (rel,) = doc.relations
-    assert rel.rhs.coeff(()) == Q(-2)
+    assert rel.rhs.coeff(EMPTY_MONOMIAL) == Q(-2)
 
 
 @pytest.mark.parametrize("spec, weight, method", [("specialized_example.curve", 12, "both"),
@@ -338,6 +350,15 @@ def _document_with_monomial(monomial):
     return json.dumps(doc)
 
 
+def _document_with_terms(*terms):
+    """A genus-2 document whose only relation is p1111 plus the (num, den,
+    monomial) terms, written as given."""
+    doc = json.loads(_document_naming("p1111"))
+    doc["relations"][0]["terms"].extend({"coeff": {"num": num, "den": den}, "monomial": m}
+                                        for num, den, m in terms)
+    return json.dumps(doc)
+
+
 def _document_with_parameter(value):
     """A genus-2 document whose curve gives a4 the JSON value ``value``."""
     doc = json.loads(_document_naming("p1111"))
@@ -371,6 +392,19 @@ def _document_with_relation(key, value):
     # a symbol named twice in one monomial, under two spellings or one
     pytest.param(_document_with_monomial(m), id="*".join(name for name, _ in m))
     for m in ([["p12", 1], ["p21", 1]], [["p11", 1], ["p11", 1]])] + [
+    # an exponent beyond the packed exponent field
+    pytest.param(_document_with_monomial([["p11", 128]]), id="p11^128")] + [
+    # each monomial once, each coefficient nonzero, in lowest terms with a
+    # positive denominator and written as export writes it: anything else
+    # re-exports to other bytes
+    pytest.param(_document_with_terms(*terms), id=name) for name, terms in (
+        ("p12/2+p12/2", [("1", "2", [["p12", 1]]), ("1", "2", [["p12", 1]])]),
+        ("0*p12", [("0", "1", [["p12", 1]])]),
+        ("2/4*p12", [("2", "4", [["p12", 1]])]),
+        ("1/-2*p12", [("1", "-2", [["p12", 1]])]),
+        ("-1/-2*p12", [("-1", "-2", [["p12", 1]])]),
+        ("+1*p12", [("+1", "1", [["p12", 1]])]),
+        ("01*p12", [("01", "1", [["p12", 1]])]))] + [
     pytest.param(_document_with_method(m), id="method=%r" % (m,))
     for m in ("bogus", 5, ["both"], None)] + [
     # a class is one of the engine's class names

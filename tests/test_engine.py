@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobian_oracle import cross_differentiate, kummer_quartic, vanishes_on_jacobian
+from monomial_oracle import tuple_divides
 from schur_oracle import hook_schur, schur_poly
 from tau_oracle import is_zeta_free, zeta
 from kleinian.engine import (
@@ -14,8 +15,8 @@ from kleinian.engine import (
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
 from kleinian.poly import (
-    MultiPoly, ScaledPoly, add_terms, monomial_div, monomial_key, monomial_mul,
-    monomial_str, monomial_weight, param,
+    MultiPoly, ScaledPoly, add_terms, factors, monomial, monomial_div, monomial_key,
+    monomial_mul, monomial_str, monomial_weight, param,
 )
 from kleinian.rationals import Q
 from kleinian.schur import schur_weights
@@ -118,12 +119,12 @@ def test_reduce_quartic_products_consistently(g2_db):
 
 def scan_pivot(mono, rules, skip=None):
     """Reference: scan every rule, keep the largest dividing pivot."""
-    mw, exponents = monomial_weight(mono), dict(mono)
+    mw = monomial_weight(mono)
     best = None
     for pivot in rules:
         if pivot == skip or monomial_weight(pivot) > mw:
             continue
-        if all(exponents.get(s, 0) >= e for s, e in pivot):
+        if tuple_divides(factors(pivot), factors(mono)):
             if best is None or monomial_key(pivot) > monomial_key(best):
                 best = pivot
     return best
@@ -134,8 +135,8 @@ def g2_rules(g2_db):
     """The weight-10 closure rules, their pivots and every symbol they use."""
     rules, _ = g2_db.closure(10)
     pivots = sorted(rules, key=monomial_key)
-    symbols = sorted({s for p in pivots for s, _ in p}
-                     | {s for rhs in rules.values() for m in rhs.terms for s, _ in m})
+    symbols = sorted({s for p in pivots for s, _ in factors(p)}
+                     | {s for rhs in rules.values() for m in rhs.terms for s, _ in factors(m)})
     return rules, pivots, symbols
 
 
@@ -143,9 +144,9 @@ def g2_rules(g2_db):
 @given(st.data())
 def test_pivot_index_matches_linear_scan(g2_rules, data):
     rules, pivots, symbols = g2_rules
-    factors = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 3),
-                                        max_size=5))
-    mono = tuple(sorted(factors.items()))
+    exps = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 3),
+                                     max_size=5))
+    mono = monomial(exps.items())
     if data.draw(st.booleans()):
         # a multiple of a pivot, so that some rule surely applies
         mono = monomial_mul(mono, data.draw(st.sampled_from(pivots)))
@@ -187,7 +188,7 @@ def reference_apply(model, time_poly):
     acc = MultiPoly.zero()
     for mono, coeff in time_poly.terms.items():
         times, scale = [], Q(1)
-        for s, e in mono:
+        for s, e in factors(mono):
             times.extend([s.indices[0]] * e)
             scale *= Q(1, s.indices[0]) ** e
         acc = acc + model.tau_t_derivative(tuple(times)).poly() * (coeff * scale)
@@ -216,9 +217,9 @@ def test_reduction_matches_rational_reference(g2, g2_db, g2_rules, data):
         zeta(g2_db.ctx, i) for i in (1, 2)]
     expr = MultiPoly.zero()
     for _ in range(data.draw(st.integers(1, 6))):
-        factors = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 2),
-                                            max_size=3))
-        mono = tuple(sorted(factors.items()))
+        exps = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 2),
+                                         max_size=3))
+        mono = monomial(exps.items())
         if data.draw(st.booleans()):
             mono = monomial_mul(mono, data.draw(st.sampled_from(pivots)))
         if monomial_weight(mono) > 16:
@@ -239,9 +240,9 @@ def test_memoized_reduction_matches_rational_reference(g2_db, g2_rules, data):
     rules, pivots, symbols = g2_rules
     expr = MultiPoly.zero()
     for _ in range(data.draw(st.integers(1, 6))):
-        factors = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 2),
-                                            max_size=3))
-        mono = monomial_mul(tuple(sorted(factors.items())), data.draw(st.sampled_from(pivots)))
+        exps = data.draw(st.dictionaries(st.sampled_from(symbols), st.integers(1, 2),
+                                         max_size=3))
+        mono = monomial_mul(monomial(exps.items()), data.draw(st.sampled_from(pivots)))
         if monomial_weight(mono) <= 16:
             coeff = Q(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 30)))
             expr = expr + MultiPoly.monomial(mono, coeff)
@@ -254,19 +255,19 @@ def chain_symbols(count):
 
 def test_changed_rhs_clears_memo():
     a, b, c, d = chain_symbols(4)
-    rules = {((a, 1),): MultiPoly.sym(b), ((b, 1),): MultiPoly.sym(c)}
+    rules = {a.unit: MultiPoly.sym(b), b.unit: MultiPoly.sym(c)}
     index = PivotIndex(rules)
     assert reduce_with_rules(MultiPoly.sym(a), rules, index) == MultiPoly.sym(c)
-    assert not index.set_rhs(((b, 1),), ScaledPoly.of(MultiPoly.sym(c)))
+    assert not index.set_rhs(b.unit, ScaledPoly.of(MultiPoly.sym(c)))
     assert index.memo
-    assert index.set_rhs(((b, 1),), ScaledPoly.of(MultiPoly.sym(d, coeff=Q(1, 3))))
+    assert index.set_rhs(b.unit, ScaledPoly.of(MultiPoly.sym(d, coeff=Q(1, 3))))
     assert not index.memo
     assert reduce_with_rules(MultiPoly.sym(a), rules, index) == MultiPoly.sym(d, coeff=Q(1, 3))
 
 
 def test_cyclic_rules_raise_reduction_error():
     a, b = chain_symbols(2)
-    rules = {((a, 1),): MultiPoly.sym(b), ((b, 1),): MultiPoly.sym(a)}
+    rules = {a.unit: MultiPoly.sym(b), b.unit: MultiPoly.sym(a)}
     with pytest.raises(ReductionError):
         reduce_with_rules(MultiPoly.sym(a), rules)
 
@@ -274,7 +275,7 @@ def test_cyclic_rules_raise_reduction_error():
 def test_long_rule_chain_reduces_without_recursion():
     # 1500 rules deep: beyond both the pass bound and Python's recursion limit
     syms = chain_symbols(1501)
-    rules = {((s, 1),): MultiPoly.sym(t, coeff=2) for s, t in zip(syms, syms[1:])}
+    rules = {s.unit: MultiPoly.sym(t, coeff=2) for s, t in zip(syms, syms[1:])}
     assert reduce_with_rules(MultiPoly.sym(syms[0]), rules) == \
         MultiPoly.sym(syms[-1], coeff=2 ** 1500)
 
@@ -562,11 +563,11 @@ def test_kummer_quartic_properties(g2_db):
     assert k.expr.is_homogeneous(16)
     assert ctx.parity(k.expr) == k.expr
     assert all(is_basic(m) for m in k.expr.terms)
-    p12_4 = ((ctx.wp((1, 2)), 4),)
+    p12_4 = monomial(((ctx.wp((1, 2)), 4),))
     assert k.expr.coeff(p12_4) == 1
     # no 3-index content anywhere
     for mono in k.expr.terms:
-        assert all(len(s.indices) <= 2 for s, _ in mono if s.kind == "wp")
+        assert all(len(s.indices) <= 2 for s, _ in factors(mono) if s.kind == "wp")
 
 
 def test_kummer_quartic_specializes_to_monomial_curve(g2_db):
@@ -591,7 +592,7 @@ def test_divisor_oracle_validates_low_index_relations(g2, g2_db):
     for r in g2_db.relations():
         ok = all(s.kind != "wp" or s.indices in
                  ((1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2))
-                 for m in r.expr.terms for s, _ in m)
+                 for m in r.expr.terms for s, _ in factors(m))
         if ok:
             checkable.append(r)
     # Jac_6, the weight-8 quadratic and Jac_10^(2) are all checkable

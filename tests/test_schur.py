@@ -10,7 +10,7 @@ from schur_oracle import (
 )
 
 from kleinian.partitions import Partition, all_partitions, hook
-from kleinian.poly import MultiPoly, Symbol
+from kleinian.poly import MultiPoly, Symbol, factors
 from kleinian.rationals import Q
 from kleinian.schur import class_size, schur_weights
 
@@ -31,7 +31,7 @@ def as_diff_operator(p: MultiPoly) -> MultiPoly:
     """
     table = {}
     for m in p.terms:
-        for s, _ in m:
+        for s, _ in factors(m):
             if s.kind == "time":
                 table[s] = MultiPoly.sym(dop_symbol(s.indices[0]))
     return p.substitute(table)
@@ -46,7 +46,7 @@ def apply_operator_to_exponential(op: MultiPoly, velocity: dict[int, object]) ->
     acc = MultiPoly.zero()
     for mono, coeff in op.terms.items():
         term = MultiPoly.const(coeff)
-        for s, e in mono:
+        for s, e in factors(mono):
             if s.kind != "dop":
                 term = term * MultiPoly.sym(s, e)
                 continue
@@ -127,8 +127,8 @@ def test_cauchy_littlewood_truncated_degree_6():
         """Drop monomials whose x-part or y-part exceeds weighted degree D."""
         keep = {}
         for m, c in expr.terms.items():
-            dx = sum(s.indices[0] * e for s, e in m if s.name.startswith("x"))
-            dy = sum(s.indices[0] * e for s, e in m if s.name.startswith("y"))
+            dx = sum(s.indices[0] * e for s, e in factors(m) if s.name.startswith("x"))
+            dy = sum(s.indices[0] * e for s, e in factors(m) if s.name.startswith("y"))
             if dx <= D and dy <= D:
                 keep[m] = c
         return MultiPoly(keep)
@@ -163,7 +163,7 @@ def test_cauchy_littlewood_truncated_degree_6():
 def test_as_diff_operator_and_exponential_oracle():
     # t1 -> D1
     op1 = as_diff_operator(T[1])
-    assert [s.kind for m in op1.terms for s, _ in m] == ["dop"]
+    assert [s.kind for m in op1.terms for s, _ in factors(m)] == ["dop"]
     # s2 -> D2 + 1/2 D1^2, applied to exp(sum c_k t_k): value s2(c1, c2/2, ...)
     c = {1: Q(3), 2: Q(-2), 3: Q(5), 4: Q(7, 2)}
     for lam in [Partition((2,)), Partition((2, 2)), Partition((3, 1))]:
