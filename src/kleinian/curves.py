@@ -346,11 +346,28 @@ class WindingData:
     """Vectors R_k of expansion coefficients of the normalized differentials.
 
     (R_k)_i is the xi^(k-1) coefficient of du_i/dxi, so R_{w_i} = e_i and
-    (R_k)_i = 0 for k < w_i; entry weights are k - w_i.
+    (R_k)_i = 0 for k < w_i; entry weights are k - w_i, and R_k = 0 when
+    n divides k.  The table is checked when it is built: the last fact is
+    the premise on which the tau model drops every tau_mu with a part
+    divisible by n (:mod:`kleinian.schur`).
     """
 
     curve: CurveSpec
     vectors: tuple[tuple[MultiPoly, ...], ...]  # index k-1, then i-1
+
+    def __post_init__(self):
+        n = self.curve.n
+        for k, row in enumerate(self.vectors, start=1):
+            for i, c in enumerate(row, start=1):
+                if c.is_zero():
+                    continue
+                w = self.curve.gap_weights[i - 1]
+                if k < w:
+                    raise ConventionError("gap structure violated at (R_%d)_%d" % (k, i))
+                if not k % n:
+                    raise ConventionError("(R_%d)_%d should vanish for n = %d" % (k, i, n))
+                if not self.curve.values and not c.is_homogeneous(k - w):
+                    raise ConventionError("(R_%d)_%d is not weight-homogeneous" % (k, i))
 
     @property
     def count(self) -> int:
@@ -369,19 +386,8 @@ def winding_vectors(curve: CurveSpec, count: int, loc: LocalExpansion | None = N
     if any(du.order < count for du in dus):
         raise TruncationError("differentials known to order %d; need %d"
                               % (min(du.order for du in dus), count))
-    vectors = []
-    for k in range(1, count + 1):
-        row = []
-        for i, du in enumerate(dus, start=1):
-            c = du.coeff(k - 1)
-            w = curve.gap_weights[i - 1]
-            if k < w and not c.is_zero():
-                raise ConventionError("gap structure violated at (R_%d)_%d" % (k, i))
-            if not curve.values and not c.is_zero() and not c.is_homogeneous(k - w):
-                raise ConventionError("(R_%d)_%d is not weight-homogeneous" % (k, i))
-            row.append(c)
-        vectors.append(tuple(row))
-    return WindingData(curve, tuple(vectors))
+    return WindingData(curve, tuple(tuple(du.coeff(k - 1) for du in dus)
+                                    for k in range(1, count + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +430,10 @@ class OmegaAlgTable:
     entry(k, l) is the coefficient of xi^k eta^l dxi deta after removing
     the double pole dxi deta/(xi-eta)^2; the table is symmetric, entry
     (k, l) is weight-homogeneous of weight k+l+2, and it vanishes unless n
-    divides k+l+2 and, for n = 2, both indices are even.
+    divides k+l+2 and divides neither time index k+1 nor l+1 (for n = 2:
+    unless both indices are even).  The table is checked when it is built:
+    q_{kl} = 0 for n | k is the premise on which the tau model drops every
+    tau_mu with a part divisible by n (:mod:`kleinian.schur`).
     """
 
     def __init__(self, curve: CurveSpec, size: int, entries: dict[tuple[int, int], MultiPoly]):
@@ -449,7 +458,7 @@ class OmegaAlgTable:
             if not self.curve.values and not c.is_homogeneous(k + l + 2):
                 raise ConventionError("omega_alg(%d,%d) not homogeneous of weight %d: %s"
                                       % (k, l, k + l + 2, c))
-            if (k + l + 2) % n or (n == 2 and (k % 2 or l % 2)):
+            if (k + l + 2) % n or not (k + 1) % n or not (l + 1) % n:
                 raise ConventionError("omega_alg(%d,%d) should vanish for n = %d" % (k, l, n))
 
 

@@ -58,15 +58,10 @@ OTHER = "OTHER"
 CLASSES = (FOUR_INDEX, QUAD_THREE_INDEX, QUASILINEAR, QUARTIC_EVEN, OTHER)
 
 
-def wp_degree(mono: Monomial, min_indices: int) -> int:
-    """Total degree in p-symbols with at least the given number of indices."""
-    return sum(e for s, e in factors(mono) if s.kind == "wp" and len(s.indices) >= min_indices)
-
-
-def is_basic(mono: Monomial) -> bool:
-    """Basic monomials: parameters and 2-index p-symbols only."""
-    return all(s.kind == "param" or (s.kind == "wp" and len(s.indices) == 2)
-               for s, _ in factors(mono))
+def wp_degree(pairs: tuple[tuple[Symbol, int], ...], min_indices: int) -> int:
+    """Total degree in p-symbols with at least the given number of indices,
+    over a monomial's (symbol, exponent) pairs (:func:`~kleinian.poly.factors`)."""
+    return sum(e for s, e in pairs if s.kind == "wp" and len(s.indices) >= min_indices)
 
 
 def column_of(mono: Monomial) -> Monomial | None:
@@ -78,17 +73,18 @@ def column_of(mono: Monomial) -> Monomial | None:
     return monomial((s, e) for s, e in pairs if s.kind == "wp")
 
 
-def column_rank(col: Monomial) -> int:
-    """Pivot preference: 4-index symbols, then quadratic 3-index, then linear."""
-    if any(len(s.indices) >= 4 for s, _ in factors(col)):
+def column_rank(pairs: tuple[tuple[Symbol, int], ...]) -> int:
+    """Pivot preference of a column, from its (symbol, exponent) pairs:
+    4-index symbols, then quadratic 3-index, then linear."""
+    if any(len(s.indices) >= 4 for s, _ in pairs):
         return 0
-    if wp_degree(col, 3) >= 2:
+    if wp_degree(pairs, 3) >= 2:
         return 1
     return 2
 
 
 def column_order_key(col: Monomial):
-    return (-column_rank(col), monomial_key(col))
+    return (-column_rank(factors(col)), monomial_key(col))
 
 
 @dataclass
@@ -551,44 +547,68 @@ def linear_solve(system: list[MultiPoly], sources: list[tuple[Partition, ...]] |
 # classification and layers
 
 
+class _Term:
+    """What :func:`classify` reads of one monomial, from a single decode."""
+
+    __slots__ = ("pairs", "key", "param", "deg3", "basic", "col", "rank", "col_key")
+
+    def __init__(self, mono: Monomial):
+        pairs = self.pairs = factors(mono)
+        wp = tuple((s, e) for s, e in pairs if s.kind == "wp")
+        self.key = (monomial_weight(mono), tuple((s.name, e) for s, e in pairs))  # monomial_key
+        self.param = any(s.kind == "param" for s, _ in pairs)
+        self.deg3 = wp_degree(wp, 3)
+        # basic: parameters and 2-index p-symbols only
+        self.basic = not self.deg3 and all(s.kind in ("param", "wp") for s, _ in pairs)
+        # column_of, and column_order_key of the column
+        self.col = monomial(wp) if self.deg3 else None
+        if self.col is not None:
+            self.rank = column_rank(wp)
+            self.col_key = (-self.rank, (monomial_weight(self.col),
+                                         tuple((s.name, e) for s, e in wp)))
+
+
 def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
              source: tuple[Partition, ...] = ()) -> Relation:
-    """Normalize a reduced homogeneous relation into solved form."""
+    """Normalize a reduced homogeneous relation into solved form.
+
+    Each term is decoded once (:class:`_Term`), and a relation among basic
+    symbols once more, for its parity.  The pivot is the first column in
+    :func:`column_order_key` order whose coefficient is rational, that is,
+    whose only term is the column itself.
+    """
     if expr.is_zero():
         raise ValueError("cannot classify the zero relation")
     if not expr.is_homogeneous(weight):
         raise ReductionError("relation is not homogeneous of weight %d: %s"
                              % (weight, expr.text()))
-    row = _split_row(expr, source)
-    pivot = None
-    for col in sorted(row.cols, key=column_order_key):
-        if row.cols[col].is_rational():
-            pivot = col
-            break
-    if pivot is None and not row.cols:
+    terms = {m: _Term(m) for m in expr.terms}
+    cols: dict[Monomial, list[Monomial]] = {}
+    for m, t in terms.items():
+        if t.col is not None:
+            cols.setdefault(t.col, []).append(m)
+    if not cols:
         # no 3-index content at all: an even relation among basic symbols
-        lead = None
-        for mono, c in expr.sorted_terms():
-            if not any(s.kind == "param" for s, _ in factors(mono)):
-                lead = mono
-                break
-        lead = lead if lead is not None else expr.leading_monomial()
+        order = sorted(terms, key=lambda m: terms[m].key, reverse=True)
+        lead = next((m for m in order if not terms[m].param), order[0])
         norm = expr * (Q(1) / expr.terms[lead])
         cls = QUARTIC_EVEN if ctx.parity(norm) == norm else OTHER
         return Relation(norm, weight, cls, lead, source)
+    pivot = next((col for col in sorted(cols, key=lambda c: terms[cols[c][0]].col_key)
+                  if cols[col] == [col]), None)
     if pivot is None:
         return Relation(expr, weight, OTHER, None, source)
-    scale = Q(1) / row.cols[pivot].rational_value()
-    norm = expr * scale
-    rest = norm - MultiPoly.monomial(pivot)
-    if column_rank(pivot) == 0 and pivot == factors(pivot)[0][0].unit:  # one 4-index p
-        cls = FOUR_INDEX if all(is_basic(m) for m in rest.terms) else OTHER
-        if cls == OTHER and all(wp_degree(m, 3) <= 1 for m in rest.terms):
-            cls = QUASILINEAR  # a 4-index pivot with quasilinear remainder
-    elif column_rank(pivot) == 1:
-        cls = QUAD_THREE_INDEX if all(is_basic(m) for m in rest.terms) else OTHER
+    norm = expr * (Q(1) / expr.terms[pivot])
+    p = terms[pivot]
+    rest = [t for m, t in terms.items() if m != pivot]
+    if p.rank == 0 and len(p.pairs) == 1 and p.pairs[0][1] == 1:  # one 4-index p
+        cls = (FOUR_INDEX if all(t.basic for t in rest)
+               else QUASILINEAR if all(t.deg3 <= 1 for t in rest)  # quasilinear remainder
+               else OTHER)
+    elif p.rank == 1:
+        cls = QUAD_THREE_INDEX if all(t.basic for t in rest) else OTHER
     else:
-        cls = QUASILINEAR if all(wp_degree(m, 3) <= 1 for m in rest.terms) else OTHER
+        cls = QUASILINEAR if all(t.deg3 <= 1 for t in rest) else OTHER
     return Relation(norm, weight, cls, pivot, source)
 
 
@@ -606,9 +626,11 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
     equal NF(a + b) and NF(a - b) because the normal form is a linear map.
     The closure's collision rows of this weight follow, with no partition.
     """
-    # tau_mu = 0 whenever mu has a part divisible by n; for n = 2 only
-    # all-odd mu remain, and the sign character is +1 on those, so
-    # W_lambda' = W_lambda and a transpose pair gives one row
+    # tau_mu = 0 whenever mu has a part divisible by n, since R_k = 0 and
+    # q_kl = 0 for n | k, which WindingData and OmegaAlgTable certify when the
+    # tables are built; for n = 2 only all-odd mu remain, and the sign
+    # character is +1 on those, so W_lambda' = W_lambda and a transpose pair
+    # gives one row
     fold = model.curve.n == 2
     _, collision_rows = db.closure(weight, include_equal=False)
     index, tau = db.layer_reduction(weight, model)

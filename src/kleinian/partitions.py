@@ -5,7 +5,8 @@ decreasing arm lengths a_i = lambda_i - i and leg lengths b_i = lambda'_i - i.
 The derivation pipeline runs on rank-2 partitions (2+m, 2+n, 2^k, 1^l);
 the Schur operators of every rank are Giambelli determinants over the
 Frobenius coordinates, taken in the power-sum basis, whose classes are
-all partitions of the weight (:mod:`kleinian.schur`).
+the partitions of the weight with no part divisible by the curve's n
+(:mod:`kleinian.schur`).
 """
 
 from __future__ import annotations
@@ -74,15 +75,20 @@ def hook(arm: int, leg: int) -> Partition:
     return Partition((arm + 1,) + (1,) * leg)
 
 
-def all_partitions(weight: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of the given weight: the classes mu of :mod:`kleinian.schur`."""
+def all_partitions(weight: int, modulus: int = 0,
+                   max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The partitions of weight, as weakly decreasing tuples, that have no
+    part divisible by modulus (all of them when modulus is 0): the classes
+    mu of :mod:`kleinian.schur`, where modulus is the curve's n."""
     if weight == 0:
-        yield Partition(())
+        yield ()
         return
     cap = weight if max_part is None else min(max_part, weight)
     for first in range(cap, 0, -1):
-        for rest in all_partitions(weight - first, first):
-            yield Partition((first,) + rest.parts)
+        if modulus and not first % modulus:
+            continue
+        for rest in all_partitions(weight - first, modulus, first):
+            yield (first,) + rest
 
 
 def enumerate_rank2(weight: int) -> list[Partition]:

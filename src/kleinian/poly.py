@@ -383,15 +383,16 @@ class MultiPoly:
         return self.terms[EMPTY_MONOMIAL]
 
     def coeff(self, m: Monomial) -> QType:
+        """The coefficient of the monomial m, 0 when absent; a key that is not a
+        monomial (such as a tuple) raises rather than reading as 0."""
+        if type(m) is not int:
+            raise TypeError("not a monomial: %r" % (m,))
+        if (m + _OFFSET) & _GUARD:
+            raise ValueError("not a monomial: %d" % m)
         return self.terms.get(m, Q(0))
 
     def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, QType]]:
         return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=reverse)
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=monomial_key)
 
     # -- weight grading ----------------------------------------------------
 

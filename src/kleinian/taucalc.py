@@ -25,18 +25,26 @@ by splitting off the block that holds the first entry K[0]:
             * kappa(K[0] + B') * tau_{K - K[0] - B'},   tau_() = 1,
 
 with m_v, b_v the multiplicities of v in K - K[0] and B'.  Cumulants and
-moments are memoized per sorted multiset.
+moments are memoized per sorted multiset, as :class:`ScaledPoly` values
+(integer numerators over one denominator): kappa(k, l) is converted once
+from the tables, the derivative d_i acts on the integer numerators, and
+each further cumulant and moment is an integer sum of products, so no
+rational is formed past the tables.  A moment is the time-derivative
+itself.
 
-The derivatives, and the hook values built from them, are memoized as
-:class:`ScaledPoly` values (integer numerators over one denominator).
-A Schur operator acts as s_lambda(D~) tau/tau = (1/n!) sum_mu W_lambda(mu)
-tau_mu over the partitions mu of n = |lambda|, with the integer character
-weights of :mod:`kleinian.schur`, so its value is one integer combination
-of memoized derivatives over n! lcm(tau_mu.den), and the Plucker rows
-assembled from these values need rationals only once per row.  The sum
-takes its tau_mu from a source the caller may replace: a relation layer
-passes the normal forms NF(tau_mu) modulo its closure, reduced once per
-layer, while the hooks always use the derivatives themselves.
+Since R_k = 0 and q_{kl} = 0 whenever n divides k (the curve tables
+certify it when built), every cumulant, and so every tau_K, with a part
+divisible by the curve's n vanishes.  A Schur operator acts as
+s_lambda(D~) tau/tau = (1/N!) sum_mu W_lambda(mu) tau_mu over the
+partitions mu of N = |lambda| with no part divisible by n, with the
+integer character weights of :mod:`kleinian.schur`, so no vanishing
+tau_mu is built, and its value is one integer combination of memoized
+derivatives over N! lcm(tau_mu.den); the hook values built from it are
+memoized too, and the Plucker rows assembled from these values need
+rationals only once per row.  The sum takes its tau_mu from a source the
+caller may replace: a relation layer passes the normal forms NF(tau_mu)
+modulo its closure, reduced once per layer, while the hooks always use
+the derivatives themselves.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, ome
                      required_expansion_order, winding_vectors)
 from .errors import TruncationError
 from .partitions import Partition, hook as hook_partition
-from .poly import MultiPoly, ScaledPoly, Symbol, add_terms, factors, wp_symbol
+from .poly import (EMPTY_MONOMIAL, MultiPoly, ScaledPoly, Symbol, add_terms, factors,
+                   scaled_products, wp_symbol)
 from .schur import schur_weights
 
 
@@ -70,7 +79,10 @@ class AbelianContext:
 
     def diff(self, expr: MultiPoly, i: int) -> MultiPoly:
         """Derivative along u_i: d p_J = p_{J+i}; parameters are constants."""
-        return expr.derive(lambda s: self.wp_poly(s.indices + (i,)) if s.kind == "wp" else None)
+        # the image of p_J has the integer coefficient 1, so integer
+        # coefficients stay integers
+        return expr.derive(lambda s: MultiPoly({self.wp(s.indices + (i,)).unit: 1})
+                           if s.kind == "wp" else None)
 
     def parity(self, expr: MultiPoly) -> MultiPoly:
         """Involution u -> -u: p_J -> (-1)^|J| p_J."""
@@ -93,9 +105,10 @@ class TauModel:
         self.winding = winding
         self.omega = omega
         self.max_time_index = max_time_index
-        self._kappa: dict[tuple[int, ...], MultiPoly] = {}
-        self._moments: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one()}
-        self._tau: dict[tuple[int, ...], ScaledPoly] = {}
+        self._kappa: dict[tuple[int, ...], ScaledPoly] = {}
+        self._moments: dict[tuple[int, ...], ScaledPoly] = {
+            (): ScaledPoly(1, {EMPTY_MONOMIAL: 1})}
+        self._scaled_winding: dict[int, list[tuple[int, ScaledPoly]]] = {}
         self._hooks: dict[tuple[int, int], ScaledPoly] = {}
 
     @classmethod
@@ -115,29 +128,37 @@ class TauModel:
 
     # -- cumulants and moments of the gauged tau ratio ----------------------
 
-    def _cumulant(self, A: tuple[int, ...]) -> MultiPoly:
+    def _cumulant(self, A: tuple[int, ...]) -> ScaledPoly:
         """kappa(A) for a sorted time multiset A, |A| >= 2, built on its sorted prefix."""
         got = self._kappa.get(A)
         if got is not None:
             return got
         k, genus, R = A[-1], self.ctx.genus, self.winding.entry
-        out: dict = {}
         if len(A) == 2:
-            add_terms(out, self.q(A[0], k).terms.items())
+            kappa = self.q(A[0], k)
             for i, j in product(range(1, genus + 1), repeat=2):
                 r = R(A[0], i) * R(k, j)
                 if not r.is_zero():
-                    add_terms(out, (-r * self.ctx.wp_poly(i, j)).terms.items())
+                    kappa = kappa - r * self.ctx.wp_poly(i, j)
+            got = ScaledPoly.of(kappa)
         else:
             prev = self._cumulant(A[:-1])
-            for i in range(1, genus + 1):
-                r = R(k, i)
-                if not r.is_zero():
-                    add_terms(out, (self.ctx.diff(prev, i) * r).terms.items())
-        got = self._kappa[A] = MultiPoly(out)
+            nums = MultiPoly(prev.nums)
+            got = scaled_products((1, ScaledPoly(prev.den, self.ctx.diff(nums, i).terms), r)
+                                  for i, r in self._winding_row(k)).primitive()
+        self._kappa[A] = got
         return got
 
-    def _moment(self, K: tuple[int, ...]) -> MultiPoly:
+    def _winding_row(self, k: int) -> list[tuple[int, ScaledPoly]]:
+        """The nonzero (R_k)_i as (i, scaled entry) pairs, memoized."""
+        got = self._scaled_winding.get(k)
+        if got is None:
+            got = self._scaled_winding[k] = [
+                (i, ScaledPoly.of(r)) for i in range(1, self.ctx.genus + 1)
+                if not (r := self.winding.entry(k, i)).is_zero()]
+        return got
+
+    def _moment(self, K: tuple[int, ...]) -> ScaledPoly:
         """tau_K for a sorted time multiset K, splitting off the block of K[0]."""
         got = self._moments.get(K)
         if got is not None:
@@ -145,47 +166,42 @@ class TauModel:
         head, rest = K[0], K[1:]
         values = sorted(set(rest))
         mults = [rest.count(v) for v in values]
-        out: dict = {}
+        triples = []
         for split in product(*(range(m + 1) for m in mults)):
             if not any(split):
                 continue
             left = self._moment(tuple(v for v, m, b in zip(values, mults, split)
                                       for _ in range(m - b)))
-            if not left:
+            if not left.nums:
                 continue
             kappa = self._cumulant((head,) + tuple(v for v, b in zip(values, split)
                                                    for _ in range(b)))
-            if not kappa:
+            if not kappa.nums:
                 continue
-            scale = prod(comb(m, b) for m, b in zip(mults, split))
-            add_terms(out, (kappa * (left * scale)).terms.items())
-        got = self._moments[K] = MultiPoly(out)
+            triples.append((prod(comb(m, b) for m, b in zip(mults, split)), kappa, left))
+        got = self._moments[K] = scaled_products(triples).primitive()
         return got
 
     def tau_t_derivative(self, times) -> ScaledPoly:
         """d^|K|/dt_K of the gauged tau ratio at t = 0, K a time multiset."""
         key = tuple(sorted(times))
-        got = self._tau.get(key)
-        if got is not None:
-            return got
-        for k in key:
-            if k > self.max_time_index:
-                raise TruncationError("time index %d beyond model truncation" % k)
-        got = self._tau[key] = ScaledPoly.of(self._moment(key))
-        return got
+        if key and key[-1] > self.max_time_index:
+            raise TruncationError("time index %d beyond model truncation" % key[-1])
+        return self._moment(key)
 
     # -- Schur-operator application ------------------------------------------
 
     def schur_apply(self, lam: Partition,
                     tau: Callable[[tuple[int, ...]], ScaledPoly] | None = None) -> ScaledPoly:
-        """s_lambda(D~) tau / tau at t = 0, as (1/n!) sum_mu W_lambda(mu) tau_mu.
+        """s_lambda(D~) tau / tau at t = 0, as (1/N!) sum_mu W_lambda(mu) tau_mu,
+        N = |lambda|, over the mu with no part divisible by the curve's n.
 
         tau maps mu to the value that stands for tau_mu, by default the
         time-derivative itself; a layer passes the normal forms NF(tau_mu),
         which gives NF of the sum, since the normal form is linear.
         """
         tau = tau or self.tau_t_derivative
-        pairs = [(w, tau(mu)) for mu, w in schur_weights(lam).items()]
+        pairs = [(w, tau(mu)) for mu, w in schur_weights(lam, self.curve.n).items()]
         den = lcm(*(tau.den for _, tau in pairs))
         out: dict = {}
         for w, tau in pairs:

@@ -19,7 +19,7 @@ the quasilinear relations obtained by cross-differentiating the stored
 four-index relations, an independent route to the quasilinear layers.
 """
 
-from kleinian.engine import FOUR_INDEX, QUARTIC_EVEN, Relation, classify, is_basic
+from kleinian.engine import FOUR_INDEX, QUARTIC_EVEN, Relation, classify
 from kleinian.errors import ReductionError
 from kleinian.poly import (
     MultiPoly, Symbol, factors, monomial, monomial_div, monomial_key, monomial_str,
@@ -30,6 +30,12 @@ X1 = Symbol("u1", 2, "aux")
 X2 = Symbol("u2", 2, "aux")
 Y1 = Symbol("v1", 5, "aux")
 Y2 = Symbol("v2", 5, "aux")
+
+
+def is_basic(mono):
+    """Basic monomials: parameters and 2-index p-symbols only."""
+    return all(s.kind == "param" or (s.kind == "wp" and len(s.indices) == 2)
+               for s, _ in factors(mono))
 
 
 def _phi(curve, xsym):

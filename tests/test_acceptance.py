@@ -20,7 +20,7 @@ from kleinian.engine import (
     derive_at_weight, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.klein import jacobi_inversion_extract
-from kleinian.partitions import all_partitions, enumerate_rank2, transpose_classes
+from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
 from kleinian.poly import MultiPoly, factors, monomial, monomial_str
 from kleinian.rationals import Q
 from kleinian.schur import schur_weights
@@ -183,12 +183,12 @@ def test_criterion_9_combinatorial_property_suite(g2_model, g2_db, trig_db):
     clock = Clock(9, 120)
     # Giambelli == Jacobi-Trudi for all partitions of weight <= 12
     for w in range(1, 13):
-        for lam in all_partitions(w):
+        for lam in map(Partition, all_partitions(w)):
             assert schur_poly(lam) == jacobi_trudi(lam)
     # the power-sum weights of src, sum_mu W(mu)/n! p_mu, == Jacobi-Trudi, every rank
     for w in range(0, 13):
-        for lam in all_partitions(w):
-            assert power_sum_poly(schur_weights(lam), w) == jacobi_trudi(lam), lam
+        for lam in map(Partition, all_partitions(w)):
+            assert power_sum_poly(schur_weights(lam, w + 1), w) == jacobi_trudi(lam), lam
     # elementary-Schur recursion for m <= 12
     for m in range(1, 13):
         rhs = MultiPoly.zero()

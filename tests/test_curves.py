@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from kleinian import curves
 from kleinian.curves import (
-    CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, LocalExpansion, OmegaAlgTable, curve_by_family,
-    differentials, kleinian_polar, local_expansion, omega_alg, parse_spec, polar_vars,
-    required_expansion_order, winding_vectors,
+    CYCLIC_TRIGONAL_34, HYPERELLIPTIC_G2, LocalExpansion, OmegaAlgTable, WindingData,
+    curve_by_family, differentials, kleinian_polar, local_expansion, omega_alg, parse_spec,
+    polar_vars, required_expansion_order, winding_vectors,
 )
 from kleinian.errors import ConfigError, ConventionError, SeriesError, TruncationError
 from kleinian.poly import MultiPoly
@@ -413,10 +413,19 @@ def test_omega_alg_trigonal_printed_values():
 @pytest.mark.parametrize("curve, key, value", [
     (G2, (1, 1), MultiPoly.sym(G2.parameters[0], 2)),  # a4^2: weight 4, odd index
     (SPECIALIZED["specialized_trigonal"], (0, 0), MultiPoly.one()),  # 3 does not divide 2
-], ids=["g2-odd-index", "specialized-trigonal-mod-3"])
+    (TRIG, (2, 2), params(TRIG)["m6"]),  # q_33: weight 6, time index divisible by 3
+], ids=["g2-odd-index", "specialized-trigonal-mod-3", "trig-q33"])
 def test_omega_table_rejects_entry_that_should_vanish(curve, key, value):
     with pytest.raises(ConventionError, match="should vanish"):
         OmegaAlgTable(curve, 4, {key: value})
+
+
+def test_winding_table_rejects_entry_that_should_vanish():
+    # R_2 of the genus-2 curve: time index divisible by n = 2
+    rows = [list(row) for row in winding_vectors(G2, 4).vectors]
+    rows[1][0] = params(G2)["a4"]
+    with pytest.raises(ConventionError, match=r"\(R_2\)_1 should vanish"):
+        WindingData(G2, tuple(map(tuple, rows)))
 
 
 def test_omega_alg_monomial_curve_vanishes_at_low_order():

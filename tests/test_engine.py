@@ -3,14 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacobian_oracle import cross_differentiate, kummer_quartic, vanishes_on_jacobian
+from jacobian_oracle import cross_differentiate, is_basic, kummer_quartic, vanishes_on_jacobian
 from monomial_oracle import tuple_divides
 from schur_oracle import hook_schur, schur_poly
 from tau_oracle import is_zeta_free, zeta
+from kleinian import engine
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex,
-    RelationDB, _basic_relations, classify, derive_at_weight, derive_range, is_basic,
-    layer_rows, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
+    RelationDB, _basic_relations, classify, derive_at_weight, derive_range, layer_rows,
+    linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
@@ -341,7 +342,7 @@ def test_schur_apply_matches_rational_expansion(request, which):
     # expanded term by term, for every hook and rank-2 partition through weight 10
     model = request.getfixturevalue(which)
     for w in range(1, 11):
-        for lam in all_partitions(w):
+        for lam in map(Partition, all_partitions(w)):
             if lam.rank <= 2:
                 got = model.schur_apply(lam).poly()
                 assert got == reference_apply(model, schur_poly(lam)), lam.parts
@@ -378,7 +379,11 @@ def test_layer_rows_are_normal_forms_of_unreduced_rows(request, which):
 
 @pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
 def test_each_tau_derivative_is_reduced_once_per_layer(request, which, monkeypatch):
-    model = request.getfixturevalue(which)
+    # a layer reduces each tau_mu it needs once, and it needs exactly the mu
+    # of the full weights with no part divisible by n: a fresh model of the
+    # fixture's curve builds no cumulant or moment with such a part
+    curve = request.getfixturevalue(which).curve
+    model, n = TauModel.build(curve, 10), curve.n
     seen = []  # every argument, kept alive so that identities stay unique
     normal_form = PivotIndex.normal_form
 
@@ -391,11 +396,14 @@ def test_each_tau_derivative_is_reduced_once_per_layer(request, which, monkeypat
     for w in range(4, 11):
         del seen[:]
         db.add_layer(w, derive_at_weight(w, db, model))
-        key_of = {id(v): k for k, v in model._tau.items()}
+        key_of = {id(v): k for k, v in model._moments.items()}
         reduced = [key_of[id(e)] for e in seen if id(e) in key_of]
         assert len(reduced) == len(set(reduced)), w
         assert set(reduced) == {tuple(sorted(mu)) for lam in enumerate_rank2(w)
-                                for mu in schur_weights(lam)}, w
+                                for mu in schur_weights(lam, w + 1)
+                                if all(k % n for k in mu)}, w
+    assert all(k % n for K in model._moments for k in K)
+    assert all(k % n for A in model._kappa for k in A)
 
 
 def test_tau_normal_forms_are_dropped_with_the_layer_closure(g2, g2_model, monkeypatch):
@@ -552,6 +560,18 @@ def test_classify_examples(g2, g2_db):
     assert classify(table[3][2], 7, ctx).cls == QUASILINEAR
     with pytest.raises(ReductionError):
         classify(ctx.wp_poly((1, 1)) + ctx.wp_poly((1, 2)), 4, ctx)  # inhomogeneous
+
+
+def test_classify_decodes_each_term_once(g2, g2_db, monkeypatch):
+    # every printed relation keeps its class, and each term's monomial is
+    # decoded once on its way there
+    ctx = g2_db.ctx
+    decoded = []
+    monkeypatch.setattr(engine, "factors", lambda m: decoded.append(m) or factors(m))
+    for weight, cls, expr in relation_table(g2, ctx):
+        del decoded[:]
+        assert classify(expr, weight, ctx).cls == cls
+        assert sorted(decoded) == sorted(expr.terms), (weight, expr.text())
 
 
 # -- Kummer quartic ----------------------------------------------------------------

@@ -31,7 +31,7 @@ def from_frobenius(arms, legs):
 
 def test_frobenius_roundtrip_up_to_weight_20():
     for w in range(1, 21):
-        for p in all_partitions(w):
+        for p in map(Partition, all_partitions(w)):
             arms, legs = p.frobenius()
             assert from_frobenius(arms, legs) == p
 
@@ -44,7 +44,7 @@ def test_transpose_examples():
 
 def test_transpose_involution_and_invariants():
     for w in range(1, 15):
-        for p in all_partitions(w):
+        for p in map(Partition, all_partitions(w)):
             t = p.transpose()
             assert t.transpose() == p
             assert t.weight == p.weight
@@ -62,7 +62,7 @@ def test_enumerate_rank2_low_weights():
 
 def test_enumerate_rank2_matches_bruteforce():
     for w in range(4, 17):
-        brute = {p.parts for p in all_partitions(w) if p.rank == 2}
+        brute = {p.parts for p in map(Partition, all_partitions(w)) if p.rank == 2}
         assert {p.parts for p in enumerate_rank2(w)} == brute
 
 

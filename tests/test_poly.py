@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 from kleinian.curves import HYPERELLIPTIC_G2, curve_by_family
 from kleinian.document import poly_from_json, poly_json
 from kleinian.poly import (
-    MultiPoly, ScaledPoly, Symbol, divides, factors, monomial, monomial_div, monomial_key,
-    monomial_mul, monomial_str, monomial_weight, param, scaled_products, scaled_sum,
-    wp_symbol,
+    EMPTY_MONOMIAL, MultiPoly, ScaledPoly, Symbol, divides, factors, monomial, monomial_div,
+    monomial_key, monomial_mul, monomial_str, monomial_weight, param, scaled_products,
+    scaled_sum, wp_symbol,
 )
 from kleinian.rationals import Q
 from kleinian.taucalc import AbelianContext
@@ -67,6 +67,16 @@ def test_term_order_is_weight_then_lex():
     assert monomial_key(lo) < monomial_key(hi)
     # same weight 4: p12 vs p11^2 ordered by name tuples
     assert monomial_key(P12.unit) != monomial_key(hi)
+
+
+def test_coeff_rejects_a_key_that_is_not_a_monomial():
+    p = MultiPoly.sym(P11, coeff=3) + MultiPoly.const(-2)
+    assert p.coeff(P11.unit) == 3 and p.coeff(EMPTY_MONOMIAL) == -2
+    assert p.coeff(P12.unit) == 0
+    with pytest.raises(TypeError):
+        p.coeff(())  # the empty monomial in its old tuple spelling
+    with pytest.raises(ValueError):
+        p.coeff(-P11.unit)
 
 
 def test_substitute_specializes_parameters():

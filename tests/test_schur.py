@@ -87,7 +87,7 @@ def test_generating_recursion():
 
 def test_weight_homogeneity():
     for w in range(1, 9):
-        for lam in all_partitions(w):
+        for lam in map(Partition, all_partitions(w)):
             s = schur_poly(lam)
             assert s.is_homogeneous(-w)
 
@@ -95,7 +95,7 @@ def test_weight_homogeneity():
 def test_giambelli_equals_jacobi_trudi():
     # every rank, the empty partition included
     for w in range(0, 13):
-        for lam in all_partitions(w):
+        for lam in map(Partition, all_partitions(w)):
             assert schur_poly(lam) == jacobi_trudi(lam)
 
 
@@ -154,7 +154,7 @@ def test_cauchy_littlewood_truncated_degree_6():
 
     right = MultiPoly.one()
     for w in range(1, D + 1):
-        for lam in all_partitions(w):
+        for lam in map(Partition, all_partitions(w)):
             right = right + schur_in(lam, xs) * schur_in(lam, ys)
 
     assert left == right
@@ -185,17 +185,16 @@ CHARACTER_DEGREES = range(0, 11)
 
 def characters(lam: Partition) -> dict[tuple[int, ...], int]:
     """chi^lambda(mu) for every mu |- |lambda|, read off the weights."""
-    weights = schur_weights(lam)
-    return {mu.parts: weights.get(mu.parts, 0) // class_size(mu.parts)
-            for mu in all_partitions(lam.weight)}
+    weights = schur_weights(lam, lam.weight + 1)
+    return {mu: weights.get(mu, 0) // class_size(mu) for mu in all_partitions(lam.weight)}
 
 
 def test_weights_are_characters_times_class_sizes():
     # every W_lambda(mu) z_mu / n! is an integer, and n!/z_mu counts S_n
     for n in CHARACTER_DEGREES:
-        assert sum(class_size(mu.parts) for mu in all_partitions(n)) == factorial(n)
-        for lam in all_partitions(n):
-            for mu, w in schur_weights(lam).items():
+        assert sum(class_size(mu) for mu in all_partitions(n)) == factorial(n)
+        for lam in map(Partition, all_partitions(n)):
+            for mu, w in schur_weights(lam, n + 1).items():
                 assert sum(mu) == n and w != 0
                 assert w % class_size(mu) == 0, (lam, mu)
 
@@ -204,7 +203,7 @@ def test_characters_match_murnaghan_nakayama():
     # hooks, rank 2 and (from n = 9) rank 3 against the border-strip recursion
     ranks = set()
     for n in CHARACTER_DEGREES:
-        for lam in all_partitions(n):
+        for lam in map(Partition, all_partitions(n)):
             ranks.add(lam.rank)
             for mu, chi in characters(lam).items():
                 assert chi == murnaghan_nakayama(lam.parts, mu), (lam, mu)
@@ -214,7 +213,7 @@ def test_characters_match_murnaghan_nakayama():
 def test_character_rows_are_orthonormal():
     # sum_mu chi^lambda(mu) chi^nu(mu) / z_mu = delta_{lambda nu}
     for n in CHARACTER_DEGREES:
-        table = {lam.parts: characters(lam) for lam in all_partitions(n)}
+        table = {lam.parts: characters(lam) for lam in map(Partition, all_partitions(n))}
         for lam, row in table.items():
             for nu, other in table.items():
                 inner = sum(row[mu] * other[mu] * class_size(mu) for mu in row)
@@ -224,7 +223,7 @@ def test_character_rows_are_orthonormal():
 def test_character_degree_is_hook_length_count():
     # chi^lambda(1^n) = f^lambda = n! / prod of hook lengths
     for n in CHARACTER_DEGREES:
-        for lam in all_partitions(n):
+        for lam in map(Partition, all_partitions(n)):
             cols = lam.transpose().parts
             hooks = prod(p - j + cols[j] - i - 1
                          for i, p in enumerate(lam.parts) for j in range(p))
@@ -238,3 +237,17 @@ def test_trivial_and_sign_characters():
         for mu in trivial:
             assert trivial[mu] == 1
             assert sign[mu] == (-1) ** (n - len(mu)), mu
+
+
+def test_weights_modulo_n_are_the_full_weights_restricted():
+    # the weights a curve with n = 2 or 3 uses: the Murnaghan-Nakayama weights
+    # on exactly the mu with no part divisible by n
+    for n in (2, 3):
+        for N in CHARACTER_DEGREES:
+            for lam in map(Partition, all_partitions(N)):
+                want = {}
+                for mu in all_partitions(N):
+                    w = murnaghan_nakayama(lam.parts, mu) * class_size(mu)
+                    if w and all(k % n for k in mu):
+                        want[mu] = w
+                assert schur_weights(lam, n) == want, (n, lam)
