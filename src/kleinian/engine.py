@@ -14,22 +14,27 @@ that reduce to zero were already in the ideal and are dropped; rows left
 with no 3-index content are relations among the basic symbols.
 
 Rows are assembled, and reduced, as integer numerators over one common
-denominator (:class:`~kleinian.poly.ScaledPoly`): each rule set is put over
-the least common multiple of its denominators once, and rationals are
-formed once per row, when its normal form is returned.
+denominator (:class:`~kleinian.poly.ScaledPoly`): each rule's right-hand
+side is held over its own denominator, and rationals are formed once per
+row, when its normal form is returned.
 
 Reduction modulo a closure is a linear map: the pivot that rewrites a
 monomial depends on the monomial alone, so NF(sum(c_m * m)) =
-sum(c_m * NF(m)).  Each monomial's normal form is computed once per
-closure and memoized on its :class:`PivotIndex`, and this is the one
-reduction path: every layer row, collision row and check reduced against
-a closure combines the memoized forms, and so does the closure's own
-inter-reduction, a single sweep that replaces each right-hand side by its
-normal form.  The same linearity lets a layer reduce each tau-derivative
-once: the Schur part (1/n!) sum_mu W_lambda(mu) tau_mu of every row is
-combined from the memoized NF(tau_mu), which the closure keeps until the
-next layer is added, and one normal form of the assembled row then
-rewrites only its hook products.
+sum(c_m * NF(m)).  Each monomial's normal form is memoized on the
+closure's :class:`PivotIndex`, and this is the one reduction path: every
+layer row, collision row and check reduced against a closure combines the
+memoized forms, and so does the closure's own inter-reduction.  The
+database holds one closure, which grows with the layers, as the hierarchy
+does: the closure at weight W + 1 is the one at W plus the stored
+weight-W relations and the weight-(W + 1) derivatives.  Rewriting never
+raises weight, so each step inter-reduces only the weight block it adds,
+in one sweep that replaces each right-hand side by its normal form, and
+keeps every memoized form lighter than that block: each normal form is
+computed once per weight (:class:`RelationDB`).  The same linearity lets
+a layer reduce each tau-derivative once: the Schur part
+(1/n!) sum_mu W_lambda(mu) tau_mu of every row is combined from the
+memoized NF(tau_mu), kept until the next layer is added, and one normal
+form of the assembled row then rewrites only its hook products.
 """
 
 from __future__ import annotations
@@ -125,29 +130,48 @@ class PivotIndex:
     bucket is that bucket's largest; the largest over all buckets is the
     pivot a scan over every rule would pick.
 
-    The right-hand sides are held as integer numerators ``nums[pivot]``
-    over one common denominator ``den``, the least common multiple of all
-    their coefficient denominators.  Only the pivots are bucketed, so a
-    right-hand side may be replaced (:meth:`set_rhs`).
+    Each right-hand side is held as a :class:`~kleinian.poly.ScaledPoly`,
+    integer numerators over its own denominator.  Only the pivots are
+    bucketed, so a right-hand side may be replaced (:meth:`set_rhs`) and
+    rules may be added (:meth:`add`).
 
     ``memo`` holds the normal form NF(m) of every monomial reduced so far
-    under the full rule set (None marks an irreducible monomial); it is
-    emptied whenever a right-hand side changes.
+    under the current rules (None marks an irreducible monomial).  Every
+    symbol has positive weight, so a pivot that divides a monomial is
+    lighter than it or equal to it, and rewriting never raises weight:
+    NF(m) depends on the rules of weight at most wt(m) alone.  So
+    :meth:`add` drops only the forms of weight at least that of the
+    lightest pivot it adds.  :meth:`set_rhs` drops none: it replaces
+    rhs(p) by NF(rhs(p)), a pivot of weight w divides a monomial of weight
+    w only when the two are equal, and NF is idempotent, so every memoized
+    form stays what a fresh index would compute.
     """
 
-    def __init__(self, rules: dict[Monomial, MultiPoly]):
+    def __init__(self, rules: dict[Monomial, MultiPoly] | None = None):
         self.buckets: dict[Symbol, list[tuple[tuple, Monomial]]] = {}
-        for pivot in rules:
-            self.buckets.setdefault(factors(pivot)[0][0], []).append(
-                (monomial_key(pivot), pivot))
-        for bucket in self.buckets.values():
-            bucket.sort(reverse=True)
-        den = self.den = lcm(*{c.denominator for rhs in rules.values()
-                               for c in rhs.terms.values()})
-        self.nums: dict[Monomial, dict[Monomial, int]] = {
-            pivot: {m: c.numerator * (den // c.denominator) for m, c in rhs.terms.items()}
-            for pivot, rhs in rules.items()}
+        self.rhss: dict[Monomial, ScaledPoly] = {}
         self.memo: dict[Monomial, ScaledPoly | None] = {}
+        if rules:
+            self.add(rules)
+
+    def add(self, rules: dict[Monomial, MultiPoly]):
+        """Add rules, or give pivots already present these right-hand sides,
+        and drop the memoized normal forms that can change."""
+        if not rules:
+            return
+        touched = set()
+        for pivot, rhs in rules.items():
+            if pivot not in self.rhss:
+                s = factors(pivot)[0][0]
+                self.buckets.setdefault(s, []).append((monomial_key(pivot), pivot))
+                touched.add(s)
+            self.rhss[pivot] = ScaledPoly.of(rhs)
+        for s in touched:
+            self.buckets[s].sort(reverse=True)
+        lightest = min(map(monomial_weight, rules))
+        memo = self.memo
+        for m in [m for m in memo if monomial_weight(m) >= lightest]:
+            del memo[m]
 
     def find(self, mono: Monomial) -> Monomial | None:
         """The largest pivot that divides mono."""
@@ -162,32 +186,16 @@ class PivotIndex:
         return best
 
     def rhs(self, pivot: Monomial) -> ScaledPoly:
-        return ScaledPoly(self.den, self.nums[pivot])
+        return self.rhss[pivot]
 
-    def set_rhs(self, pivot: Monomial, value: ScaledPoly) -> bool:
-        """Replace the right-hand side of pivot; whether its value changed.
-
-        A value whose denominator does not divide den raises den to the
-        least common multiple and rescales every right-hand side.  A change
-        empties the memo of normal forms.
-        """
-        value = value.primitive()
-        den = lcm(self.den, value.den)
-        if den != self.den:
-            f = den // self.den
-            self.nums = {p: {m: n * f for m, n in nums.items()} for p, nums in self.nums.items()}
-            self.den = den
-        f = den // value.den
-        nums = {m: n * f for m, n in value.nums.items()}
-        if nums == self.nums[pivot]:
-            return False
-        self.nums[pivot] = nums
-        self.memo.clear()
-        return True
+    def set_rhs(self, pivot: Monomial, value: ScaledPoly):
+        """Replace the right-hand side of pivot by its normal form (see the
+        class docstring)."""
+        self.rhss[pivot] = value.primitive()
 
     def rules(self) -> dict[Monomial, MultiPoly]:
-        """The rules as rational polynomials, in the order they were given."""
-        return {pivot: self.rhs(pivot).poly() for pivot in self.nums}
+        """The rules as rational polynomials, in the order they were added."""
+        return {pivot: rhs.poly() for pivot, rhs in self.rhss.items()}
 
     def normal_form(self, expr: ScaledPoly) -> ScaledPoly:
         """sum(n_m * NF(m)) / den over expr's terms; expr itself if none is reducible."""
@@ -204,26 +212,27 @@ class PivotIndex:
         """Memoize NF(mono) and every normal form it needs, depth first.
 
         NF(m) = m when no pivot divides m, and otherwise
-        sum(n_r * NF(cofactor * m_r)) / den over the pivot's right-hand side.
-        The walk keeps its own stack, so a long rule chain cannot exhaust
-        Python's recursion limit; a monomial met again on its own rewriting
-        path means the rule set is cyclic.
+        sum(n_r * NF(cofactor * m_r)) / den over the pivot's right-hand side
+        sum(n_r * m_r) / den.  The walk keeps its own stack, so a long rule
+        chain cannot exhaust Python's recursion limit; a monomial met again
+        on its own rewriting path means the rule set is cyclic.
         """
-        memo, find, nums = self.memo, self.find, self.nums
+        memo, find, rhss = self.memo, self.find, self.rhss
 
         def frame(m):
-            # children: the rewriting step m -> cofactor * rhs(pivot), over den
+            # children: the rewriting step m -> cofactor * rhs(pivot), over its den
             pivot = find(m)
             if pivot is None:
-                return [m, None, 0]
+                return [m, None, 0, 0]
+            rhs = rhss[pivot]
             # the terms cofactor * r of the rewriting step: one integer add each
-            step = add_product({}, {monomial_div(m, pivot): 1}, nums[pivot])
-            return [m, list(step.items()), 0]
+            step = add_product({}, {monomial_div(m, pivot): 1}, rhs.nums)
+            return [m, list(step.items()), 0, rhs.den]
 
         stack, path = [frame(mono)], {mono}
         while stack:
             top = stack[-1]
-            m, children, i = top
+            m, children, i, den = top
             if children is not None:
                 while i < len(children) and children[i][0] in memo:
                     i += 1
@@ -236,7 +245,7 @@ class PivotIndex:
                     path.add(child)
                     stack.append(frame(child))
                     continue
-                memo[m] = _linear_image(self.den, [(c, memo[c[0]]) for c in children])
+                memo[m] = _linear_image(den, [(c, memo[c[0]]) for c in children])
             else:
                 memo[m] = None
             path.discard(m)
@@ -257,7 +266,7 @@ def _linear_image(den: int, terms: list[tuple[tuple[Monomial, int], ScaledPoly |
     return ScaledPoly(den * d, out).primitive()
 
 
-def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
+def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly] | None,
                       index: PivotIndex | None = None) -> MultiPoly:
     """Normal form of expr under the rules, substituting rule pivots greedily.
 
@@ -265,15 +274,15 @@ def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly],
     applicable pivot.  The pivot depends on the monomial alone, so the
     normal form is linear, NF(sum(c_m * m)) = sum(c_m * NF(m)), and it is
     read off the index's memo (:meth:`PivotIndex.normal_form`).  index is a
-    prebuilt :class:`PivotIndex` over rules, whose memo of normal forms
-    carries over from call to call: each monomial's normal form is computed
-    once per rule set, and every row, collision and check reduced against
-    that rule set shares it.  A cyclic rule set raises
-    :class:`ReductionError`.
+    prebuilt :class:`PivotIndex`, which stands for the rules (rules is then
+    not read) and whose memo of normal forms carries over from call to
+    call: each monomial's normal form is computed once per rule set, and
+    every row, collision and check reduced against that rule set shares
+    it.  A cyclic rule set raises :class:`ReductionError`.
     """
-    if not rules:
-        return expr
     if index is None:
+        if not rules:
+            return expr
         index = PivotIndex(rules)
     return index.normal_form(ScaledPoly.of(expr)).poly()
 
@@ -300,17 +309,45 @@ def _index_multisets(genus: int, gaps: tuple[int, ...], max_weight: int):
 
 
 class RelationDB:
-    """Weight-indexed store of relations with a derivative-closure service."""
+    """Weight-indexed store of relations with a derivative-closure service.
+
+    The closure at (W, include_equal) holds the stored solved relations of
+    weight below W (at most W when include_equal) and the u-derivatives,
+    up to weight W, of the stored FOUR_INDEX relations; see :meth:`closure`.
+    It is held as one :class:`PivotIndex` that grows with the layers, one
+    step at a time: (W, False) -> (W, True) adds the stored relations of
+    weight W, and (W, True) -> (W + 1, False) the derivatives of weight
+    W + 1.  A step that adds pivots of weight w puts the whole weight-w
+    block back to its original right-hand sides, which drops the memoized
+    normal forms of weight >= w, and inter-reduces the block in one sweep
+    in term order.  Rules are weight-homogeneous and every symbol has
+    positive weight, so the right-hand sides of weight w reduce modulo the
+    lighter rules and the weight-w block alone, and the lighter rules are
+    final: the grown closure is the one a build from nothing would give.
+    A request below the closure held starts a fresh one, which grows from
+    empty; the derivatives themselves are kept, per relation, across
+    closures.
+    """
 
     def __init__(self, curve: CurveSpec, ctx: AbelianContext | None = None):
         self.curve = curve
         self.ctx = ctx or AbelianContext(curve.gap_weights)
         self.layers: dict[int, list[Relation]] = {}
         self.notes: dict[int, list[str]] = {}
-        # closures of the current layers only, each with its memos of
-        # NF(tau_mu) per tau model: add_layer empties it
-        self._closure_cache: dict[tuple[int, bool],
-                                  tuple[dict, list, PivotIndex, dict[TauModel, dict]]] = {}
+        # d_J rhs of each stored FOUR_INDEX relation, by its pivot, then by J
+        self._chains: dict[Monomial, dict[tuple[int, ...], MultiPoly]] = {}
+        self._fresh()
+
+    def _fresh(self):
+        """Drop the closure: an empty one, below every request."""
+        self._step = 0  # 2 * W + include_equal of the closure held
+        self._index = PivotIndex()
+        # the derivative rules of the top weight, in closure order, and the
+        # original right-hand sides of the top weight's block
+        self._derived: list[tuple[Monomial, MultiPoly]] = []
+        self._block: dict[Monomial, MultiPoly] = {}
+        self._rows: list[MultiPoly] | None = None
+        self._tau: dict[TauModel, dict] = {}
 
     # -- storage -------------------------------------------------------------
 
@@ -323,8 +360,14 @@ class RelationDB:
                 raise InconsistentSystemError(
                     "duplicate solved monomial %s" % monomial_str(r.solved_monomial))
             pivots[r.solved_monomial] = r
+        for r in self.layers.get(weight, ()):
+            self._chains.pop(r.solved_monomial, None)
+        covered = weight in self.layers or 2 * weight + 1 <= self._step
         self.layers[weight] = list(relations)
-        self._closure_cache.clear()
+        if covered:
+            self._fresh()
+        # the memos of NF(tau_mu) serve one layer
+        self._tau = {}
 
     def relations(self, max_weight: int | None = None) -> list[Relation]:
         out = []
@@ -337,32 +380,35 @@ class RelationDB:
     # -- derivative closure ----------------------------------------------------
 
     def closure(self, max_weight: int, include_equal: bool = True):
-        """Rewrite rules up to the given weight, plus cross-derivation rows.
+        """Rewrite rules up to the given weight, and the collision rows of that weight.
 
         Rules come from stored solved relations (of weight < max_weight, or
         <= when include_equal) and from u-derivatives of stored FOUR_INDEX
         relations, whose pivots stay single monomials.  When two derivative
-        routes collide on one pivot, the difference is a genuinely new
-        relation at that weight; it is returned as a row for the layer
-        instead of being minted as a rule.
+        routes, or a derivative and a stored relation, meet on one pivot of
+        weight max_weight, the first rule stays, a stored one first, and the
+        difference, reduced, is a genuinely new relation at that weight; the
+        nonzero ones are returned as rows for the layer instead of being
+        minted as rules.
         """
-        rules, rows, _, _ = self._closure(max_weight, include_equal)
-        return rules, rows
+        index = self._grow(max_weight, include_equal)
+        if self._rows is None:
+            self._rows = self._collision_rows()
+        return index.rules(), self._rows
 
     def reduce(self, expr: MultiPoly, max_weight: int, include_equal: bool = True) -> MultiPoly:
         """Normal form of expr modulo the closure at max_weight."""
-        rules, _, index, _ = self._closure(max_weight, include_equal)
-        return reduce_with_rules(expr, rules, index)
+        return reduce_with_rules(expr, None, self._grow(max_weight, include_equal))
 
     def layer_reduction(self, weight: int, model: TauModel
                         ) -> tuple[PivotIndex, Callable[[tuple[int, ...]], ScaledPoly]]:
         """The pivot index of the closure below weight, and mu -> NF(tau_mu) under it.
 
-        Each NF(tau_mu) is computed on first use and kept with the closure,
-        so every row of the layer shares it and add_layer drops it.
+        Each NF(tau_mu) is computed on first use and kept until the closure
+        grows or a layer is added, so every row of the layer shares it.
         """
-        _, _, index, memos = self._closure(weight, False)
-        memo = memos.setdefault(model, {})
+        index = self._grow(weight, False)
+        memo = self._tau.setdefault(model, {})
 
         def tau(mu: tuple[int, ...]) -> ScaledPoly:
             got = memo.get(mu)
@@ -372,50 +418,75 @@ class RelationDB:
 
         return index, tau
 
-    def _closure(self, max_weight: int, include_equal: bool):
-        """The closure's rules, rows and pivot index, built once per layer set."""
-        key = (max_weight, include_equal)
-        got = self._closure_cache.get(key)
-        if got is not None:
-            return got
-        gaps = self.ctx.gaps
-        rules: dict[Monomial, MultiPoly] = {}
-        collisions: list[tuple[int, MultiPoly]] = []
-        stored = [r for r in self.relations(max_weight)
-                  if r.solved_monomial is not None
-                  and (r.weight < max_weight or include_equal)]
-        stored.sort(key=lambda r: (r.weight, monomial_key(r.solved_monomial)))
-        for r in stored:
-            rules[r.solved_monomial] = r.rhs
-        for r in stored:
-            if r.cls != FOUR_INDEX:
+    def _grow(self, max_weight: int, include_equal: bool) -> PivotIndex:
+        """The closure at (max_weight, include_equal), grown from the one held."""
+        step = 2 * max_weight + include_equal
+        if step < self._step:
+            self._fresh()
+        index = self._index
+        while self._step < step:
+            self._step += 1
+            w, stored = divmod(self._step, 2)
+            if stored:
+                # a stored pivot takes over a derivative one
+                added = {r.solved_monomial: r.rhs for r in self.layers.get(w, ())
+                         if r.solved_monomial is not None}
+            else:
+                self._derived = self._derivatives(w)
+                self._block, added = {}, {}
+                for pivot, rhs in self._derived:
+                    added.setdefault(pivot, rhs)
+            self._rows, self._tau = None, {}
+            if not added:
                 continue
+            # the block, back at its original right-hand sides, then one sweep
+            self._block.update(added)
+            index.add(self._block)
+            for pivot in sorted(self._block, key=monomial_key):
+                index.set_rhs(pivot, index.normal_form(index.rhs(pivot)))
+        return index
+
+    def _derivatives(self, weight: int) -> list[tuple[Monomial, MultiPoly]]:
+        """(pivot, rhs) of the u-derivatives of the given weight of the stored
+        FOUR_INDEX relations, in closure order: relations by (weight, pivot),
+        each one's index multisets J in sorted order."""
+        stored = sorted((r for w, rels in self.layers.items() if w < weight for r in rels
+                         if r.cls == FOUR_INDEX and r.solved_monomial is not None),
+                        key=lambda r: (r.weight, monomial_key(r.solved_monomial)))
+        gaps = self.ctx.gaps
+        out = []
+        for r in stored:
+            chain = self._chains.setdefault(r.solved_monomial, {(): r.rhs})
             base = factors(r.solved_monomial)[0][0].indices
-            # d_J = d_{J[-1]} d_{J[:-1]}: the sorted multisets list each prefix first
-            derivs = {(): r.rhs}
-            for J in _index_multisets(self.ctx.genus, gaps, max_weight - r.weight):
-                pivot = self.ctx.wp(base + J).unit
-                rhs = derivs[J] = self.ctx.diff(derivs[J[:-1]], J[-1])
-                if pivot in rules:
-                    collisions.append((monomial_weight(pivot), rules[pivot] - rhs))
-                else:
-                    rules[pivot] = rhs
-        # inter-reduce the right-hand sides in one sweep.  Rules are
-        # weight-homogeneous and every symbol has positive weight, so a pivot
-        # divides no monomial of its own right-hand side (save itself, which
-        # the memo walk reports as a cycle); a normal form stays irreducible
-        # while later right-hand sides change, since only the pivots decide
-        index = PivotIndex(rules)
-        for pivot in sorted(rules, key=monomial_key):
-            index.set_rhs(pivot, index.normal_form(index.rhs(pivot)))
-        rules = index.rules()
+            for J in _index_multisets(self.ctx.genus, gaps, weight - r.weight):
+                if sum(gaps[i - 1] for i in J) == weight - r.weight:
+                    out.append((self.ctx.wp(base + J).unit, self._derivative(chain, J)))
+        return out
+
+    def _derivative(self, chain: dict[tuple[int, ...], MultiPoly], J: tuple[int, ...]
+                    ) -> MultiPoly:
+        """d_J of a relation's rhs, from its chain: d_J = d_{J[-1]} d_{J[:-1]},
+        each computed once."""
+        got = chain.get(J)
+        if got is None:
+            got = chain[J] = self.ctx.diff(self._derivative(chain, J[:-1]), J[-1])
+        return got
+
+    def _collision_rows(self) -> list[MultiPoly]:
+        """The nonzero reduced collision rows of the top weight of the closure held."""
+        w, stored = divmod(self._step, 2)
+        first = {r.solved_monomial: r.rhs for r in self.layers.get(w, ())
+                 if stored and r.solved_monomial is not None}
         rows = []
-        for w, c in collisions:
-            r = reduce_with_rules(c, rules, index)
-            if not r.is_zero():
-                rows.append((w, r))
-        result = self._closure_cache[key] = (rules, rows, index, {})
-        return result
+        for pivot, rhs in self._derived:
+            got = first.get(pivot)
+            if got is None:
+                first[pivot] = rhs
+            else:
+                row = reduce_with_rules(got - rhs, None, self._index)
+                if not row.is_zero():
+                    rows.append(row)
+        return rows
 
 
 def reduce_mod_db(expr: MultiPoly, db: RelationDB, max_weight: int | None = None) -> MultiPoly:
@@ -483,34 +554,39 @@ class _Row:
 
 
 def _split_row(expr: MultiPoly, source: tuple[Partition, ...]) -> _Row:
+    """The row split into its unknown columns and its basic part, each term
+    decoded once (:func:`column_of`)."""
     cols: dict[Monomial, MultiPoly] = {}
-    basic = MultiPoly.zero()
+    basic: dict[Monomial, object] = {}
     for mono, c in expr.terms.items():
         col = column_of(mono)
         if col is None:
-            basic = basic + MultiPoly.monomial(mono, c)
+            basic[mono] = c
         else:
             # col keeps the full p-part; the coefficient is parameters only
             coeff = MultiPoly.monomial(monomial_div(mono, col), c)
             got = cols.get(col)
             cols[col] = coeff if got is None else got + coeff
     cols = {c: v for c, v in cols.items() if not v.is_zero()}
-    return _Row(cols, basic, source)
+    return _Row(cols, MultiPoly(basic), source)
 
 
-def linear_solve(system: list[MultiPoly], sources: list[tuple[Partition, ...]] | None = None):
+def linear_solve(system: list[MultiPoly | _Row],
+                 sources: list[tuple[Partition, ...]] | None = None):
     """Fraction-free elimination of rows linear in unknown monomials.
 
-    Returns (solved, residual): solved rows are (pivot monomial, RHS
-    expression, sources) with the pivot coefficient normalized to 1;
-    residual rows could not be pivoted on a rational coefficient.  A
-    residual row left with no unknown columns is a relation among basic
-    monomials; one that is 0 = c, with c a nonzero constant (or a
-    polynomial in the parameters alone), raises
+    Each row is a polynomial, or one already split by :func:`_split_row`
+    (which keeps its own source).  Returns (solved, residual): solved rows
+    are (pivot monomial, RHS expression, sources) with the pivot
+    coefficient normalized to 1; residual rows could not be pivoted on a
+    rational coefficient.  A residual row left with no unknown columns is a
+    relation among basic monomials; one that is 0 = c, with c a nonzero
+    constant (or a polynomial in the parameters alone), raises
     :class:`InconsistentSystemError`.
     """
     sources = sources or [()] * len(system)
-    rows = [_split_row(e, src) for e, src in zip(system, sources)]
+    rows = [e if isinstance(e, _Row) else _split_row(e, src)
+            for e, src in zip(system, sources)]
     rows = [r for r in rows if not r.is_zero()]
     columns = sorted({c for r in rows for c in r.cols}, key=column_order_key)
     pivoted: list[tuple[Monomial, _Row]] = []
@@ -616,9 +692,9 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
                ) -> list[tuple[tuple[Partition, ...], MultiPoly]]:
     """The nonzero reduced rows of the layer at weight, with their partitions.
 
-    The closure is built first, and each partition's Plucker row is reduced
-    modulo it as soon as it is built: the row is assembled from the
-    memoized NF(tau_mu) (:meth:`RelationDB.layer_reduction`) and the hook
+    The closure is grown to the layer first, and each partition's Plucker
+    row is reduced modulo it as soon as it is built: the row is assembled
+    from the memoized NF(tau_mu) (:meth:`RelationDB.layer_reduction`) and the hook
     determinant, and one normal form of that sum rewrites the hook products
     and leaves the reduced tau terms as they are (NF is idempotent).
     Transpose pairs are folded for n = 2, where both members give the same
@@ -647,9 +723,7 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
             built = [((rep, tr), scaled_sum(((1, a), (1, b)))),
                      ((rep, tr), scaled_sum(((1, a), (-1, b))))]
         rows.extend((src, red.poly()) for src, red in built if red.nums)
-    for w, expr in collision_rows:
-        if w == weight and not expr.is_zero():
-            rows.append(((), expr))
+    rows.extend(((), expr) for expr in collision_rows)
     return rows
 
 
@@ -672,15 +746,16 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
     if not rows:
         return []
     # rows with no 3-index content, before the solve or left by it, are
-    # relations among basic symbols (the Kummer-variety stratum)
-    system, sources, basic_rows = [], [], []
+    # relations among basic symbols (the Kummer-variety stratum); each row
+    # is split into its columns once, here
+    system, basic_rows = [], []
     for src, expr in rows:
-        if any(column_of(m) for m in expr.terms):
-            system.append(expr)
-            sources.append(src)
+        row = _split_row(expr, src)
+        if row.cols:
+            system.append(row)
         else:
             basic_rows.append((src, expr))
-    solved, residual = linear_solve(system, sources=sources)
+    solved, residual = linear_solve(system)
     basic_rows.extend((r.source, r.basic) for r in residual if not r.cols)
     unresolved = [r for r in residual if r.cols]
     out = _basic_relations(basic_rows, weight, ctx)

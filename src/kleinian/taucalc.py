@@ -68,6 +68,8 @@ class AbelianContext:
     def __init__(self, gap_weights: tuple[int, ...]):
         self.gaps = tuple(gap_weights)
         self.genus = len(self.gaps)
+        # the image of each symbol under d_i, by i
+        self._images: dict[int, dict[Symbol, MultiPoly]] = {}
 
     def wp(self, *indices) -> Symbol:
         if len(indices) == 1 and not isinstance(indices[0], int):
@@ -78,11 +80,22 @@ class AbelianContext:
         return MultiPoly.sym(self.wp(*indices))
 
     def diff(self, expr: MultiPoly, i: int) -> MultiPoly:
-        """Derivative along u_i: d p_J = p_{J+i}; parameters are constants."""
-        # the image of p_J has the integer coefficient 1, so integer
-        # coefficients stay integers
-        return expr.derive(lambda s: MultiPoly({self.wp(s.indices + (i,)).unit: 1})
-                           if s.kind == "wp" else None)
+        """Derivative along u_i: d p_J = p_{J+i}; parameters are constants.
+
+        The image of each symbol is formed once per context and shared.
+        """
+        images = self._images.setdefault(i, {})
+
+        def image(s: Symbol) -> MultiPoly:
+            got = images.get(s)
+            if got is None:
+                # the image of p_J has the integer coefficient 1, so integer
+                # coefficients stay integers
+                got = images[s] = (MultiPoly({self.wp(s.indices + (i,)).unit: 1})
+                                   if s.kind == "wp" else MultiPoly.zero())
+            return got
+
+        return expr.derive(image)
 
     def parity(self, expr: MultiPoly) -> MultiPoly:
         """Involution u -> -u: p_J -> (-1)^|J| p_J."""

@@ -3,15 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_oracle import closure as oracle_closure
 from jacobian_oracle import cross_differentiate, is_basic, kummer_quartic, vanishes_on_jacobian
 from monomial_oracle import tuple_divides
 from schur_oracle import hook_schur, schur_poly
 from tau_oracle import is_zeta_free, zeta
 from kleinian import engine
 from kleinian.engine import (
-    FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex,
-    RelationDB, _basic_relations, classify, derive_at_weight, derive_range, layer_rows,
-    linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
+    FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex, Relation,
+    RelationDB, _basic_relations, classify, column_of, derive_at_weight, derive_range,
+    layer_rows, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
@@ -254,16 +255,46 @@ def chain_symbols(count):
     return [param("chain%d" % i, 1) for i in range(count)]
 
 
-def test_changed_rhs_clears_memo():
-    a, b, c, d = chain_symbols(4)
-    rules = {a.unit: MultiPoly.sym(b), b.unit: MultiPoly.sym(c)}
+def assert_memo_matches_fresh_index(index):
+    # every memoized NF(m) is the normal form a fresh index over the same
+    # rules computes (None: m is irreducible)
+    fresh = PivotIndex(index.rules())
+    for m, got in index.memo.items():
+        want = fresh.normal_form(ScaledPoly(1, {m: 1})).poly()
+        assert want == (MultiPoly.monomial(m) if got is None else got.poly()), monomial_str(m)
+
+
+@pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
+def test_block_sweep_keeps_memoized_forms_fresh(request, which):
+    # the closure grows by weight blocks, each swept without emptying the
+    # memo: before the layer's rows, after them, and after the stored
+    # relations of the layer are swept in, every memoized form is fresh
+    model = request.getfixturevalue(which)
+    db = RelationDB(model.curve)
+    for w in range(4, 11):
+        assert_memo_matches_fresh_index(db.layer_reduction(w, model)[0])
+        rels = derive_at_weight(w, db, model)
+        assert_memo_matches_fresh_index(db.layer_reduction(w, model)[0])
+        db.add_layer(w, rels)
+        index = db._grow(w, True)
+        assert index.memo, w
+        assert_memo_matches_fresh_index(index)
+
+
+def test_adding_a_pivot_drops_the_forms_of_its_weight_and_above(g2_db):
+    rules, _ = g2_db.closure(10)
     index = PivotIndex(rules)
-    assert reduce_with_rules(MultiPoly.sym(a), rules, index) == MultiPoly.sym(c)
-    assert not index.set_rhs(b.unit, ScaledPoly.of(MultiPoly.sym(c)))
-    assert index.memo
-    assert index.set_rhs(b.unit, ScaledPoly.of(MultiPoly.sym(d, coeff=Q(1, 3))))
-    assert not index.memo
-    assert reduce_with_rules(MultiPoly.sym(a), rules, index) == MultiPoly.sym(d, coeff=Q(1, 3))
+    p11 = g2_db.ctx.wp((1, 1)).unit
+    for pivot in rules:
+        index.normal_form(ScaledPoly(1, {monomial_mul(pivot, p11): 1}))
+    before = dict(index.memo)
+    new, _ = g2_db.closure(11, include_equal=False)
+    pivot = min((p for p in new if p not in rules), key=monomial_key)
+    w = monomial_weight(pivot)
+    assert {monomial_weight(m) for m in before} >= {w - 1, w, w + 1}
+    index.add({pivot: new[pivot]})
+    assert index.memo.keys() == {m for m in before if monomial_weight(m) < w}
+    assert all(index.memo[m] is before[m] for m in index.memo)
 
 
 def test_cyclic_rules_raise_reduction_error():
@@ -409,21 +440,118 @@ def test_each_tau_derivative_is_reduced_once_per_layer(request, which, monkeypat
 def test_tau_normal_forms_are_dropped_with_the_layer_closure(g2, g2_model, monkeypatch):
     db = derive_range(RelationDB(g2), g2_model, 7)
     rels = derive_at_weight(8, db, g2_model)
-    memo = db._closure_cache[8, False][3][g2_model]
+    memo = db._tau[g2_model]
     assert memo
     db.add_layer(8, rels)
-    assert not db._closure_cache
+    assert not db._tau
     calls = []
     normal_form = PivotIndex.normal_form
     monkeypatch.setattr(PivotIndex, "normal_form",
                         lambda index, expr: calls.append(expr) or normal_form(index, expr))
     _, tau = db.layer_reduction(8, g2_model)
-    del calls[:]  # the closure's own sweep
+    del calls[:]  # a sweep, had the closure grown
     mu = next(iter(memo))
     assert tau(mu).poly() == memo[mu].poly()
     tau(mu)
     assert len(calls) == 1
-    assert db._closure_cache[8, False][3][g2_model] is not memo
+    assert db._tau[g2_model] is not memo
+
+
+# -- the grown closure against the closure built from nothing --------------------
+
+@pytest.fixture(scope="module")
+def g2_model12(g2):
+    return TauModel.build(g2, 12)
+
+
+@pytest.fixture(scope="module")
+def trig_model11(trig):
+    return TauModel.build(trig, 11)
+
+
+def assert_closure_matches_oracle(db, w, include_equal):
+    rules, rows = db.closure(w, include_equal)
+    want_rules, want_rows = oracle_closure(db, w, include_equal)
+    assert rules == want_rules, (w, include_equal)
+    assert rows == [row for v, row in want_rows if v == w], (w, include_equal)
+
+
+@pytest.mark.parametrize("which, top", [("g2_model12", 12), ("trig_model11", 11)])
+def test_grown_closure_matches_closure_built_from_nothing(request, which, top):
+    # every layer's closure, grown from the last one, has the rules and the
+    # top-weight collision rows of the closure built from nothing, both
+    # below the layer and with it
+    model = request.getfixturevalue(which)
+    db = RelationDB(model.curve)
+    for w in range(4, top + 1):
+        rels = derive_at_weight(w, db, model)
+        assert_closure_matches_oracle(db, w, False)
+        db.add_layer(w, rels)
+        assert_closure_matches_oracle(db, w, True)
+    # a request below the closure held starts a fresh one; above it, it grows
+    for w, include_equal in ((8, True), (8, False), (top, False), (top + 2, True)):
+        assert_closure_matches_oracle(db, w, include_equal)
+
+
+def test_closure_below_the_layers_held(g2_db):
+    # closure(8) after layers through 10 starts a fresh closure, which grows back
+    for w in (10, 8, 9, 10):
+        assert_closure_matches_oracle(g2_db, w, True)
+        assert_closure_matches_oracle(g2_db, w, False)
+
+
+def test_stored_pivot_takes_over_a_derivative_pivot(g2, g2_db):
+    # a document whose weight-7 relation solves for p11112, the pivot of d_2
+    # of the weight-4 relation: the stored rule wins, the two meet in a
+    # weight-7 collision row, and the rule of p1111111 (d_111), whose
+    # right-hand side holds 4*p11112, is swept again from its original
+    # right-hand side under the stored rule
+    ctx = g2_db.ctx
+    kdv = g2_db.layers[4][0]
+    p11112, p1111111 = ctx.wp((1, 1, 1, 1, 2)).unit, ctx.wp((1,) * 7).unit
+    extra = ctx.wp_poly((1, 1)) ** 2 * ctx.wp_poly((1, 1, 1))
+    stored = Relation(MultiPoly.monomial(p11112) - ctx.diff(kdv.rhs, 2) - extra, 7,
+                      QUASILINEAR, p11112)
+    db = RelationDB(g2)
+    db.add_layer(4, [kdv])
+    assert_closure_matches_oracle(db, 7, False)
+    db.add_layer(7, [stored])
+    assert_closure_matches_oracle(db, 7, True)
+    rules, rows = db.closure(7, True)
+    assert rules[p11112] == reduce_with_rules(stored.rhs, rules)
+    assert rows == [extra]
+    assert p11112 in ctx.diff(ctx.diff(ctx.diff(kdv.rhs, 1), 1), 1).terms
+    assert rules[p1111111] == reduce_with_rules(ctx.diff(ctx.diff(ctx.diff(kdv.rhs, 1), 1), 1),
+                                                rules)
+    for w in (8, 9, 7):
+        assert_closure_matches_oracle(db, w, False)
+        assert_closure_matches_oracle(db, w, True)
+    # a layer at a weight the closure covers drops it
+    db.closure(9, False)
+    db.add_layer(6, [])
+    assert db._step == 0
+    assert_closure_matches_oracle(db, 9, False)
+
+
+def test_genus2_weight12_derive_memoizes_each_form_once_per_weight(g2, g2_model12, monkeypatch):
+    # a closure rebuilt for every layer, its memo emptied on every changed
+    # right-hand side, wrote 2,270 normal forms in this derive
+    writes = []
+
+    class CountingMemo(dict):
+        def __setitem__(self, m, value):
+            writes.append(m)
+            dict.__setitem__(self, m, value)
+
+    init = PivotIndex.__init__
+
+    def counting_init(index, *args):
+        init(index, *args)
+        index.memo = CountingMemo()
+
+    monkeypatch.setattr(PivotIndex, "__init__", counting_init)
+    derive_range(RelationDB(g2), g2_model12, 12)
+    assert len(writes) == 705
 
 
 # -- hyperelliptic transpose identity ------------------------------------------
@@ -560,6 +688,47 @@ def test_classify_examples(g2, g2_db):
     assert classify(table[3][2], 7, ctx).cls == QUASILINEAR
     with pytest.raises(ReductionError):
         classify(ctx.wp_poly((1, 1)) + ctx.wp_poly((1, 2)), 4, ctx)  # inhomogeneous
+
+
+@pytest.mark.parametrize("which, model, top", [("g2_db", "g2_model", 10),
+                                               ("trig_db8", "trig_model8", 8)])
+def test_derive_decodes_each_row_term_once(request, which, model, top, monkeypatch):
+    # each row of a layer is split into its columns once: outside classify,
+    # which decodes its own terms once, the layer decodes each row term once,
+    # and each column once more for its order, and solves the same relations
+    db, model = request.getfixturevalue(which), request.getfixturevalue(model)
+    decoded, quiet = [], []
+
+    def spy(m):
+        if not quiet:
+            decoded.append(m)
+        return factors(m)
+
+    def silenced(fn):
+        def call(*args, **kwargs):
+            quiet.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                quiet.pop()
+        return call
+
+    partial = RelationDB(db.curve)
+    for w in range(4, top + 1):
+        rows = layer_rows(w, partial, model)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "factors", spy)
+            m.setattr(engine, "layer_rows", lambda *args: rows)
+            m.setattr(engine, "classify", silenced(classify))
+            m.setattr(engine, "_basic_relations", silenced(_basic_relations))
+            del decoded[:]
+            rels = derive_at_weight(w, partial, model)
+        terms = [m for _, row in rows for m in row.terms]
+        columns = {column_of(m) for m in terms} - {None}
+        assert sorted(decoded) == sorted(terms + list(columns)), w
+        assert [(r.solved_monomial, r.expr) for r in rels] == \
+            [(r.solved_monomial, r.expr) for r in db.layers[w]], w
+        partial.add_layer(w, rels)
 
 
 def test_classify_decodes_each_term_once(g2, g2_db, monkeypatch):

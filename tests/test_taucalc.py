@@ -23,8 +23,8 @@ import pytest
 from kleinian.curves import parse_spec
 from kleinian.engine import RelationDB, derive_range, plucker_relation
 from kleinian.errors import TruncationError
-from kleinian.partitions import enumerate_rank2
-from kleinian.poly import MultiPoly, factors
+from kleinian.partitions import all_partitions, enumerate_rank2
+from kleinian.poly import MultiPoly, factors, wp_symbol
 from kleinian.series import LaurentSeries
 from kleinian.taucalc import AbelianContext, TauModel
 from schur_oracle import hook_schur
@@ -250,6 +250,38 @@ def test_parity_involution_examples(g2):
     assert ctx.parity(both) == both
     assert ctx.parity(odd + both) == both - odd
     assert ctx.parity(ctx.parity(odd + both)) == odd + both
+
+
+def unmemoized_diff(ctx, expr, i):
+    """d_i with the image of each symbol formed afresh on every use."""
+    return expr.derive(lambda s: MultiPoly({wp_symbol(s.indices + (i,), ctx.gaps).unit: 1})
+                       if s.kind == "wp" else None)
+
+
+@pytest.mark.parametrize("which", ["g2", "trig"])
+def test_derivative_images_are_memoized(request, monkeypatch, which):
+    # d_i equals the derivation with fresh images, and its images are formed
+    # once per context: a second pass shares every one of them
+    curve = request.getfixturevalue(which)
+    ctx = AbelianContext(curve.gap_weights)
+    a = curve.parameter_poly(curve.parameters[0])
+    exprs = [zp(ctx, 1, 1) ** 3 * a + zp(ctx, 1, 2) * zp(ctx, 1, 1, 1) - a * 7,
+             zp(ctx, 1, 1, 1, 1) * zp(ctx, 2, 2) ** 2 + zp(ctx, 1, 2, 2)]
+    for i in range(1, ctx.genus + 1):
+        for expr in exprs:
+            assert ctx.diff(expr, i) == unmemoized_diff(ctx, expr, i), (i, expr.text())
+        images = dict(ctx._images[i])
+        for expr in exprs:
+            ctx.diff(expr, i)
+        assert ctx._images[i] == images and all(
+            ctx._images[i][s] is image for s, image in images.items())
+    # the cumulants of a tau model go through the same derivative
+    model = TauModel.build(curve, 8)
+    want = {mu: model.tau_t_derivative(mu).poly() for mu in all_partitions(8, curve.n)}
+    monkeypatch.setattr(AbelianContext, "diff", unmemoized_diff)
+    fresh = TauModel.build(curve, 8)
+    for mu, tau in want.items():
+        assert fresh.tau_t_derivative(mu).poly() == tau, mu
 
 
 @pytest.mark.parametrize("which, exponents", [("g2", 3), ("trig", 4)])
