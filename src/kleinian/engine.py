@@ -13,10 +13,13 @@ with three or more indices.  Solved rows are promoted to relations; rows
 that reduce to zero were already in the ideal and are dropped; rows left
 with no 3-index content are relations among the basic symbols.
 
-Rows are assembled, and reduced, as integer numerators over one common
-denominator (:class:`~kleinian.poly.ScaledPoly`): each rule's right-hand
-side is held over its own denominator, and rationals are formed once per
-row, when its normal form is returned.
+Rows are assembled, reduced and solved as integer numerators over one
+common denominator (:class:`~kleinian.poly.ScaledPoly`): each rule's
+right-hand side is held over its own denominator, a layer's reduced rows
+are split into their unknown columns over their own denominators, and the
+elimination combines them in integers (:func:`linear_solve`), so rationals
+are formed once per solved relation, as the solve hands it to
+:func:`classify`.
 
 Reduction modulo a closure is a linear map: the pivot that rewrites a
 monomial depends on the monomial alone, so NF(sum(c_m * m)) =
@@ -40,16 +43,16 @@ form of the assembled row then rewrites only its hook products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from .curves import CurveSpec
 from .errors import InconsistentSystemError, ReductionError
 from .partitions import Partition, enumerate_rank2, transpose_classes
 from .poly import (
-    Monomial, MultiPoly, ScaledPoly, Symbol, add_product, add_terms, divides, factors,
-    monomial, monomial_div, monomial_key, monomial_str, monomial_weight, scaled_products,
-    scaled_sum,
+    EMPTY_MONOMIAL, Monomial, MultiPoly, ScaledPoly, Symbol, add_product, add_terms, divides,
+    factors, monomial, monomial_div, monomial_key, monomial_mul, monomial_str, monomial_weight,
+    scaled_products, scaled_sum,
 )
 from .rationals import Q
 from .taucalc import AbelianContext, TauModel
@@ -524,51 +527,88 @@ def plucker_relation(lam: Partition, model: TauModel,
 
 @dataclass
 class _Row:
-    cols: dict[Monomial, MultiPoly]
-    basic: MultiPoly
+    """The row (sum(cols[c] * c) + basic) / den, in integer numerators.
+
+    cols maps each unknown column to its coefficient, a polynomial in the
+    parameters as {monomial: numerator}; basic maps the basic monomials to
+    their numerators; den > 0.  Elimination combines rows in integers, and
+    rationals are formed once, by :meth:`expr`.
+    """
+
+    cols: dict[Monomial, dict[Monomial, int]]
+    basic: dict[Monomial, int]
+    den: int
     source: tuple[Partition, ...] = ()
 
     def is_zero(self):
-        return not self.cols and self.basic.is_zero()
+        return not self.cols and not self.basic
 
-    def expr(self) -> MultiPoly:
-        acc = self.basic
+    def expr(self, sign: int = 1, drop: Monomial | None = None) -> MultiPoly:
+        """sign times the row, less its column drop, as a rational polynomial."""
+        den = sign * self.den
+        terms = {m: Q(n, den) for m, n in self.basic.items()}
         for col, coeff in self.cols.items():
-            acc = acc + coeff * MultiPoly.monomial(col)
-        return acc
+            if col != drop:
+                terms.update((monomial_mul(m, col), Q(n, den)) for m, n in coeff.items())
+        return MultiPoly(terms)
 
-    def scaled(self, factor) -> "_Row":
-        return _Row({c: v * factor for c, v in self.cols.items()},
-                    self.basic * factor, self.source)
+    def primitive(self) -> "_Row":
+        """The same row with the content common to den and the numerators divided out."""
+        g = gcd(self.den, *self.basic.values())
+        for coeff in self.cols.values():
+            if g == 1:
+                return self
+            g = gcd(g, *coeff.values())
+        if g == 1:
+            return self
+        return _Row({c: {m: n // g for m, n in v.items()} for c, v in self.cols.items()},
+                    {m: n // g for m, n in self.basic.items()}, self.den // g, self.source)
 
-    def minus(self, other: "_Row", factor: MultiPoly) -> "_Row":
-        cols = dict(self.cols)
-        for c, v in other.cols.items():
-            nv = cols.get(c, MultiPoly.zero()) - v * factor
-            if nv.is_zero():
-                cols.pop(c, None)
-            else:
-                cols[c] = nv
-        return _Row(cols, self.basic - other.basic * factor,
-                    tuple(dict.fromkeys(self.source + other.source)))
+    def over_pivot(self, col: Monomial) -> "_Row":
+        """The row divided by its rational coefficient at col, c / den: the
+        numerators over c, so the coefficient at col becomes den."""
+        c = self.cols[col][EMPTY_MONOMIAL]
+        if c > 0:
+            return _Row(self.cols, self.basic, c, self.source).primitive()
+        return _Row({k: {m: -n for m, n in v.items()} for k, v in self.cols.items()},
+                    {m: -n for m, n in self.basic.items()}, -c, self.source).primitive()
+
+    def minus(self, pivot: "_Row", col: Monomial) -> "_Row":
+        """self - f * pivot, f the coefficient of self at col and that of pivot 1:
+        the numerators of self times pivot.den less those of f times pivot,
+        over self.den * pivot.den, with their content divided out."""
+        d = pivot.den
+        neg = {m: -n for m, n in self.cols[col].items()}
+        cols = {c: {m: n * d for m, n in v.items()} for c, v in self.cols.items()}
+        for c, v in pivot.cols.items():
+            got = cols.get(c)
+            if got is None:
+                got = cols[c] = {}
+            add_product(got, neg, v)
+            if not got:
+                del cols[c]
+        basic = add_product({m: n * d for m, n in self.basic.items()}, neg, pivot.basic)
+        return _Row(cols, basic, self.den * d,
+                    tuple(dict.fromkeys(self.source + pivot.source))).primitive()
 
 
-def _split_row(expr: MultiPoly, source: tuple[Partition, ...]) -> _Row:
+def _split_row(expr: ScaledPoly, source: tuple[Partition, ...]) -> _Row:
     """The row split into its unknown columns and its basic part, each term
-    decoded once (:func:`column_of`)."""
-    cols: dict[Monomial, MultiPoly] = {}
-    basic: dict[Monomial, object] = {}
-    for mono, c in expr.terms.items():
+    decoded once (:func:`column_of`), over the row's denominator."""
+    cols: dict[Monomial, dict[Monomial, int]] = {}
+    basic: dict[Monomial, int] = {}
+    for mono, n in expr.nums.items():
         col = column_of(mono)
         if col is None:
-            basic[mono] = c
+            basic[mono] = n
         else:
-            # col keeps the full p-part; the coefficient is parameters only
-            coeff = MultiPoly.monomial(monomial_div(mono, col), c)
-            got = cols.get(col)
-            cols[col] = coeff if got is None else got + coeff
-    cols = {c: v for c, v in cols.items() if not v.is_zero()}
-    return _Row(cols, MultiPoly(basic), source)
+            # col keeps the full p-part; the coefficient is parameters only, and
+            # two terms of one column differ in it
+            coeff = cols.get(col)
+            if coeff is None:
+                coeff = cols[col] = {}
+            coeff[monomial_div(mono, col)] = n
+    return _Row(cols, basic, expr.den, source)
 
 
 def linear_solve(system: list[MultiPoly | _Row],
@@ -576,46 +616,56 @@ def linear_solve(system: list[MultiPoly | _Row],
     """Fraction-free elimination of rows linear in unknown monomials.
 
     Each row is a polynomial, or one already split by :func:`_split_row`
-    (which keeps its own source).  Returns (solved, residual): solved rows
-    are (pivot monomial, RHS expression, sources) with the pivot
-    coefficient normalized to 1; residual rows could not be pivoted on a
-    rational coefficient.  A residual row left with no unknown columns is a
+    (which keeps its own source).  Rows are held in integer numerators over
+    one denominator each (:class:`_Row`).  Columns are taken in
+    :func:`column_order_key` order; a column's pivot is the shortest free
+    row whose coefficient there is a rational constant c / den, and the
+    pivot step divides the row by it, which puts its numerators over c.
+    Eliminating the column from another row r with coefficient f is then
+    the integer combination r * pivot.den - f * pivot, over r.den *
+    pivot.den (the division-free step of Bareiss, Math. Comp. 22, 1968),
+    with the content divided out; rationals are formed once per solved
+    row.  The pivots, and so the solved rows, are those of elimination
+    over the rationals, which scales each pivot row to coefficient 1.
+
+    Returns (solved, residual): solved rows are (pivot monomial, RHS
+    expression, sources) with the pivot coefficient normalized to 1;
+    residual rows (:class:`_Row`) could not be pivoted on a rational
+    coefficient.  A residual row left with no unknown columns is a
     relation among basic monomials; one that is 0 = c, with c a nonzero
     constant (or a polynomial in the parameters alone), raises
     :class:`InconsistentSystemError`.
     """
     sources = sources or [()] * len(system)
-    rows = [e if isinstance(e, _Row) else _split_row(e, src)
+    rows = [e if isinstance(e, _Row) else _split_row(ScaledPoly.of(e), src)
             for e, src in zip(system, sources)]
     rows = [r for r in rows if not r.is_zero()]
     columns = sorted({c for r in rows for c in r.cols}, key=column_order_key)
     pivoted: list[tuple[Monomial, _Row]] = []
     free = list(rows)
     for col in columns:
-        candidates = [r for r in free
-                      if col in r.cols and r.cols[col].is_rational()]
+        # a rational coefficient: one term, the constant one
+        candidates = [r for r in free if r.cols.get(col, {}).keys() == {EMPTY_MONOMIAL}]
         if not candidates:
             continue
-        pivot_row = min(candidates, key=lambda r: (len(r.cols) + len(r.basic.terms)))
+        pivot_row = min(candidates, key=lambda r: (len(r.cols) + len(r.basic)))
         free.remove(pivot_row)
-        pivot_row = pivot_row.scaled(Q(1) / pivot_row.cols[col].rational_value())
+        pivot_row = pivot_row.over_pivot(col)
         for i, r in enumerate(free):
             if col in r.cols:
-                free[i] = r.minus(pivot_row, r.cols[col])
-        pivoted = [(c, pr.minus(pivot_row, pr.cols[col]) if col in pr.cols else pr)
+                free[i] = r.minus(pivot_row, col)
+        pivoted = [(c, pr.minus(pivot_row, col) if col in pr.cols else pr)
                    for c, pr in pivoted]
         pivoted.append((col, pivot_row))
     residual = []
     for r in free:
         if r.is_zero():
             continue
-        if not r.cols and not any(s.kind == "wp" for m in r.basic.terms for s, _ in factors(m)):
-            raise InconsistentSystemError("inconsistent row: 0 = %s" % r.basic.text())
+        if not r.cols and not any(s.kind == "wp" for m in r.basic for s, _ in factors(m)):
+            raise InconsistentSystemError("inconsistent row: 0 = %s" % r.expr().text())
         residual.append(r)
-    solved = []
-    for col, row in pivoted:
-        rest = _Row({c: v for c, v in row.cols.items() if c != col}, row.basic, row.source)
-        solved.append((col, -rest.expr(), row.source))
+    # each pivot row's coefficient at its column is den/den = 1
+    solved = [(col, row.expr(-1, col), row.source) for col, row in pivoted]
     return solved, residual
 
 
@@ -689,7 +739,7 @@ def classify(expr: MultiPoly, weight: int, ctx: AbelianContext,
 
 
 def layer_rows(weight: int, db: RelationDB, model: TauModel
-               ) -> list[tuple[tuple[Partition, ...], MultiPoly]]:
+               ) -> list[tuple[tuple[Partition, ...], ScaledPoly]]:
     """The nonzero reduced rows of the layer at weight, with their partitions.
 
     The closure is grown to the layer first, and each partition's Plucker
@@ -701,6 +751,7 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
     row; otherwise the pair gives NF(a) + NF(b) and NF(a) - NF(b), which
     equal NF(a + b) and NF(a - b) because the normal form is a linear map.
     The closure's collision rows of this weight follow, with no partition.
+    Every row is integer numerators over one denominator.
     """
     # tau_mu = 0 whenever mu has a part divisible by n, since R_k = 0 and
     # q_kl = 0 for n | k, which WindingData and OmegaAlgTable certify when the
@@ -714,7 +765,7 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
     def reduced(lam: Partition) -> ScaledPoly:
         return index.normal_form(plucker_relation(lam, model, tau))
 
-    rows: list[tuple[tuple[Partition, ...], MultiPoly]] = []
+    rows: list[tuple[tuple[Partition, ...], ScaledPoly]] = []
     for rep, tr in transpose_classes(enumerate_rank2(weight)):
         if fold or rep == tr:
             built = [((rep,), reduced(rep))]
@@ -722,8 +773,8 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
             a, b = reduced(rep), reduced(tr)
             built = [((rep, tr), scaled_sum(((1, a), (1, b)))),
                      ((rep, tr), scaled_sum(((1, a), (-1, b))))]
-        rows.extend((src, red.poly()) for src, red in built if red.nums)
-    rows.extend(((), expr) for expr in collision_rows)
+        rows.extend((src, red) for src, red in built if red.nums)
+    rows.extend(((), ScaledPoly.of(expr)) for expr in collision_rows)
     return rows
 
 
@@ -749,14 +800,14 @@ def derive_at_weight(weight: int, db: RelationDB, model: TauModel) -> list[Relat
     # relations among basic symbols (the Kummer-variety stratum); each row
     # is split into its columns once, here
     system, basic_rows = [], []
-    for src, expr in rows:
-        row = _split_row(expr, src)
+    for src, red in rows:
+        row = _split_row(red, src)
         if row.cols:
             system.append(row)
         else:
-            basic_rows.append((src, expr))
+            basic_rows.append((src, red.poly()))
     solved, residual = linear_solve(system)
-    basic_rows.extend((r.source, r.basic) for r in residual if not r.cols)
+    basic_rows.extend((r.source, r.expr()) for r in residual if not r.cols)
     unresolved = [r for r in residual if r.cols]
     out = _basic_relations(basic_rows, weight, ctx)
     for col, rhs, src in solved:

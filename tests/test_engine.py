@@ -7,6 +7,7 @@ from closure_oracle import closure as oracle_closure
 from jacobian_oracle import cross_differentiate, is_basic, kummer_quartic, vanishes_on_jacobian
 from monomial_oracle import tuple_divides
 from schur_oracle import hook_schur, schur_poly
+from solve_oracle import linear_solve as oracle_solve
 from tau_oracle import is_zeta_free, zeta
 from kleinian import engine
 from kleinian.engine import (
@@ -404,7 +405,7 @@ def test_layer_rows_are_normal_forms_of_unreduced_rows(request, which):
                 a, b = nf(rep), nf(tr)
                 want += [((rep, tr), a + b), ((rep, tr), a - b)]
         want = [(src, row) for src, row in want if not row.is_zero()]
-        assert [(src, row) for src, row in layer_rows(w, db, model) if src] == want, w
+        assert [(src, row.poly()) for src, row in layer_rows(w, db, model) if src] == want, w
         db.add_layer(w, derive_at_weight(w, db, model))
 
 
@@ -628,7 +629,8 @@ def test_linear_solve_returns_eliminated_basic_row(g2_db):
     solved, residual = linear_solve([X - p11, X - p12])
     assert [MultiPoly.monomial(col) for col, _, _ in solved] == [X]
     assert len(residual) == 1 and not residual[0].cols
-    assert residual[0].basic in (p11 - p12, p12 - p11)
+    basic = ScaledPoly(residual[0].den, residual[0].basic).poly()
+    assert basic in (p11 - p12, p12 - p11)
 
 
 def test_proportional_basic_rows_give_one_relation(g2_db):
@@ -654,6 +656,150 @@ def test_linear_solve_substitution_closes(g2_db):
     rules = {col: rhs for col, rhs, _ in solved}
     for row in rows:
         assert reduce_with_rules(row, rules).is_zero()
+
+
+# -- the integer solve against the rational oracle --------------------------------
+
+def assert_solve_matches_oracle(system, oracle_system, sources):
+    # the same solved rows in the same order, and residual rows with the
+    # same sources and expressions; a 0 = c row raises on both sides
+    try:
+        want_solved, want_residual = oracle_solve(oracle_system, sources)
+    except InconsistentSystemError as exc:
+        with pytest.raises(InconsistentSystemError) as got:
+            linear_solve(system, sources)
+        assert str(got.value) == str(exc)
+        return
+    solved, residual = linear_solve(system, sources)
+    assert solved == want_solved
+    assert [(r.source, r.expr()) for r in residual] == \
+        [(r.source, r.expr()) for r in want_residual]
+
+
+def solve_pool(g2, ctx):
+    """(columns, cofactors, basic terms) from which small systems are drawn:
+    the columns hold 3- and 4-index symbols, to the first and second
+    degree; a4 * a3 + 1 is a cofactor with a constant term that is still
+    not a rational constant."""
+    a4, a3 = (g2.parameter_poly(a) for a in g2.parameters[:2])
+    wp = ctx.wp_poly
+    cols = [wp((1, 1, 1, 1)), wp((1, 1, 1)) ** 2, wp((1, 1)) * wp((1, 1, 1)),
+            wp((1, 1, 2)), wp((1, 2, 2, 2))]
+    cofactors = [MultiPoly.one(), a4, a3, a4 * a3 + 1]
+    basic = [wp((1, 1)), wp((1, 2)), wp((1, 1)) * wp((2, 2)), MultiPoly.one(), a4]
+    return cols, cofactors, basic
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_linear_solve_matches_rational_oracle(g2, g2_db, data):
+    # parameter-polynomial coefficients, negative and non-unit rational
+    # pivots, rows that cancel (rational multiples of earlier rows summed),
+    # columns with no rational coefficient, and 0 = c rows
+    cols, cofactors, basic = solve_pool(g2, g2_db.ctx)
+    coeffs = st.sampled_from([Q(1), Q(-1), Q(3), Q(-2, 3), Q(5, 4), Q(-7, 6)])
+    system = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        if system and data.draw(st.integers(0, 3)) == 0:
+            picked = data.draw(st.lists(st.sampled_from(range(len(system))),
+                                        min_size=1, max_size=2))
+            row = sum((system[i] * data.draw(coeffs) for i in picked), MultiPoly.zero())
+        else:
+            row = MultiPoly.zero()
+            for _ in range(data.draw(st.integers(1, 4))):
+                if data.draw(st.booleans()):
+                    term = data.draw(st.sampled_from(cols)) * data.draw(st.sampled_from(cofactors))
+                else:
+                    term = data.draw(st.sampled_from(basic))
+                row = row + term * data.draw(coeffs)
+        system.append(row)
+    assert_solve_matches_oracle(system, system, [(i,) for i in range(len(system))])
+
+
+@pytest.mark.parametrize("case", ["parameter coefficients", "negative non-unit pivots",
+                                  "rows that cancel", "no rational coefficient",
+                                  "0 = c", "0 = parameter"])
+def test_linear_solve_matches_rational_oracle_on_each_case(g2, g2_db, case):
+    (X, Y, Z, _, _), (_, a4, a3, _), (p11, p12, _, one, _) = solve_pool(g2, g2_db.ctx)
+    system = {
+        "parameter coefficients": [a3 * X + Y * Q(2, 3) - p11, X - a4 * Y + p12 * 5,
+                                   Y * 2 + a4 * Z - one],
+        "negative non-unit pivots": [X * Q(-2, 3) + Y * Q(5, 4) - p11 * Q(1, 7),
+                                     X * 3 - Y * 7 + p12, Y * Q(-9, 10) + Z * Q(3, 4)],
+        "rows that cancel": [X - p11 * Q(1, 3), X * Q(-3, 2) + p11 * Q(1, 2), Y + Z,
+                             Y * 2 + Z * 2],
+        "no rational coefficient": [a3 * X + p11, a4 * X - p12 * Q(2, 5), a3 * Y + Z * 4],
+        "0 = c": [X - 1, X - 2],
+        "0 = parameter": [X * Q(3, 2) - a4, X * 3],
+    }[case]
+    assert_solve_matches_oracle(system, system, [(i,) for i in range(len(system))])
+
+
+def layer_systems(model, top):
+    """(weight, rows) of every layer through top: the reduced rows that
+    derive_at_weight hands to linear_solve, with their partitions."""
+    db = RelationDB(model.curve)
+    out = []
+    for w in range(4, top + 1):
+        out.append((w, [(src, red) for src, red in layer_rows(w, db, model)
+                        if engine._split_row(red, src).cols]))
+        db.add_layer(w, derive_at_weight(w, db, model))
+    return out
+
+
+@pytest.fixture(scope="module")
+def g2_systems12(g2_model12):
+    return layer_systems(g2_model12, 12)
+
+
+@pytest.fixture(scope="module")
+def trig_systems11(trig_model11):
+    return layer_systems(trig_model11, 11)
+
+
+@pytest.mark.parametrize("which", ["g2_systems12", "trig_systems11"])
+def test_linear_solve_matches_rational_oracle_on_layers(request, which):
+    for w, rows in request.getfixturevalue(which):
+        sources = [src for src, _ in rows]
+        assert_solve_matches_oracle([engine._split_row(red, src) for src, red in rows],
+                                    [red.poly() for _, red in rows], sources)
+
+
+def test_linear_solve_adds_and_multiplies_no_rational_polynomial(trig_systems11, monkeypatch):
+    # the elimination of every trigonal layer through weight 11 runs in
+    # integers; the same counter sees the oracle's rational elimination
+    systems = [[engine._split_row(red, src) for src, red in rows]
+               for _, rows in trig_systems11]
+    oracle_systems = [([red.poly() for _, red in rows], [src for src, _ in rows])
+                      for _, rows in trig_systems11]
+    calls = []
+
+    def counted(name, method):
+        return lambda *args: calls.append(name) or method(*args)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MultiPoly, name, counted(name, getattr(MultiPoly, name)))
+    for system in systems:
+        linear_solve(system)
+    assert calls == []
+    for system, sources in oracle_systems:
+        oracle_solve(system, sources)
+    assert calls
+
+
+def test_unresolved_row_note_is_the_oracle_text(g2, g2_model, monkeypatch):
+    # notes are document bytes: the note of a row with no rational pivot
+    # is the rational oracle's text of the row, character for character
+    db = RelationDB(g2)
+    wp = db.ctx.wp_poly
+    a4, a3 = (g2.parameter_poly(a) for a in g2.parameters[:2])
+    row = (a3 * wp((1, 1, 1)) * Q(-3, 4) + a4 * wp((1, 1)) * wp((1, 1, 1)) * Q(2, 5)
+           + wp((1, 1)) ** 3 * Q(7, 6) - a4 * Q(1, 3))
+    monkeypatch.setattr(engine, "layer_rows", lambda *args: [((), ScaledPoly.of(row))])
+    assert derive_at_weight(4, db, g2_model) == []
+    _, [want] = oracle_solve([row])
+    assert db.notes == {4: ["unresolved row (no rational pivot): %s" % want.expr().text()]}
+    assert want.expr().text() == "2/5*a4*p11*p111 - 3/4*a3*p111 + 7/6*p11^3 - 1/3*a4"
 
 
 def test_reduce_all_stored_derivatives_to_zero(g2_db):
@@ -814,3 +960,10 @@ def test_derive_requires_complete_lower_layers(g2, g2_model):
 def test_trigonal_derives_through_weight_15(trig):
     db = derive_range(RelationDB(trig), TauModel.build(trig, 15), 15)
     assert 15 in db.layers
+
+
+@pytest.mark.xfail(raises=ReductionError, strict=True,
+                   reason="the weight-19 closure is cyclic: p11*p112*p12^3 rewrites to itself")
+def test_genus2_derives_through_weight_19(g2):
+    db = derive_range(RelationDB(g2), TauModel.build(g2, 19), 19)
+    assert 19 in db.layers
