@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .curves import CurveSpec, parse_spec
 from .document import METHODS, RelationDocument, export_document, render_relation
-from .engine import RelationDB, classify, derive_range, reduce_mod_db
+from .engine import RelationDB, classify, derive_range
 from .errors import ConfigError, ConventionError, InconsistentSystemError, ReductionError
 from .klein import jacobi_inversion_extract
 from .poly import monomial_str
@@ -163,7 +163,7 @@ def verify_document(doc: RelationDocument) -> tuple[bool, list[str]]:
     db = doc.to_db() if checks else None
     for weight, name, expr in checks:
         try:
-            residual = reduce_mod_db(expr, db)
+            residual = db.reduce(expr)
         except ReductionError as exc:
             # the rules are the document's own: a cycle among them is bad input
             raise ConfigError("document relations do not reduce: %s" % exc) from exc

@@ -204,12 +204,18 @@ class RelationDocument:
                   if v != "symbolic"}
         curve = curve_by_family(data["curve"]["family"], params)
         ctx = AbelianContext(curve.gap_weights)
+        max_weight = _integer(data["max_weight"], "max_weight", 0)
         relations, classical = (
             _solved_once([relation_from_json(r, curve, ctx) for r in data[key]], key)
             for key in ("relations", "classical_relations"))
+        for r in relations + classical:
+            # a document holds only the layers its max_weight claims
+            if not 4 <= r.weight <= max_weight:
+                raise ConfigError("relation of weight %d outside the layers 4..%d"
+                                  % (r.weight, max_weight))
         return cls(
             curve=curve,
-            max_weight=_integer(data["max_weight"], "max_weight", 0),
+            max_weight=max_weight,
             method=data["method"],
             relations=relations,
             classical=classical,
@@ -221,9 +227,7 @@ class RelationDocument:
         by_weight: dict[int, list[Relation]] = {}
         for r in self.relations:
             by_weight.setdefault(r.weight, []).append(r)
-        for w in range(4, self.max_weight + 1):
-            db.add_layer(w, by_weight.get(w, []))
-        for w in sorted(k for k in by_weight if k > self.max_weight):
+        for w in sorted(by_weight):
             db.add_layer(w, by_weight[w])
         return db
 

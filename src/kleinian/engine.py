@@ -13,13 +13,15 @@ with three or more indices.  Solved rows are promoted to relations; rows
 that reduce to zero were already in the ideal and are dropped; rows left
 with no 3-index content are relations among the basic symbols.
 
-Rows are assembled, reduced and solved as integer numerators over one
-common denominator (:class:`~kleinian.poly.ScaledPoly`): each rule's
-right-hand side is held over its own denominator, a layer's reduced rows
-are split into their unknown columns over their own denominators, and the
-elimination combines them in integers (:func:`linear_solve`), so rationals
-are formed once per solved relation, as the solve hands it to
-:func:`classify`.
+From the closure to the solve, every polynomial is integer numerators
+over one denominator (:class:`~kleinian.poly.ScaledPoly`): a stored
+relation's right-hand side is put over integers once, its u-derivatives
+act on the numerators, rules, normal forms and collision rows are each
+held over their own denominator, and a layer's reduced rows are split
+into their unknown columns and eliminated in integers
+(:func:`linear_solve`).  Rationals are formed once per solved relation,
+as the solve hands it to :func:`classify`, and once per check that asks
+for a normal form (:meth:`RelationDB.reduce`).
 
 Reduction modulo a closure is a linear map: the pivot that rewrites a
 monomial depends on the monomial alone, so NF(sum(c_m * m)) =
@@ -124,7 +126,7 @@ class Relation:
 
 
 class PivotIndex:
-    """Rule pivots bucketed by their first symbol, and the rules in scaled form.
+    """Rule pivots bucketed by their first symbol, and their right-hand sides.
 
     A pivot that divides a monomial has its first symbol (by name) among
     that monomial's symbols, so only those buckets are searched, with the
@@ -133,10 +135,10 @@ class PivotIndex:
     bucket is that bucket's largest; the largest over all buckets is the
     pivot a scan over every rule would pick.
 
-    Each right-hand side is held as a :class:`~kleinian.poly.ScaledPoly`,
-    integer numerators over its own denominator.  Only the pivots are
-    bucketed, so a right-hand side may be replaced (:meth:`set_rhs`) and
-    rules may be added (:meth:`add`).
+    Each right-hand side is a :class:`~kleinian.poly.ScaledPoly`, integer
+    numerators over its own denominator, and so is every normal form.  Only
+    the pivots are bucketed, so a right-hand side may be replaced
+    (:meth:`set_rhs`) and rules may be added (:meth:`add`).
 
     ``memo`` holds the normal form NF(m) of every monomial reduced so far
     under the current rules (None marks an irreducible monomial).  Every
@@ -150,14 +152,12 @@ class PivotIndex:
     form stays what a fresh index would compute.
     """
 
-    def __init__(self, rules: dict[Monomial, MultiPoly] | None = None):
+    def __init__(self):
         self.buckets: dict[Symbol, list[tuple[tuple, Monomial]]] = {}
         self.rhss: dict[Monomial, ScaledPoly] = {}
         self.memo: dict[Monomial, ScaledPoly | None] = {}
-        if rules:
-            self.add(rules)
 
-    def add(self, rules: dict[Monomial, MultiPoly]):
+    def add(self, rules: dict[Monomial, ScaledPoly]):
         """Add rules, or give pivots already present these right-hand sides,
         and drop the memoized normal forms that can change."""
         if not rules:
@@ -168,7 +168,7 @@ class PivotIndex:
                 s = factors(pivot)[0][0]
                 self.buckets.setdefault(s, []).append((monomial_key(pivot), pivot))
                 touched.add(s)
-            self.rhss[pivot] = ScaledPoly.of(rhs)
+            self.rhss[pivot] = rhs
         for s in touched:
             self.buckets[s].sort(reverse=True)
         lightest = min(map(monomial_weight, rules))
@@ -188,20 +188,17 @@ class PivotIndex:
                     break
         return best
 
-    def rhs(self, pivot: Monomial) -> ScaledPoly:
-        return self.rhss[pivot]
-
     def set_rhs(self, pivot: Monomial, value: ScaledPoly):
         """Replace the right-hand side of pivot by its normal form (see the
         class docstring)."""
         self.rhss[pivot] = value.primitive()
 
-    def rules(self) -> dict[Monomial, MultiPoly]:
-        """The rules as rational polynomials, in the order they were added."""
-        return {pivot: rhs.poly() for pivot, rhs in self.rhss.items()}
-
     def normal_form(self, expr: ScaledPoly) -> ScaledPoly:
-        """sum(n_m * NF(m)) / den over expr's terms; expr itself if none is reducible."""
+        """sum(n_m * NF(m)) / den over expr's terms; expr itself if none is reducible.
+
+        Each monomial is rewritten by its largest pivot (:meth:`find`); a
+        cyclic rule set raises :class:`ReductionError`.
+        """
         memo = self.memo
         for m in expr.nums:
             if m not in memo:
@@ -269,27 +266,6 @@ def _linear_image(den: int, terms: list[tuple[tuple[Monomial, int], ScaledPoly |
     return ScaledPoly(den * d, out).primitive()
 
 
-def reduce_with_rules(expr: MultiPoly, rules: dict[Monomial, MultiPoly] | None,
-                      index: PivotIndex | None = None) -> MultiPoly:
-    """Normal form of expr under the rules, substituting rule pivots greedily.
-
-    Deterministic: every reducible monomial is rewritten by its largest
-    applicable pivot.  The pivot depends on the monomial alone, so the
-    normal form is linear, NF(sum(c_m * m)) = sum(c_m * NF(m)), and it is
-    read off the index's memo (:meth:`PivotIndex.normal_form`).  index is a
-    prebuilt :class:`PivotIndex`, which stands for the rules (rules is then
-    not read) and whose memo of normal forms carries over from call to
-    call: each monomial's normal form is computed once per rule set, and
-    every row, collision and check reduced against that rule set shares
-    it.  A cyclic rule set raises :class:`ReductionError`.
-    """
-    if index is None:
-        if not rules:
-            return expr
-        index = PivotIndex(rules)
-    return index.normal_form(ScaledPoly.of(expr)).poly()
-
-
 def _index_multisets(genus: int, gaps: tuple[int, ...], max_weight: int):
     """Nonempty sorted index multisets J with sum of gap weights <= max_weight."""
     out: list[tuple[int, ...]] = []
@@ -316,8 +292,14 @@ class RelationDB:
 
     The closure at (W, include_equal) holds the stored solved relations of
     weight below W (at most W when include_equal) and the u-derivatives,
-    up to weight W, of the stored FOUR_INDEX relations; see :meth:`closure`.
-    It is held as one :class:`PivotIndex` that grows with the layers, one
+    up to weight W, of the stored FOUR_INDEX relations, whose pivots stay
+    single monomials.  When two derivative routes, or a derivative and a
+    stored relation, meet on one pivot of weight W, the first rule stays, a
+    stored one first, and the difference, reduced, is a genuinely new
+    relation at that weight: a collision row, handed to the layer
+    (:meth:`layer_reduction`) instead of being minted as a rule.
+
+    The closure is one :class:`PivotIndex` that grows with the layers, one
     step at a time: (W, False) -> (W, True) adds the stored relations of
     weight W, and (W, True) -> (W + 1, False) the derivatives of weight
     W + 1.  A step that adds pivots of weight w puts the whole weight-w
@@ -328,8 +310,9 @@ class RelationDB:
     lighter rules and the weight-w block alone, and the lighter rules are
     final: the grown closure is the one a build from nothing would give.
     A request below the closure held starts a fresh one, which grows from
-    empty; the derivatives themselves are kept, per relation, across
-    closures.
+    empty.  Each stored relation's right-hand side is put over integers
+    once, and its derivatives, taken on the numerators
+    (:meth:`AbelianContext.diff_scaled`), are kept across closures.
     """
 
     def __init__(self, curve: CurveSpec, ctx: AbelianContext | None = None):
@@ -337,8 +320,8 @@ class RelationDB:
         self.ctx = ctx or AbelianContext(curve.gap_weights)
         self.layers: dict[int, list[Relation]] = {}
         self.notes: dict[int, list[str]] = {}
-        # d_J rhs of each stored FOUR_INDEX relation, by its pivot, then by J
-        self._chains: dict[Monomial, dict[tuple[int, ...], MultiPoly]] = {}
+        # d_J rhs of each stored solved relation, by its pivot, then by J
+        self._chains: dict[Monomial, dict[tuple[int, ...], ScaledPoly]] = {}
         self._fresh()
 
     def _fresh(self):
@@ -347,9 +330,8 @@ class RelationDB:
         self._index = PivotIndex()
         # the derivative rules of the top weight, in closure order, and the
         # original right-hand sides of the top weight's block
-        self._derived: list[tuple[Monomial, MultiPoly]] = []
-        self._block: dict[Monomial, MultiPoly] = {}
-        self._rows: list[MultiPoly] | None = None
+        self._derived: list[tuple[Monomial, ScaledPoly]] = []
+        self._block: dict[Monomial, ScaledPoly] = {}
         self._tau: dict[TauModel, dict] = {}
 
     # -- storage -------------------------------------------------------------
@@ -372,40 +354,24 @@ class RelationDB:
         # the memos of NF(tau_mu) serve one layer
         self._tau = {}
 
-    def relations(self, max_weight: int | None = None) -> list[Relation]:
-        out = []
-        for w in sorted(self.layers):
-            if max_weight is not None and w > max_weight:
-                continue
-            out.extend(self.layers[w])
-        return out
+    def relations(self) -> list[Relation]:
+        return [r for w in sorted(self.layers) for r in self.layers[w]]
 
     # -- derivative closure ----------------------------------------------------
 
-    def closure(self, max_weight: int, include_equal: bool = True):
-        """Rewrite rules up to the given weight, and the collision rows of that weight.
-
-        Rules come from stored solved relations (of weight < max_weight, or
-        <= when include_equal) and from u-derivatives of stored FOUR_INDEX
-        relations, whose pivots stay single monomials.  When two derivative
-        routes, or a derivative and a stored relation, meet on one pivot of
-        weight max_weight, the first rule stays, a stored one first, and the
-        difference, reduced, is a genuinely new relation at that weight; the
-        nonzero ones are returned as rows for the layer instead of being
-        minted as rules.
-        """
-        index = self._grow(max_weight, include_equal)
-        if self._rows is None:
-            self._rows = self._collision_rows()
-        return index.rules(), self._rows
-
-    def reduce(self, expr: MultiPoly, max_weight: int, include_equal: bool = True) -> MultiPoly:
-        """Normal form of expr modulo the closure at max_weight."""
-        return reduce_with_rules(expr, None, self._grow(max_weight, include_equal))
+    def reduce(self, expr: MultiPoly, max_weight: int | None = None) -> MultiPoly:
+        """Normal form of expr modulo the closure at max_weight, the stored
+        relations of that weight included; by default max_weight is the
+        heaviest weight among expr's terms."""
+        if max_weight is None:
+            max_weight = max(map(monomial_weight, expr.terms), default=0)
+        return self._grow(max_weight, True).normal_form(ScaledPoly.of(expr)).poly()
 
     def layer_reduction(self, weight: int, model: TauModel
-                        ) -> tuple[PivotIndex, Callable[[tuple[int, ...]], ScaledPoly]]:
-        """The pivot index of the closure below weight, and mu -> NF(tau_mu) under it.
+                        ) -> tuple[PivotIndex, Callable[[tuple[int, ...]], ScaledPoly],
+                                   list[ScaledPoly]]:
+        """The pivot index of the closure below weight, mu -> NF(tau_mu)
+        under it, and the closure's nonzero collision rows of that weight.
 
         Each NF(tau_mu) is computed on first use and kept until the closure
         grows or a layer is added, so every row of the layer shares it.
@@ -419,7 +385,7 @@ class RelationDB:
                 got = memo[mu] = index.normal_form(model.tau_t_derivative(mu))
             return got
 
-        return index, tau
+        return index, tau, self._collision_rows()
 
     def _grow(self, max_weight: int, include_equal: bool) -> PivotIndex:
         """The closure at (max_weight, include_equal), grown from the one held."""
@@ -432,24 +398,32 @@ class RelationDB:
             w, stored = divmod(self._step, 2)
             if stored:
                 # a stored pivot takes over a derivative one
-                added = {r.solved_monomial: r.rhs for r in self.layers.get(w, ())
+                added = {r.solved_monomial: self._chain(r)[()] for r in self.layers.get(w, ())
                          if r.solved_monomial is not None}
             else:
                 self._derived = self._derivatives(w)
                 self._block, added = {}, {}
                 for pivot, rhs in self._derived:
                     added.setdefault(pivot, rhs)
-            self._rows, self._tau = None, {}
+            self._tau = {}
             if not added:
                 continue
             # the block, back at its original right-hand sides, then one sweep
             self._block.update(added)
             index.add(self._block)
             for pivot in sorted(self._block, key=monomial_key):
-                index.set_rhs(pivot, index.normal_form(index.rhs(pivot)))
+                index.set_rhs(pivot, index.normal_form(index.rhss[pivot]))
         return index
 
-    def _derivatives(self, weight: int) -> list[tuple[Monomial, MultiPoly]]:
+    def _chain(self, r: Relation) -> dict[tuple[int, ...], ScaledPoly]:
+        """The d_J rhs of a stored solved relation, by J, each computed once;
+        its rhs, put over integers here, at J = ()."""
+        chain = self._chains.get(r.solved_monomial)
+        if chain is None:
+            chain = self._chains[r.solved_monomial] = {(): ScaledPoly.of(r.rhs)}
+        return chain
+
+    def _derivatives(self, weight: int) -> list[tuple[Monomial, ScaledPoly]]:
         """(pivot, rhs) of the u-derivatives of the given weight of the stored
         FOUR_INDEX relations, in closure order: relations by (weight, pivot),
         each one's index multisets J in sorted order."""
@@ -459,26 +433,25 @@ class RelationDB:
         gaps = self.ctx.gaps
         out = []
         for r in stored:
-            chain = self._chains.setdefault(r.solved_monomial, {(): r.rhs})
+            chain = self._chain(r)
             base = factors(r.solved_monomial)[0][0].indices
             for J in _index_multisets(self.ctx.genus, gaps, weight - r.weight):
                 if sum(gaps[i - 1] for i in J) == weight - r.weight:
                     out.append((self.ctx.wp(base + J).unit, self._derivative(chain, J)))
         return out
 
-    def _derivative(self, chain: dict[tuple[int, ...], MultiPoly], J: tuple[int, ...]
-                    ) -> MultiPoly:
-        """d_J of a relation's rhs, from its chain: d_J = d_{J[-1]} d_{J[:-1]},
-        each computed once."""
+    def _derivative(self, chain: dict[tuple[int, ...], ScaledPoly], J: tuple[int, ...]
+                    ) -> ScaledPoly:
+        """d_J of a relation's rhs, from its chain: d_J = d_{J[-1]} d_{J[:-1]}."""
         got = chain.get(J)
         if got is None:
-            got = chain[J] = self.ctx.diff(self._derivative(chain, J[:-1]), J[-1])
+            got = chain[J] = self.ctx.diff_scaled(self._derivative(chain, J[:-1]), J[-1])
         return got
 
-    def _collision_rows(self) -> list[MultiPoly]:
+    def _collision_rows(self) -> list[ScaledPoly]:
         """The nonzero reduced collision rows of the top weight of the closure held."""
         w, stored = divmod(self._step, 2)
-        first = {r.solved_monomial: r.rhs for r in self.layers.get(w, ())
+        first = {r.solved_monomial: self._chain(r)[()] for r in self.layers.get(w, ())
                  if stored and r.solved_monomial is not None}
         rows = []
         for pivot, rhs in self._derived:
@@ -486,18 +459,10 @@ class RelationDB:
             if got is None:
                 first[pivot] = rhs
             else:
-                row = reduce_with_rules(got - rhs, None, self._index)
-                if not row.is_zero():
+                row = self._index.normal_form(scaled_sum(((1, got), (-1, rhs))))
+                if row.nums:
                     rows.append(row)
         return rows
-
-
-def reduce_mod_db(expr: MultiPoly, db: RelationDB, max_weight: int | None = None) -> MultiPoly:
-    """Normal form of an expression modulo the database and its closure."""
-    if max_weight is None:
-        weights = [monomial_weight(m) for m in expr.terms]
-        max_weight = max(weights, default=0)
-    return db.reduce(expr, max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +576,11 @@ def _split_row(expr: ScaledPoly, source: tuple[Partition, ...]) -> _Row:
     return _Row(cols, basic, expr.den, source)
 
 
-def linear_solve(system: list[MultiPoly | _Row],
-                 sources: list[tuple[Partition, ...]] | None = None):
+def linear_solve(system: list[_Row]):
     """Fraction-free elimination of rows linear in unknown monomials.
 
-    Each row is a polynomial, or one already split by :func:`_split_row`
-    (which keeps its own source).  Rows are held in integer numerators over
-    one denominator each (:class:`_Row`).  Columns are taken in
+    Each row is split by :func:`_split_row`, in integer numerators over one
+    denominator, and keeps its own source.  Columns are taken in
     :func:`column_order_key` order; a column's pivot is the shortest free
     row whose coefficient there is a rational constant c / den, and the
     pivot step divides the row by it, which puts its numerators over c.
@@ -636,10 +599,7 @@ def linear_solve(system: list[MultiPoly | _Row],
     constant (or a polynomial in the parameters alone), raises
     :class:`InconsistentSystemError`.
     """
-    sources = sources or [()] * len(system)
-    rows = [e if isinstance(e, _Row) else _split_row(ScaledPoly.of(e), src)
-            for e, src in zip(system, sources)]
-    rows = [r for r in rows if not r.is_zero()]
+    rows = [r for r in system if not r.is_zero()]
     columns = sorted({c for r in rows for c in r.cols}, key=column_order_key)
     pivoted: list[tuple[Monomial, _Row]] = []
     free = list(rows)
@@ -742,16 +702,17 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
                ) -> list[tuple[tuple[Partition, ...], ScaledPoly]]:
     """The nonzero reduced rows of the layer at weight, with their partitions.
 
-    The closure is grown to the layer first, and each partition's Plucker
-    row is reduced modulo it as soon as it is built: the row is assembled
-    from the memoized NF(tau_mu) (:meth:`RelationDB.layer_reduction`) and the hook
+    One call (:meth:`RelationDB.layer_reduction`) grows the closure to
+    the layer and gives its index, the memoized NF(tau_mu) and its
+    collision rows.  Each partition's Plucker row is reduced as soon as it
+    is built: the row is assembled from the NF(tau_mu) and the hook
     determinant, and one normal form of that sum rewrites the hook products
     and leaves the reduced tau terms as they are (NF is idempotent).
     Transpose pairs are folded for n = 2, where both members give the same
     row; otherwise the pair gives NF(a) + NF(b) and NF(a) - NF(b), which
     equal NF(a + b) and NF(a - b) because the normal form is a linear map.
-    The closure's collision rows of this weight follow, with no partition.
-    Every row is integer numerators over one denominator.
+    The collision rows follow, with no partition.  Every row is integer
+    numerators over one denominator.
     """
     # tau_mu = 0 whenever mu has a part divisible by n, since R_k = 0 and
     # q_kl = 0 for n | k, which WindingData and OmegaAlgTable certify when the
@@ -759,8 +720,7 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
     # character is +1 on those, so W_lambda' = W_lambda and a transpose pair
     # gives one row
     fold = model.curve.n == 2
-    _, collision_rows = db.closure(weight, include_equal=False)
-    index, tau = db.layer_reduction(weight, model)
+    index, tau, collision_rows = db.layer_reduction(weight, model)
 
     def reduced(lam: Partition) -> ScaledPoly:
         return index.normal_form(plucker_relation(lam, model, tau))
@@ -774,7 +734,7 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
             built = [((rep, tr), scaled_sum(((1, a), (1, b)))),
                      ((rep, tr), scaled_sum(((1, a), (-1, b))))]
         rows.extend((src, red) for src, red in built if red.nums)
-    rows.extend(((), ScaledPoly.of(expr)) for expr in collision_rows)
+    rows.extend(((), row) for row in collision_rows)
     return rows
 
 
@@ -824,22 +784,21 @@ def _basic_relations(rows: list[tuple[tuple[Partition, ...], MultiPoly]], weight
                      ctx: AbelianContext) -> list[Relation]:
     """Independent relations from rows among basic symbols.
 
-    Each row is reduced by the relations taken from the rows before it, so
-    proportional rows give one relation; an odd row signals a convention
-    bug.
+    Each row is reduced by the relations taken from the rows before it,
+    which one index grows by, so proportional rows give one relation; an
+    odd row signals a convention bug.
     """
     out: list[Relation] = []
-    rules: dict[Monomial, MultiPoly] = {}
+    index = PivotIndex()
     for src, expr in rows:
         if ctx.parity(expr) != expr:
             raise InconsistentSystemError(
                 "odd basic row at weight %d: %s" % (weight, expr.text()))
-        if rules:
-            expr = reduce_with_rules(expr, rules)
-            if expr.is_zero():
-                continue
+        expr = index.normal_form(ScaledPoly.of(expr)).poly()
+        if expr.is_zero():
+            continue
         rel = classify(expr, weight, ctx, src)
-        rules[rel.solved_monomial] = rel.rhs
+        index.add({rel.solved_monomial: ScaledPoly.of(rel.rhs)})
         out.append(rel)
     return out
 

@@ -97,6 +97,10 @@ class AbelianContext:
 
         return expr.derive(image)
 
+    def diff_scaled(self, expr: ScaledPoly, i: int) -> ScaledPoly:
+        """d_i of expr on its integer numerators, over the same denominator."""
+        return ScaledPoly(expr.den, self.diff(MultiPoly(expr.nums), i).terms)
+
     def parity(self, expr: MultiPoly) -> MultiPoly:
         """Involution u -> -u: p_J -> (-1)^|J| p_J."""
         out = {}
@@ -156,8 +160,7 @@ class TauModel:
             got = ScaledPoly.of(kappa)
         else:
             prev = self._cumulant(A[:-1])
-            nums = MultiPoly(prev.nums)
-            got = scaled_products((1, ScaledPoly(prev.den, self.ctx.diff(nums, i).terms), r)
+            got = scaled_products((1, self.ctx.diff_scaled(prev, i), r)
                                   for i, r in self._winding_row(k)).primitive()
         self._kappa[A] = got
         return got

@@ -4,13 +4,14 @@
 include_equal) at once, the stored solved relations first and then the
 u-derivatives of the stored FOUR_INDEX relations, and inter-reduces all of
 them in one sweep in term order, emptying the memo of normal forms after
-each right-hand side.  :class:`kleinian.engine.RelationDB` grows
-one closure a weight block at a time and keeps its memo; both must give
-the same rules and the same collision rows.
+each right-hand side.  Its derivatives are taken over the rationals.
+:class:`kleinian.engine.RelationDB` grows one closure a weight block at a
+time, in integer numerators, and keeps its memo; both must give the same
+rules and the same collision rows.
 """
 
-from kleinian.engine import FOUR_INDEX, PivotIndex, _index_multisets, reduce_with_rules
-from kleinian.poly import MultiPoly, factors, monomial_key, monomial_weight
+from kleinian.engine import FOUR_INDEX, PivotIndex, _index_multisets
+from kleinian.poly import MultiPoly, ScaledPoly, factors, monomial_key, monomial_weight
 
 
 def closure(db, max_weight: int, include_equal: bool = True
@@ -20,9 +21,9 @@ def closure(db, max_weight: int, include_equal: bool = True
     ctx = db.ctx
     rules = {}
     collisions = []
-    stored = [r for r in db.relations(max_weight)
+    stored = [r for r in db.relations()
               if r.solved_monomial is not None
-              and (r.weight < max_weight or include_equal)]
+              and (r.weight < max_weight or include_equal and r.weight == max_weight)]
     stored.sort(key=lambda r: (r.weight, monomial_key(r.solved_monomial)))
     for r in stored:
         rules[r.solved_monomial] = r.rhs
@@ -39,14 +40,15 @@ def closure(db, max_weight: int, include_equal: bool = True
                 collisions.append((monomial_weight(pivot), rules[pivot] - rhs))
             else:
                 rules[pivot] = rhs
-    index = PivotIndex(rules)
+    index = PivotIndex()
+    index.add({pivot: ScaledPoly.of(rhs) for pivot, rhs in rules.items()})
     for pivot in sorted(rules, key=monomial_key):
-        index.set_rhs(pivot, index.normal_form(index.rhs(pivot)))
+        index.set_rhs(pivot, index.normal_form(index.rhss[pivot]))
         index.memo.clear()
-    rules = index.rules()
+    rules = {pivot: rhs.poly() for pivot, rhs in index.rhss.items()}
     rows = []
     for w, c in collisions:
-        r = reduce_with_rules(c, rules, index)
+        r = index.normal_form(ScaledPoly.of(c)).poly()
         if not r.is_zero():
             rows.append((w, r))
     return rules, rows

@@ -22,7 +22,7 @@ four-index relations, an independent route to the quasilinear layers.
 from kleinian.engine import FOUR_INDEX, QUARTIC_EVEN, Relation, classify
 from kleinian.errors import ReductionError
 from kleinian.poly import (
-    MultiPoly, Symbol, factors, monomial, monomial_div, monomial_key, monomial_str,
+    MultiPoly, ScaledPoly, Symbol, factors, monomial, monomial_div, monomial_key, monomial_str,
 )
 from kleinian.rationals import Q
 
@@ -177,7 +177,8 @@ def cross_differentiate(db) -> list[Relation]:
                         continue
                     w = ra.weight + ctx.gaps[j - 1]
                     expr = ctx.diff(ra.expr, j) - ctx.diff(rb.expr, i)
-                    red = db.reduce(expr, w, include_equal=False)
+                    # the closure below w
+                    red = db._grow(w, False).normal_form(ScaledPoly.of(expr)).poly()
                     if red.is_zero():
                         continue
                     rel = classify(red, w, ctx, ())

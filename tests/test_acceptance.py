@@ -10,6 +10,7 @@ import time
 import pytest
 
 from jacobian_oracle import cross_differentiate, kummer_quartic, vanishes_on_jacobian
+from omega_tables import omega_table_values
 from schur_oracle import elementary_schur, jacobi_trudi, power_sum_poly, schur_poly, time_symbol
 from tau_oracle import a_hook, is_zeta_free
 from kleinian import cli, tables
@@ -17,16 +18,14 @@ from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUASILINEAR, QUARTIC_EVEN, RelationDB, classify,
-    derive_at_weight, plucker_relation, reduce_mod_db, reduce_with_rules,
+    derive_at_weight, plucker_relation,
 )
 from kleinian.klein import jacobi_inversion_extract
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
 from kleinian.poly import MultiPoly, factors, monomial, monomial_str
 from kleinian.rationals import Q
 from kleinian.schur import schur_weights
-from kleinian.tables import (
-    omega_table_values, relation_table, trigonal_weight12_quartic,
-)
+from kleinian.tables import relation_table, trigonal_weight12_quartic
 from kleinian.taucalc import TauModel
 
 
@@ -75,10 +74,9 @@ def test_criterion_2_weight5_nullity(g2, g2_model):
     rels = derive_at_weight(5, db, g2_model)
     assert rels == []
     # every generated row reduces to 0 modulo the closure of KdV_4
-    rules, _ = db.closure(5, include_equal=True)
     for rep, _tr in transpose_classes(enumerate_rank2(5)):
         row = plucker_relation(rep, g2_model).poly()
-        assert reduce_with_rules(row, rules).is_zero()
+        assert db.reduce(row, 5).is_zero()
     clock.done("weight 5 yields no new relations; all rows reduce to 0")
 
 
@@ -131,7 +129,7 @@ def test_criterion_5_kummer_quartic(g2, g2_db):
     # the quadratic-form identity reduces to zero through the database
     p111, p112 = ctx.wp_poly(1, 1, 1), ctx.wp_poly(1, 1, 2)
     identity = (p111 * p111) * (p112 * p112) - (p111 * p112) * (p111 * p112)
-    assert reduce_mod_db(identity, g2_db).is_zero()
+    assert g2_db.reduce(identity).is_zero()
     # independent check on the symbolic divisor
     assert vanishes_on_jacobian(g2, ctx, k.expr)
     clock.done("Kummer quartic: even, 3-index-free, weight 16, p12^4 present")
@@ -223,7 +221,7 @@ def test_trigonal_weight12_quartic_lies_in_derived_ideal(trig, trig_doc12):
     # the printed weight-12 quartic is no derived relation, but the layers
     # through weight 12 generate it; verify passes on that
     db = trig_doc12.to_db()
-    assert reduce_mod_db(trigonal_weight12_quartic(trig, db.ctx), db).is_zero()
+    assert db.reduce(trigonal_weight12_quartic(trig, db.ctx)).is_zero()
     ok, lines = verify_document(trig_doc12)
     assert ok
     assert "PASS weight-12 quartic lies in the derived ideal" in lines

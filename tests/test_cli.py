@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from kleinian import cli
 from kleinian.cli import main, run_derive, verify_document
 from kleinian.curves import parse_spec
 from kleinian.document import RelationDocument, export_document
-from kleinian.engine import Relation, plucker_relation, reduce_mod_db
+from kleinian.engine import Relation, plucker_relation
 from kleinian.errors import ConfigError
 from kleinian.poly import EMPTY_MONOMIAL
 from kleinian.partitions import enumerate_rank2
@@ -329,7 +330,7 @@ def test_specialized_document_annihilates_its_own_tau_model(tmp_path, capsys, sp
     model = TauModel.build(parse_spec(open(curve_file).read()), weight)
     for w in range(4, weight + 1):
         for lam in enumerate_rank2(w):
-            assert reduce_mod_db(plucker_relation(lam, model).poly(), db).is_zero(), lam.parts
+            assert db.reduce(plucker_relation(lam, model).poly()).is_zero(), lam.parts
 
 
 def _document_naming(symbol):
@@ -485,6 +486,44 @@ def test_cyclic_document_exits_2(trig8_data, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "cyclic rule set" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def g2_both8_data(g2):
+    return json.loads(run_derive(g2, 8, "both").to_json())
+
+
+@pytest.mark.parametrize("key", ["relations", "classical_relations"])
+@pytest.mark.parametrize("max_weight, lowered", [(3, None), (8, 3)])
+def test_relation_outside_the_claimed_layers_exits_2(g2_both8_data, tmp_path, key,
+                                                     max_weight, lowered):
+    # a document holds only the layers 4..max_weight, in either list: a
+    # genus-2 W=8 document edited to max_weight 3 still holds relations
+    # through weight 8, and one whose first relation claims weight 3 holds
+    # a layer below the first
+    doc = json.loads(json.dumps(g2_both8_data))
+    doc["classical_relations" if key == "relations" else "relations"] = []
+    doc["max_weight"] = max_weight
+    if lowered is not None:
+        doc[key][0]["weight"] = lowered
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--doc", str(bad)]) == 2
+
+
+def test_verify_time_follows_the_layers_held_not_max_weight(trig8_data, tmp_path, capsys):
+    # a trigonal W=8 document that claims max_weight 1,000,000 is checked
+    # against the weight-12 quartic, which its layers do not generate; the
+    # database holds only the weights that hold relations, so verify takes
+    # no time per claimed layer
+    doc = json.loads(json.dumps(trig8_data))
+    doc["max_weight"] = 1000000
+    path = tmp_path / "claimed.json"
+    path.write_text(json.dumps(doc))
+    start = time.process_time()
+    assert run(["verify", "--doc", str(path)]) == 1
+    assert time.process_time() - start < 1.0
+    assert "FAIL weight-12 quartic residual" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

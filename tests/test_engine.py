@@ -13,7 +13,7 @@ from kleinian import engine
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex, Relation,
     RelationDB, _basic_relations, classify, column_of, derive_at_weight, derive_range,
-    layer_rows, linear_solve, plucker_relation, reduce_mod_db, reduce_with_rules,
+    layer_rows, linear_solve, plucker_relation,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
@@ -33,6 +33,31 @@ def normalized(db, expr, weight):
 
 def by_weight(db, w):
     return db.layers.get(w, [])
+
+
+def index_of(rules):
+    """A pivot index over rules with rational right-hand sides."""
+    index = PivotIndex()
+    index.add({pivot: ScaledPoly.of(rhs) for pivot, rhs in rules.items()})
+    return index
+
+
+def nf(index, expr):
+    """The normal form of a rational polynomial under an index, as one."""
+    return index.normal_form(ScaledPoly.of(expr)).poly()
+
+
+def grown_closure(db, w, include_equal=True):
+    """(rules, collision rows) of db's closure at (w, include_equal), the
+    right-hand sides and rows as rational polynomials."""
+    index = db._grow(w, include_equal)
+    return ({pivot: rhs.poly() for pivot, rhs in index.rhss.items()},
+            [row.poly() for row in db._collision_rows()])
+
+
+def split(expr, source=()):
+    """A rational row split into the integer columns linear_solve takes."""
+    return engine._split_row(ScaledPoly.of(expr), source)
 
 
 # -- layer content against the printed tables ---------------------------------
@@ -83,7 +108,7 @@ def test_all_relations_zeta_free_homogeneous_parity(g2_db, trig_db):
 
 def test_reduce_self_to_zero(g2_db):
     kdv4 = by_weight(g2_db, 4)[0]
-    assert reduce_mod_db(kdv4.expr, g2_db).is_zero()
+    assert g2_db.reduce(kdv4.expr).is_zero()
 
 
 def test_reduce_derivative_closure_consistency(g2_db):
@@ -97,7 +122,7 @@ def test_reduce_derivative_closure_consistency(g2_db):
             w = r.weight + ctx.gaps[i - 1]
             if w > 10:
                 continue
-            assert reduce_mod_db(ctx.diff(r.expr, i), g2_db, w).is_zero()
+            assert g2_db.reduce(ctx.diff(r.expr, i), w).is_zero()
 
 
 def test_reduce_kummer_identity_input_is_zero(g2_db):
@@ -106,15 +131,15 @@ def test_reduce_kummer_identity_input_is_zero(g2_db):
     p112sq = ctx.wp_poly((1, 1, 2)) ** 2
     cross = ctx.wp_poly((1, 1, 1)) * ctx.wp_poly((1, 1, 2))
     expr = p111sq * p112sq - cross * cross
-    assert reduce_mod_db(expr, g2_db).is_zero()
+    assert g2_db.reduce(expr).is_zero()
 
 
 def test_reduce_quartic_products_consistently(g2_db):
     # reducing p111^2 * p112^2 and (p111 p112)^2 separately must agree
     ctx = g2_db.ctx
-    a = reduce_mod_db(ctx.wp_poly((1, 1, 1)) ** 2, g2_db) * \
-        0 + reduce_mod_db(ctx.wp_poly((1, 1, 1)) ** 2 * ctx.wp_poly((1, 1, 2)) ** 2, g2_db)
-    b = reduce_mod_db((ctx.wp_poly((1, 1, 1)) * ctx.wp_poly((1, 1, 2))) ** 2, g2_db)
+    a = g2_db.reduce(ctx.wp_poly((1, 1, 1)) ** 2) * \
+        0 + g2_db.reduce(ctx.wp_poly((1, 1, 1)) ** 2 * ctx.wp_poly((1, 1, 2)) ** 2)
+    b = g2_db.reduce((ctx.wp_poly((1, 1, 1)) * ctx.wp_poly((1, 1, 2))) ** 2)
     assert a == b
 
 
@@ -136,7 +161,7 @@ def scan_pivot(mono, rules, skip=None):
 @pytest.fixture(scope="module")
 def g2_rules(g2_db):
     """The weight-10 closure rules, their pivots and every symbol they use."""
-    rules, _ = g2_db.closure(10)
+    rules, _ = grown_closure(g2_db, 10)
     pivots = sorted(rules, key=monomial_key)
     symbols = sorted({s for p in pivots for s, _ in factors(p)}
                      | {s for rhs in rules.values() for m in rhs.terms for s, _ in factors(m)})
@@ -153,7 +178,7 @@ def test_pivot_index_matches_linear_scan(g2_rules, data):
     if data.draw(st.booleans()):
         # a multiple of a pivot, so that some rule surely applies
         mono = monomial_mul(mono, data.draw(st.sampled_from(pivots)))
-    index = PivotIndex(rules)
+    index = index_of(rules)
     want = scan_pivot(mono, rules)
     assert index.find(mono) == want
 
@@ -232,7 +257,7 @@ def test_reduction_matches_rational_reference(g2, g2_db, g2_rules, data):
         for c in data.draw(st.lists(st.sampled_from(cofactors), max_size=2)):
             term = term * c
         expr = expr + term
-    assert reduce_with_rules(expr, rules) == reference_reduce(expr, rules)
+    assert nf(index_of(rules), expr) == reference_reduce(expr, rules)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,7 +284,8 @@ def chain_symbols(count):
 def assert_memo_matches_fresh_index(index):
     # every memoized NF(m) is the normal form a fresh index over the same
     # rules computes (None: m is irreducible)
-    fresh = PivotIndex(index.rules())
+    fresh = PivotIndex()
+    fresh.add(index.rhss)
     for m, got in index.memo.items():
         want = fresh.normal_form(ScaledPoly(1, {m: 1})).poly()
         assert want == (MultiPoly.monomial(m) if got is None else got.poly()), monomial_str(m)
@@ -283,17 +309,17 @@ def test_block_sweep_keeps_memoized_forms_fresh(request, which):
 
 
 def test_adding_a_pivot_drops_the_forms_of_its_weight_and_above(g2_db):
-    rules, _ = g2_db.closure(10)
-    index = PivotIndex(rules)
+    rules, _ = grown_closure(g2_db, 10)
+    index = index_of(rules)
     p11 = g2_db.ctx.wp((1, 1)).unit
     for pivot in rules:
         index.normal_form(ScaledPoly(1, {monomial_mul(pivot, p11): 1}))
     before = dict(index.memo)
-    new, _ = g2_db.closure(11, include_equal=False)
+    new, _ = grown_closure(g2_db, 11, include_equal=False)
     pivot = min((p for p in new if p not in rules), key=monomial_key)
     w = monomial_weight(pivot)
     assert {monomial_weight(m) for m in before} >= {w - 1, w, w + 1}
-    index.add({pivot: new[pivot]})
+    index.add({pivot: ScaledPoly.of(new[pivot])})
     assert index.memo.keys() == {m for m in before if monomial_weight(m) < w}
     assert all(index.memo[m] is before[m] for m in index.memo)
 
@@ -302,14 +328,14 @@ def test_cyclic_rules_raise_reduction_error():
     a, b = chain_symbols(2)
     rules = {a.unit: MultiPoly.sym(b), b.unit: MultiPoly.sym(a)}
     with pytest.raises(ReductionError):
-        reduce_with_rules(MultiPoly.sym(a), rules)
+        nf(index_of(rules), MultiPoly.sym(a))
 
 
 def test_long_rule_chain_reduces_without_recursion():
     # 1500 rules deep: beyond both the pass bound and Python's recursion limit
     syms = chain_symbols(1501)
     rules = {s.unit: MultiPoly.sym(t, coeff=2) for s, t in zip(syms, syms[1:])}
-    assert reduce_with_rules(MultiPoly.sym(syms[0]), rules) == \
+    assert nf(index_of(rules), MultiPoly.sym(syms[0])) == \
         MultiPoly.sym(syms[-1], coeff=2 ** 1500)
 
 
@@ -333,8 +359,8 @@ def test_closure_is_inter_reduced_in_one_sweep(request, which, top):
     # the one sweep reaches the fixed point of the pass loop it replaced:
     # each right-hand side is irreducible under every rule but its own, and
     # under its own too
-    rules, _ = request.getfixturevalue(which).closure(top)
-    index = PivotIndex(rules)
+    rules, _ = grown_closure(request.getfixturevalue(which), top)
+    index = index_of(rules)
     for pivot, rhs in rules.items():
         assert reference_reduce(rhs, rules, skip=pivot) == rhs, monomial_str(pivot)
         assert all(index.find(m) is None for m in rhs.terms), monomial_str(pivot)
@@ -347,17 +373,18 @@ def test_transpose_pairs_combine_after_reduction(trig, trig_model10):
     model = trig_model10
     db = derive_range(RelationDB(trig), model, 9)
     for w in range(8, 11):
-        rules, _ = db.closure(w, include_equal=False)
-        fresh = PivotIndex(rules)
+        index = db.layer_reduction(w, model)[0]
+        fresh = PivotIndex()
+        fresh.add(index.rhss)
         for rep, tr in transpose_classes(enumerate_rank2(w)):
             if rep == tr:
                 continue
             a, b = plucker_relation(rep, model).poly(), plucker_relation(tr, model).poly()
             assert a != b, rep.parts
-            ra, rb = (db.reduce(x, w, include_equal=False) for x in (a, b))
+            ra, rb = (nf(index, x) for x in (a, b))
             for combined, expr in ((ra + rb, a + b), (ra - rb, a - b)):
-                assert combined == db.reduce(expr, w, include_equal=False), rep.parts
-                assert combined == reduce_with_rules(expr, rules, fresh), rep.parts
+                assert combined == nf(index, expr), rep.parts
+                assert combined == nf(fresh, expr), rep.parts
 
 
 @pytest.mark.parametrize("which, top", [("g2_model", 10), ("trig_model8", 8)])
@@ -391,18 +418,18 @@ def test_layer_rows_are_normal_forms_of_unreduced_rows(request, which):
     fold = model.curve.n == 2
     db = RelationDB(model.curve)
     for w in range(4, 11):
-        rules, _ = db.closure(w, include_equal=False)
-        fresh = PivotIndex(rules)
+        rules, _ = grown_closure(db, w, include_equal=False)
+        fresh = index_of(rules)
 
-        def nf(lam):
-            return reduce_with_rules(plucker_relation(lam, model).poly(), rules, fresh)
+        def reduced(lam):
+            return nf(fresh, plucker_relation(lam, model).poly())
 
         want = []
         for rep, tr in transpose_classes(enumerate_rank2(w)):
             if fold or rep == tr:
-                want.append(((rep,), nf(rep)))
+                want.append(((rep,), reduced(rep)))
             else:
-                a, b = nf(rep), nf(tr)
+                a, b = reduced(rep), reduced(tr)
                 want += [((rep, tr), a + b), ((rep, tr), a - b)]
         want = [(src, row) for src, row in want if not row.is_zero()]
         assert [(src, row.poly()) for src, row in layer_rows(w, db, model) if src] == want, w
@@ -449,7 +476,7 @@ def test_tau_normal_forms_are_dropped_with_the_layer_closure(g2, g2_model, monke
     normal_form = PivotIndex.normal_form
     monkeypatch.setattr(PivotIndex, "normal_form",
                         lambda index, expr: calls.append(expr) or normal_form(index, expr))
-    _, tau = db.layer_reduction(8, g2_model)
+    _, tau, _ = db.layer_reduction(8, g2_model)
     del calls[:]  # a sweep, had the closure grown
     mu = next(iter(memo))
     assert tau(mu).poly() == memo[mu].poly()
@@ -471,7 +498,7 @@ def trig_model11(trig):
 
 
 def assert_closure_matches_oracle(db, w, include_equal):
-    rules, rows = db.closure(w, include_equal)
+    rules, rows = grown_closure(db, w, include_equal)
     want_rules, want_rows = oracle_closure(db, w, include_equal)
     assert rules == want_rules, (w, include_equal)
     assert rows == [row for v, row in want_rows if v == w], (w, include_equal)
@@ -518,17 +545,17 @@ def test_stored_pivot_takes_over_a_derivative_pivot(g2, g2_db):
     assert_closure_matches_oracle(db, 7, False)
     db.add_layer(7, [stored])
     assert_closure_matches_oracle(db, 7, True)
-    rules, rows = db.closure(7, True)
-    assert rules[p11112] == reduce_with_rules(stored.rhs, rules)
+    rules, rows = grown_closure(db, 7, True)
+    index = index_of(rules)
+    assert rules[p11112] == nf(index, stored.rhs)
     assert rows == [extra]
     assert p11112 in ctx.diff(ctx.diff(ctx.diff(kdv.rhs, 1), 1), 1).terms
-    assert rules[p1111111] == reduce_with_rules(ctx.diff(ctx.diff(ctx.diff(kdv.rhs, 1), 1), 1),
-                                                rules)
+    assert rules[p1111111] == nf(index, ctx.diff(ctx.diff(ctx.diff(kdv.rhs, 1), 1), 1))
     for w in (8, 9, 7):
         assert_closure_matches_oracle(db, w, False)
         assert_closure_matches_oracle(db, w, True)
     # a layer at a weight the closure covers drops it
-    db.closure(9, False)
+    db._grow(9, False)
     db.add_layer(6, [])
     assert db._step == 0
     assert_closure_matches_oracle(db, 9, False)
@@ -606,7 +633,7 @@ def test_cross_differentiate_degenerate_pair(g2):
 def test_linear_solve_single_unknown(g2_db):
     ctx = g2_db.ctx
     X = ctx.wp_poly((1, 1, 1, 1))
-    solved, residual = linear_solve([X - 3])
+    solved, residual = linear_solve([split(X - 3)])
     assert not residual
     col, rhs, _ = solved[0]
     assert MultiPoly.monomial(col) == ctx.wp_poly((1, 1, 1, 1))
@@ -617,16 +644,16 @@ def test_linear_solve_inconsistent(g2_db):
     ctx = g2_db.ctx
     X = ctx.wp_poly((1, 1, 1, 1))
     with pytest.raises(InconsistentSystemError):
-        linear_solve([MultiPoly.const(3)])  # 0 = 3
+        linear_solve([split(MultiPoly.const(3))])  # 0 = 3
     with pytest.raises(InconsistentSystemError):
-        linear_solve([X - 1, X - 2])  # eliminates to 0 = 1
+        linear_solve([split(X - 1), split(X - 2)])  # eliminates to 0 = 1
 
 
 def test_linear_solve_returns_eliminated_basic_row(g2_db):
     ctx = g2_db.ctx
     X = ctx.wp_poly((1, 1, 1, 1))
     p11, p12 = ctx.wp_poly((1, 1)), ctx.wp_poly((1, 2))
-    solved, residual = linear_solve([X - p11, X - p12])
+    solved, residual = linear_solve([split(X - p11), split(X - p12)])
     assert [MultiPoly.monomial(col) for col, _, _ in solved] == [X]
     assert len(residual) == 1 and not residual[0].cols
     basic = ScaledPoly(residual[0].den, residual[0].basic).poly()
@@ -646,31 +673,32 @@ def test_proportional_basic_rows_give_one_relation(g2_db):
 
 def test_linear_solve_substitution_closes(g2_db):
     # solutions substituted back reduce every input row to zero exactly
-    from kleinian.engine import reduce_with_rules
     ctx = g2_db.ctx
     X = ctx.wp_poly((1, 1, 1, 1))
     Y = ctx.wp_poly((1, 1, 1)) * ctx.wp_poly((1, 1, 1))
     rows = [X - Y - ctx.wp_poly((1, 1)), X + Y - ctx.wp_poly((1, 2))]
-    solved, residual = linear_solve(rows)
+    solved, residual = linear_solve([split(row) for row in rows])
     assert not residual and len(solved) == 2
-    rules = {col: rhs for col, rhs, _ in solved}
+    index = index_of({col: rhs for col, rhs, _ in solved})
     for row in rows:
-        assert reduce_with_rules(row, rules).is_zero()
+        assert nf(index, row).is_zero()
 
 
 # -- the integer solve against the rational oracle --------------------------------
 
 def assert_solve_matches_oracle(system, oracle_system, sources):
     # the same solved rows in the same order, and residual rows with the
-    # same sources and expressions; a 0 = c row raises on both sides
+    # same sources and expressions; a 0 = c row raises on both sides.
+    # system holds the split rows, oracle_system the same rows as rational
+    # polynomials
     try:
         want_solved, want_residual = oracle_solve(oracle_system, sources)
     except InconsistentSystemError as exc:
         with pytest.raises(InconsistentSystemError) as got:
-            linear_solve(system, sources)
+            linear_solve(system)
         assert str(got.value) == str(exc)
         return
-    solved, residual = linear_solve(system, sources)
+    solved, residual = linear_solve(system)
     assert solved == want_solved
     assert [(r.source, r.expr()) for r in residual] == \
         [(r.source, r.expr()) for r in want_residual]
@@ -713,7 +741,8 @@ def test_linear_solve_matches_rational_oracle(g2, g2_db, data):
                     term = data.draw(st.sampled_from(basic))
                 row = row + term * data.draw(coeffs)
         system.append(row)
-    assert_solve_matches_oracle(system, system, [(i,) for i in range(len(system))])
+    sources = [(i,) for i in range(len(system))]
+    assert_solve_matches_oracle([split(e, s) for e, s in zip(system, sources)], system, sources)
 
 
 @pytest.mark.parametrize("case", ["parameter coefficients", "negative non-unit pivots",
@@ -732,7 +761,8 @@ def test_linear_solve_matches_rational_oracle_on_each_case(g2, g2_db, case):
         "0 = c": [X - 1, X - 2],
         "0 = parameter": [X * Q(3, 2) - a4, X * 3],
     }[case]
-    assert_solve_matches_oracle(system, system, [(i,) for i in range(len(system))])
+    sources = [(i,) for i in range(len(system))]
+    assert_solve_matches_oracle([split(e, s) for e, s in zip(system, sources)], system, sources)
 
 
 def layer_systems(model, top):
@@ -787,6 +817,31 @@ def test_linear_solve_adds_and_multiplies_no_rational_polynomial(trig_systems11,
     assert calls
 
 
+def test_layer_rows_make_no_rational_round_trip(trig, trig_model11, monkeypatch):
+    # over the trigonal layers through weight 11, closure growth and
+    # collision rows included, layer_rows forms no rational polynomial from
+    # an integer one, and puts only the stored relations' right-hand sides
+    # over integers, each once; the model is warmed first, so that it
+    # builds no tau-derivative or hook of its own
+    model = trig_model11
+    derive_range(RelationDB(trig), model, 11)
+    polys, converted = [], []
+    poly, of = ScaledPoly.poly, ScaledPoly.of.__func__
+    db = RelationDB(trig)
+    for w in range(4, 12):
+        with monkeypatch.context() as m:
+            m.setattr(ScaledPoly, "poly", lambda p: polys.append(p) or poly(p))
+            m.setattr(ScaledPoly, "of",
+                      classmethod(lambda cls, p: converted.append(p) or of(cls, p)))
+            rows = layer_rows(w, db, model)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "layer_rows", lambda *args: rows)
+            db.add_layer(w, derive_at_weight(w, db, model))
+    assert polys == []
+    stored = [r.rhs for r in db.relations() if r.weight < 11 and r.solved_monomial is not None]
+    assert sorted(p.text() for p in converted) == sorted(p.text() for p in stored)
+
+
 def test_unresolved_row_note_is_the_oracle_text(g2, g2_model, monkeypatch):
     # notes are document bytes: the note of a row with no rational pivot
     # is the rational oracle's text of the row, character for character
@@ -811,7 +866,7 @@ def test_reduce_all_stored_derivatives_to_zero(g2_db):
             w = r.weight + ctx.gaps[i - 1]
             if w > 10:
                 continue
-            assert reduce_mod_db(ctx.diff(r.expr, i), g2_db, w).is_zero(), (r.expr.text(), i)
+            assert g2_db.reduce(ctx.diff(r.expr, i), w).is_zero(), (r.expr.text(), i)
 
 
 def test_reduce_all_trigonal_derivatives_to_zero(trig_db):
@@ -821,7 +876,7 @@ def test_reduce_all_trigonal_derivatives_to_zero(trig_db):
             w = r.weight + ctx.gaps[i - 1]
             if w > 6:
                 continue
-            assert reduce_mod_db(ctx.diff(r.expr, i), trig_db, w).is_zero(), (r.expr.text(), i)
+            assert trig_db.reduce(ctx.diff(r.expr, i), w).is_zero(), (r.expr.text(), i)
 
 
 # -- classification ---------------------------------------------------------------
