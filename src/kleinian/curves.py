@@ -213,9 +213,8 @@ class LocalExpansion:
 def _unit_part(curve: CurveSpec, order: int) -> LaurentSeries:
     """phi(xi^(-n)) / (c_s xi^(-ns)) = 1 + sum_j (c_{s-j}/c_s) xi^(nj) mod xi^order."""
     rhs = curve.rhs_coeffs()
-    inv_top = Q(1) / rhs[curve.s].rational_value()
-    return LaurentSeries({curve.n * j: rhs[curve.s - j] * inv_top for j in range(curve.s + 1)},
-                         order)
+    return LaurentSeries({curve.n * j: rhs[curve.s - j] for j in range(curve.s + 1)},
+                         order) * (Q(1) / rhs[curve.s].rational_value())
 
 
 def local_expansion(curve: CurveSpec, order: int) -> LocalExpansion:
@@ -241,7 +240,7 @@ def _ode_residual(f: LaurentSeries, g: dict[int, ScaledPoly], n: int, b: int,
     r_k is the xi^(k-1) coefficient of n f g' - b f' g, summed in integer
     numerators; g maps exponents to coefficients.  Returns (k, r_k) or None.
     """
-    f_terms = sorted((j, ScaledPoly.of(c)) for j, c in f.coeffs.items())
+    f_terms = sorted(f.coeffs.items())
     for k in range(1, stop):
         terms = [(n * k - (n + b) * j, fj, g[k - j]) for j, fj in f_terms
                  if j <= k and k - j in g and n * k != (n + b) * j]
@@ -262,11 +261,10 @@ def _check_power(loc: LocalExpansion, b: int, g: LaurentSeries):
     r_k / (n k), and y^b by lead^b r_k / (n k) at xi^(k - sb).
     """
     n, s, lead = loc.curve.n, loc.curve.s, loc.lead
-    if g.valuation() != 0 or g.coeffs[0] != MultiPoly.one():
+    if g.truncate(1) != LaurentSeries.const(1, 1):
         raise ConventionError("curve-equation defect: y^%d does not lead with %s xi^%d"
                               % (b, q_str(lead ** b), -s * b))
-    scaled = {k: ScaledPoly.of(c) for k, c in g.coeffs.items()}
-    found = _ode_residual(loc.unit, scaled, n, b, min(g.order, loc.unit.order))
+    found = _ode_residual(loc.unit, g.coeffs, n, b, min(g.order, loc.unit.order))
     if found:
         k, r = found
         off = ScaledPoly(r.den * n * k, r.nums).poly() * lead ** b
@@ -299,20 +297,18 @@ def _certify(loc: LocalExpansion):
     n, s = curve.n, curve.s
     top = loc.order + n * s  # g and f are needed below xi^top
     lead_n = lead ** n
-    # (i): the exponents of f and of phi(xi^(-n)) xi^(ns) / lead^n
-    rhs = {n * (s - deg): c for deg, c in curve.rhs_coeffs().items()}
-    for e in sorted(set(f.coeffs) | set(rhs)):
-        if e < min(f.order, top):
-            defect = f.coeff(e) * lead_n - rhs.get(e, MultiPoly.zero())
-            if not defect.is_zero():
-                raise ConventionError("curve-equation defect at xi^%d: %s" % (e - n * s, defect))
+    # (i): lead^n f - phi(xi^(-n)) xi^(ns), on the exponents below xi^top
+    phi = LaurentSeries({n * (s - deg): c for deg, c in curve.rhs_coeffs().items()})
+    defect = (f * lead_n - phi).truncate(min(f.order, top))
+    if not defect.is_zero():
+        e = defect.valuation()
+        raise ConventionError("curve-equation defect at xi^%d: %s" % (e - n * s, defect.coeff(e)))
     # (ii), on y_(k-s) = lead g_k: the ODE is linear, so r_k(y) = lead r_k(g)
-    if y.valuation() != -s or y.coeff(-s) != MultiPoly.const(lead):
+    if y.truncate(1 - s) != LaurentSeries.xi_power(-s, lead, 1 - s):
         raise ConventionError("curve-equation defect at xi^%d: y does not lead with %s xi^%d"
                               % (-n * s, q_str(lead), -s))
     known = min(f.order, y.order + s)
-    found = _ode_residual(f, {k + s: ScaledPoly.of(c) for k, c in y.coeffs.items()}, n, 1,
-                          min(known, top))
+    found = _ode_residual(f, y.shift(s).coeffs, n, 1, min(known, top))
     if found:
         k, r = found
         defect = r.poly() * (lead_n / (lead * k))
@@ -337,7 +333,8 @@ def differentials(curve: CurveSpec, loc: LocalExpansion) -> list[LaurentSeries]:
     for w in curve.gap_weights:
         a, b = next((a, b) for a in range(s) for b in range(n) if n * a + s * b == 2 * g - 1 - w)
         du = loc.y_power(b + 1 - n).shift(-n * (a + 1) - 1)
-        dus.append(du * (Q(1) / du.coeff(w - 1).rational_value()))
+        lead = du.coeffs[w - 1]  # the rational lead^(b+1-n), proved by y_power
+        dus.append(du * Q(lead.den, lead.nums[EMPTY_MONOMIAL]))
     return dus
 
 
@@ -494,14 +491,9 @@ def omega_alg(curve: CurveSpec, size: int, loc: LocalExpansion | None = None) ->
     def factor(a: int, b: int) -> tuple[int, int, dict[int, dict[Monomial, int]]]:
         """x^a y^b dx xi^(2n) / -f_y = xi^(n-1-na) y^(b+1-n) below xi^(deg_cap+1),
         as (order, den, numerators per exponent)."""
-        e = n - 1 - n * a
-        y = loc.y_power(b + 1 - n)
-        order = min(y.order + e, deg_cap + 1)
-        coeffs = {k + e: c for k, c in y.coeffs.items() if k + e < order}
-        den = lcm(*(q.denominator for c in coeffs.values() for q in c.terms.values()))
-        return order, den, {
-            k: {m: q.numerator * (den // q.denominator) for m, q in c.terms.items()}
-            for k, c in coeffs.items()}
+        y = loc.y_power(b + 1 - n).shift(n - 1 - n * a)
+        order = min(y.order, deg_cap + 1)
+        return (order, *y.truncate(order).numerators())
 
     groups: dict[tuple[int, int], list] = {}
     for mono, coeff in kleinian_polar(curve).terms.items():

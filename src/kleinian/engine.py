@@ -309,7 +309,9 @@ class RelationDB:
     positive weight, so the right-hand sides of weight w reduce modulo the
     lighter rules and the weight-w block alone, and the lighter rules are
     final: the grown closure is the one a build from nothing would give.
-    A request below the closure held starts a fresh one, which grows from
+    Rewriting never raises weight, so :meth:`reduce` serves an expression
+    no heavier than its max_weight from a closure held above it; any other
+    request below the closure held starts a fresh one, which grows from
     empty.  Each stored relation's right-hand side is put over integers
     once, and its derivatives, taken on the numerators
     (:meth:`AbelianContext.diff_scaled`), are kept across closures.
@@ -363,9 +365,11 @@ class RelationDB:
         """Normal form of expr modulo the closure at max_weight, the stored
         relations of that weight included; by default max_weight is the
         heaviest weight among expr's terms."""
-        if max_weight is None:
-            max_weight = max(map(monomial_weight, expr.terms), default=0)
-        return self._grow(max_weight, True).normal_form(ScaledPoly.of(expr)).poly()
+        heaviest = max(map(monomial_weight, expr.terms), default=0)
+        max_weight = heaviest if max_weight is None else max_weight
+        held = heaviest <= max_weight < self._step // 2
+        index = self._index if held else self._grow(max_weight, True)
+        return index.normal_form(ScaledPoly.of(expr)).poly()
 
     def layer_reduction(self, weight: int, model: TauModel
                         ) -> tuple[PivotIndex, Callable[[tuple[int, ...]], ScaledPoly],

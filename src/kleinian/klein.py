@@ -16,12 +16,12 @@ independent of the hook-determinant engine and serves as its oracle.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 from .curves import CurveSpec, local_expansion, polar_vars, kleinian_polar, winding_vectors
 from .engine import FOUR_INDEX, classify
 from .errors import ConfigError, ConventionError
-from .poly import MultiPoly, Symbol, divides, factors, monomial, monomial_div
+from .poly import MultiPoly, ScaledPoly, Symbol, divides, factors, monomial, monomial_div
 from .rationals import Q
 from .series import LaurentSeries
 from .taucalc import AbelianContext
@@ -43,11 +43,8 @@ def _wp_taylor(ctx: AbelianContext, base: tuple[int, int],
 
     def rec(start: int, mult: tuple[int, ...], factor: LaurentSeries):
         indices = base + tuple(i + 1 for i, m in enumerate(mult) for _ in range(m))
-        scale = Q(1)
-        for m in mult:
-            scale /= factorial(m)
         nonlocal acc
-        acc = acc + factor * (ctx.wp_poly(indices) * scale)
+        acc = acc + factor * ScaledPoly(prod(map(factorial, mult)), {ctx.wp(indices).unit: 1})
         if sum(mult) >= depth:
             return
         for i in range(start, len(deltas)):
@@ -75,8 +72,9 @@ def klein_expand(curve: CurveSpec, order: int) -> list[tuple[int, MultiPoly]]:
     # holomorphic integrals, integration constant zero
     deltas = []
     for i in (1, 2):
-        coeffs = {k: winding.entry(k, i) * Q(1, k) for k in range(1, ord_taylor + 3)}
-        deltas.append(LaurentSeries(coeffs, ord_taylor + 3))
+        coeffs = {k: ScaledPoly.of(winding.entry(k, i)) for k in range(1, ord_taylor + 3)}
+        deltas.append(LaurentSeries({k: ScaledPoly(c.den * k, c.nums) for k, c in coeffs.items()},
+                                    ord_taylor + 3))
     depth = ord_taylor + 2  # Taylor depth: delta has valuation 1
 
     # U_1 = 2x, U_2 = 2 (du_1 = x dx/y, du_2 = dx/y, f_y = 2y)

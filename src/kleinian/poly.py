@@ -485,7 +485,8 @@ class ScaledPoly:
     products need integer arithmetic only, and rationals are formed once,
     by :meth:`poly`.  Numerators are never zero; den and the numerators
     need not be coprime (see :meth:`primitive`).  It defines no arithmetic
-    operators, so it cannot be mixed up with a :class:`MultiPoly`.
+    operators, so it cannot be mixed up with a :class:`MultiPoly`; ``==``
+    compares the polynomials.
     """
 
     __slots__ = ("den", "nums")
@@ -515,6 +516,11 @@ class ScaledPoly:
         span counters of ``perfbench/tracer.py``), not for a hot path.
         """
         return self.poly().terms
+
+    def __eq__(self, other) -> bool:
+        """Equality of the polynomials, whatever the denominators."""
+        return (isinstance(other, ScaledPoly) and self.nums.keys() == other.nums.keys()
+                and all(v * other.den == other.nums[m] * self.den for m, v in self.nums.items()))
 
     def primitive(self) -> "ScaledPoly":
         """The same polynomial with the content common to den and nums divided out."""

@@ -1,9 +1,15 @@
-"""Direct, slower computations that kleinian.curves replaced: test oracles.
+"""Direct, slower computations that kleinian.curves and kleinian.series replaced: test oracles.
 
+* :class:`RationalSeries`, truncated Laurent series with rational
+  polynomial coefficients (:class:`~kleinian.poly.MultiPoly`), the oracle
+  for the integer-numerator ``LaurentSeries``: every operation forms
+  rationals term by term;
+* :class:`RationalExpansion`, the Puiseux data of a curve in that rational
+  arithmetic, with y^b = lead^b xi^(-sb) f^(b/n) from :func:`miller_power`;
 * y^n - phi(x) evaluated on series, the oracle for the Puiseux
-  certificate: y is raised to the n-th power by repeated squaring of
-  series whose coefficients are polynomials in the curve parameters, so
-  its cost grows quadratically in the expansion order;
+  certificate: y is raised to the n-th power by repeated products of
+  rational series whose coefficients are polynomials in the curve
+  parameters, so its cost grows quadratically in the expansion order;
 * J.C.P. Miller's power recurrence in rational arithmetic, the oracle for
   the integer-numerator ``LaurentSeries.unit_power``;
 * the hand-written holomorphic differentials of both curves, formed as
@@ -17,7 +23,7 @@
   (xi^n - eta^n)^2.
 """
 
-from kleinian.curves import (CurveSpec, LocalExpansion, OmegaAlgTable, kleinian_polar,
+from kleinian.curves import (FAMILIES, CurveSpec, LocalExpansion, OmegaAlgTable, kleinian_polar,
                              polar_vars)
 from kleinian.errors import ConventionError, SeriesError, TruncationError
 from kleinian.poly import MultiPoly, factors, monomial
@@ -31,32 +37,135 @@ def _as_poly(c) -> MultiPoly:
     return c if isinstance(c, MultiPoly) else MultiPoly.const(c)
 
 
-def curve_value(curve: CurveSpec, loc: LocalExpansion) -> LaurentSeries:
-    """f(x, y) = y^n - phi(x) on the expansion's series x(xi), y(xi)."""
-    acc = loc.y ** curve.n
-    xpow = {0: LaurentSeries.const(1)}
-    rhs = curve.rhs_coeffs()
-    for deg in range(1, max(rhs) + 1):
-        xpow[deg] = xpow[deg - 1] * loc.x
-    for deg, c in rhs.items():
-        acc = acc - xpow[deg] * c
-    return acc
+# ---------------------------------------------------------------------------
+# rational series
 
 
-def defects_below(curve: CurveSpec, loc: LocalExpansion, order: int) -> dict:
-    """The nonzero coefficients of y^n - phi(x) below xi^order."""
-    value = curve_value(curve, loc)
-    assert value.order >= order, "oracle known only to xi^%d" % value.order
-    return {k: c for k, c in value.coeffs.items() if k < order}
+class RationalSeries:
+    """Sparse truncated Laurent series with MultiPoly coefficients.
+
+    The same truncation bookkeeping as ``LaurentSeries``: coefficients at
+    exponents >= order are unknown, a product is known to
+    min(order_a + val_b, order_b + val_a).
+    """
+
+    __slots__ = ("coeffs", "order")
+
+    def __init__(self, coeffs: dict | None = None, order: int = _INF):
+        cc = {}
+        if coeffs:
+            for k, c in coeffs.items():
+                c = _as_poly(c)
+                if not c.is_zero() and k < order:
+                    cc[k] = c
+        self.coeffs = cc
+        self.order = order
+
+    @classmethod
+    def of(cls, series: LaurentSeries) -> "RationalSeries":
+        """The integer-numerator series with each coefficient formed as a rational."""
+        return cls({k: series.coeff(k) for k in series.coeffs}, series.order)
+
+    @classmethod
+    def const(cls, c, order: int = _INF) -> "RationalSeries":
+        return cls({0: c}, order)
+
+    @classmethod
+    def xi_power(cls, k: int, coeff=1, order: int = _INF) -> "RationalSeries":
+        return cls({k: coeff}, order)
+
+    def valuation(self) -> int:
+        return min(self.coeffs) if self.coeffs else self.order
+
+    def coeff(self, k: int) -> MultiPoly:
+        if k >= self.order:
+            raise TruncationError("coefficient of xi^%d beyond truncation order %d" % (k, self.order))
+        return self.coeffs.get(k, MultiPoly.zero())
+
+    def truncate(self, order: int) -> "RationalSeries":
+        if order > self.order:
+            raise TruncationError("cannot extend truncation order %d to %d" % (self.order, order))
+        return RationalSeries(self.coeffs, order)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalSeries) and self.order == other.order
+                and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        parts = ["(%s)*xi^%d" % (c.text(), k) for k, c in sorted(self.coeffs.items())]
+        return " + ".join(parts + ["O(xi^%d)" % self.order])
+
+    def __add__(self, other: "RationalSeries") -> "RationalSeries":
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            v = out.get(k)
+            out[k] = c if v is None else v + c
+        return RationalSeries(out, min(self.order, other.order))
+
+    def __neg__(self) -> "RationalSeries":
+        return RationalSeries({k: -c for k, c in self.coeffs.items()}, self.order)
+
+    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
+        return self + (-other)
+
+    def __mul__(self, other) -> "RationalSeries":
+        if not isinstance(other, RationalSeries):
+            c = _as_poly(other)
+            return RationalSeries({k: v * c for k, v in self.coeffs.items()}, self.order)
+        order = min(self.order + other.valuation(), other.order + self.valuation())
+        out: dict[int, MultiPoly] = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = k1 + k2
+                if k < order:
+                    v = out.get(k)
+                    out[k] = c1 * c2 if v is None else v + c1 * c2
+        return RationalSeries(out, order)
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "RationalSeries":
+        return RationalSeries({e + k: c for e, c in self.coeffs.items()}, self.order + k)
+
+    def inverse(self, order: int | None = None) -> "RationalSeries":
+        """1/self to order self.order - 2 val at most; the lead must be rational."""
+        if self.is_zero():
+            raise SeriesError("cannot invert the zero series")
+        v = self.valuation()
+        lead = self.coeffs[v]
+        if not lead.is_rational():
+            raise SeriesError("leading coefficient %s is not an invertible rational" % lead)
+        max_order = self.order - 2 * v
+        if order is None:
+            order = max_order
+        elif order > max_order:
+            raise TruncationError("inverse known only to order %d, requested %d" % (max_order, order))
+        inv_c0 = Q(1) / lead.rational_value()
+        unit = RationalSeries({k - v: c * inv_c0 for k, c in self.coeffs.items()}, order + v)
+        return miller_power(unit, -1).shift(-v) * inv_c0
+
+    def __pow__(self, n: int) -> "RationalSeries":
+        if n < 0:
+            return self.inverse() ** (-n)
+        if n == 0:
+            return RationalSeries.const(1)
+        result = self
+        for _ in range(n - 1):
+            result = result * self
+        return result
 
 
-def miller_power(f: LaurentSeries, alpha) -> LaurentSeries:
+def miller_power(f: RationalSeries, alpha) -> RationalSeries:
     """f^alpha for a unit f = 1 + O(xi), to f's order, in rational arithmetic.
 
     g_0 = 1, g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) f_j g_{k-j}
     (Knuth, TAOCP Vol. 2, 4.7).
     """
-    assert f.valuation() == 0 and f.coeff(0) == MultiPoly.one() and f.order < _INF
+    if f.valuation() != 0 or f.coeff(0) != MultiPoly.one() or f.order >= _INF:
+        raise SeriesError("unit_power needs a truncated series 1 + O(xi)")
     a1 = qify(alpha) + 1
     terms = sorted((j, c) for j, c in f.coeffs.items() if j)
     g: dict[int, MultiPoly] = {0: MultiPoly.one()}
@@ -71,19 +180,63 @@ def miller_power(f: LaurentSeries, alpha) -> LaurentSeries:
                 acc = acc + (fj * c) * gk
         if not acc.is_zero():
             g[k] = acc * Q(1, k)
-    return LaurentSeries(g, f.order)
+    return RationalSeries(g, f.order)
+
+
+class RationalExpansion:
+    """The Puiseux data of a ``LocalExpansion``'s curve at its orders, in rationals.
+
+    f = phi(xi^(-n)) / (c_s xi^(-ns)) is formed from the curve's
+    coefficients, and y^b = lead^b xi^(-sb) f^(b/n) by :func:`miller_power`;
+    only the truncation order of f and the expansion order are read from
+    the expansion.
+    """
+
+    def __init__(self, loc: LocalExpansion):
+        curve = self.curve = loc.curve
+        self.order = loc.order
+        self.lead = Q(FAMILIES[curve.family][3])
+        rhs = curve.rhs_coeffs()
+        top = rhs[curve.s].rational_value()
+        self.unit = RationalSeries({curve.n * j: rhs[curve.s - j] * (1 / top)
+                                    for j in range(curve.s + 1)}, loc.unit.order)
+        self.x = RationalSeries.xi_power(-curve.n)
+
+    def y_power(self, b: int) -> RationalSeries:
+        g = miller_power(self.unit, Q(b, self.curve.n))
+        return (g * self.lead ** b).shift(-self.curve.s * b)
+
+
+def curve_value(curve: CurveSpec, loc: LocalExpansion) -> RationalSeries:
+    """f(x, y) = y^n - phi(x) on the expansion's series x(xi), y(xi)."""
+    acc = RationalSeries.of(loc.y) ** curve.n
+    x = RationalSeries.xi_power(-curve.n)
+    xpow = {0: RationalSeries.const(1)}
+    rhs = curve.rhs_coeffs()
+    for deg in range(1, max(rhs) + 1):
+        xpow[deg] = xpow[deg - 1] * x
+    for deg, c in rhs.items():
+        acc = acc - xpow[deg] * c
+    return acc
+
+
+def defects_below(curve: CurveSpec, loc: LocalExpansion, order: int) -> dict:
+    """The nonzero coefficients of y^n - phi(x) below xi^order."""
+    value = curve_value(curve, loc)
+    assert value.order >= order, "oracle known only to xi^%d" % value.order
+    return {k: c for k, c in value.coeffs.items() if k < order}
 
 
 # ---------------------------------------------------------------------------
 # the hand-written differentials and genus-2 polar
 
 
-def differentiate(f: LaurentSeries) -> LaurentSeries:
+def differentiate(f: RationalSeries) -> RationalSeries:
     """d/dxi of a Laurent series, known to one order less."""
-    return LaurentSeries({k - 1: c * k for k, c in f.coeffs.items() if k}, f.order - 1)
+    return RationalSeries({k - 1: c * k for k, c in f.coeffs.items() if k}, f.order - 1)
 
 
-def hand_written_differentials(curve: CurveSpec, loc: LocalExpansion) -> list[LaurentSeries]:
+def hand_written_differentials(curve: CurveSpec, loc: RationalExpansion) -> list[RationalSeries]:
     """du_i/dxi: x dx/y and dx/y for genus 2; -dx/(3y), -x dx/(3y^2), -dx/(3y^2) for trigonal."""
     x = loc.x
     dx = differentiate(x)
@@ -136,7 +289,7 @@ class BiSeries:
         self.order_y = order_y
 
     @classmethod
-    def outer(cls, u: LaurentSeries, v: LaurentSeries) -> "BiSeries":
+    def outer(cls, u: RationalSeries, v: RationalSeries) -> "BiSeries":
         out = {}
         for i, a in u.coeffs.items():
             for j, b in v.coeffs.items():
@@ -234,7 +387,7 @@ def divide_homogeneous(numer: list[MultiPoly], divisor: list) -> list[MultiPoly]
     return quot
 
 
-def omega_alg_two_step(curve: CurveSpec, size: int, loc: LocalExpansion) -> OmegaAlgTable:
+def omega_alg_two_step(curve: CurveSpec, size: int, loc: RationalExpansion) -> OmegaAlgTable:
     """The omega table by two exact divisions of a bi-series numerator.
 
     The double pole is removed exactly: (x - z)^2 factors as
@@ -247,7 +400,7 @@ def omega_alg_two_step(curve: CurveSpec, size: int, loc: LocalExpansion) -> Omeg
     shift_deg = 2 * curve.n - 2
     deg_cap = 2 * (size - 1) + 2 + shift_deg  # largest total degree ever read
 
-    def factor(a: int, b: int) -> LaurentSeries:
+    def factor(a: int, b: int) -> RationalSeries:
         """x^a y^b dx xi^(2n) / f_y = -xi^(n-1-na) y^(b+1-n), capped at deg_cap."""
         series = -loc.y_power(b + 1 - n).shift(n - 1 - n * a)
         if series.order <= deg_cap + 1:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,12 +49,12 @@ def test_derive_verify_show_export_roundtrip(tmp_path, g2_spec_file):
 
     latex = str(tmp_path / "doc.tex")
     assert run(["export", "--doc", out, "--format", "latex", "--out", latex]) == 0
-    text = open(latex).read()
+    text = Path(latex).read_text()
     assert r"\wp_{1111}" in text and r"\alpha_{4}" in text and r"\tfrac{1}{2}" in text
 
     txt = str(tmp_path / "doc.txt")
     assert run(["export", "--doc", out, "--format", "text", "--out", txt]) == 0
-    body = open(txt).read()
+    body = Path(txt).read_text()
     assert "p1111 = " in body and "1/2*a3" in body
 
 
@@ -87,7 +88,7 @@ def test_derivation_is_byte_deterministic(tmp_path, g2_spec_file):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         subprocess.run([sys.executable, "-m", "kleinian.cli", "derive", "--curve", g2_spec_file,
                         "--max-weight", "8", "--out", out], env=env, check=True)
-    first, second = (open(out, "rb").read() for out in outs)
+    first, second = (Path(out).read_bytes() for out in outs)
     assert first == second
 
 
@@ -138,7 +139,7 @@ def test_verify_checks_classical_document(tmp_path, g2_spec_file, capsys):
     assert len(notes) == 2 and not any(line.startswith("FAIL") for line in lines)
     assert all(line.endswith("not derived by the classical method") for line in notes)
     # a missing row that the classical engine derives fails; the rest are notes
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     data["classical_relations"] = []
     ok, lines = verify_document(RelationDocument.from_json(json.dumps(data)))
     assert not ok
@@ -146,7 +147,7 @@ def test_verify_checks_classical_document(tmp_path, g2_spec_file, capsys):
         "FAIL %-24s missing from document" % name for name in ("w4 p1111", "w6 p1112", "w7 p11*p112")]
     assert sum(line.startswith("NOTE") for line in lines) == 2
     # a corrupted classical relation still fails
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     data["classical_relations"][0]["terms"][0]["coeff"] = {"num": "7", "den": "1"}
     ok, lines = verify_document(RelationDocument.from_json(json.dumps(data)))
     assert not ok
@@ -182,7 +183,7 @@ def test_trigonal_verify_reports_quartic_residual(trig):
 
 def test_config_errors(tmp_path, g2_spec_file):
     bad = str(tmp_path / "bad.curve")
-    open(bad, "w").write("family = foo\n")
+    Path(bad).write_text("family = foo\n")
     assert run(["derive", "--curve", bad, "--max-weight", "6"]) == 2
     assert run(["derive", "--curve", g2_spec_file, "--max-weight", "3",
                 "--out", str(tmp_path / "x.json")]) == 2
@@ -292,7 +293,7 @@ def test_classical_relations_stop_at_max_weight(tmp_path, g2_spec_file, capsys, 
     out = str(tmp_path / "doc.json")
     assert run(["derive", "--curve", g2_spec_file, "--max-weight", str(weight),
                 "--method", method, "--out", out]) == 0
-    doc = RelationDocument.from_json(open(out).read())
+    doc = RelationDocument.from_json(Path(out).read_text())
     assert [r.weight for r in doc.classical] == [w for w in (4, 6, 7) if w <= weight]
     assert all(r.weight <= weight for r in doc.relations)
     capsys.readouterr()
@@ -306,7 +307,7 @@ def test_specialized_curve_derivation(tmp_path):
     out = str(tmp_path / "s.json")
     assert run(["derive", "--curve", str(spec), "--max-weight", "4",
                 "--out", out]) == 0
-    doc = RelationDocument.from_json(open(out).read())
+    doc = RelationDocument.from_json(Path(out).read_text())
     # p1111 = 6 p11^2 + 2 p11 + 4 p12 - 2 with the parameters substituted
     (rel,) = doc.relations
     assert rel.rhs.coeff(EMPTY_MONOMIAL) == Q(-2)
@@ -326,8 +327,8 @@ def test_specialized_document_annihilates_its_own_tau_model(tmp_path, capsys, sp
     capsys.readouterr()
     assert run(["verify", "--doc", out]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    db = RelationDocument.from_json(open(out).read()).to_db()
-    model = TauModel.build(parse_spec(open(curve_file).read()), weight)
+    db = RelationDocument.from_json(Path(out).read_text()).to_db()
+    model = TauModel.build(parse_spec(Path(curve_file).read_text()), weight)
     for w in range(4, weight + 1):
         for lam in enumerate_rank2(w):
             assert db.reduce(plucker_relation(lam, model).poly()).is_zero(), lam.parts

@@ -12,13 +12,13 @@ from kleinian.curves import (
     polar_vars, required_expansion_order, winding_vectors,
 )
 from kleinian.errors import ConfigError, ConventionError, SeriesError, TruncationError
-from kleinian.poly import MultiPoly
+from kleinian.poly import EMPTY_MONOMIAL, MultiPoly, ScaledPoly
 from kleinian.rationals import Q
 from kleinian.series import LaurentSeries
 from kleinian.taucalc import TauModel
 
-from curve_oracle import (defects_below, hand_written_differentials, hand_written_genus2_polar,
-                          omega_alg_two_step)
+from curve_oracle import (RationalExpansion, RationalSeries, defects_below,
+                          hand_written_differentials, hand_written_genus2_polar, omega_alg_two_step)
 
 CURVE_SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "curve-specs")
@@ -28,6 +28,13 @@ TRIG = curve_by_family(CYCLIC_TRIGONAL_34)
 
 def params(curve):
     return {p.name: MultiPoly.sym(p) for p in curve.parameters}
+
+
+def doubled_at(series, k):
+    """The series with its integer coefficient at xi^k doubled."""
+    c = series.coeffs[k]
+    doubled = ScaledPoly(c.den, {m: 2 * v for m, v in c.nums.items()})
+    return LaurentSeries({**series.coeffs, k: doubled}, series.order)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -108,7 +115,7 @@ def test_puiseux_trigonal():
 def test_puiseux_monomial_curve_exact():
     c = curve_by_family(HYPERELLIPTIC_G2, {"a%d" % k: 0 for k in range(5)})
     loc = local_expansion(c, 12)
-    assert loc.y.coeffs == {-5: MultiPoly.const(-2)}
+    assert loc.y == LaurentSeries.xi_power(-5, -2, loc.y.order)
 
 
 def test_puiseux_defect_check_via_compose():
@@ -141,19 +148,21 @@ def test_y_power_closed_form(curve):
     assert all(k >= loc.order for k in diff.coeffs)
 
 
-@pytest.mark.parametrize("which", ["lowest", "highest"])
+@pytest.mark.parametrize("which", ["lowest", "highest", "every"])
 @pytest.mark.parametrize("curve", [G2, TRIG], ids=["g2", "trigonal"])
 def test_certificate_rejects_mutated_negative_power(monkeypatch, curve, which):
     # y^(-1) (and y^(-2)) with one coefficient doubled past the lead: still
-    # weight-homogeneous and normalized, so only the power's own ODE sees it
+    # weight-homogeneous and normalized, so only the power's own ODE sees it;
+    # doubled throughout, it solves that ODE, and only g_0 = 1 tells it apart
     unit_power = LaurentSeries.unit_power
 
     def doubled(self, alpha):
         got = unit_power(self, alpha)
         if alpha >= 0:
             return got
-        k = (min if which == "lowest" else max)(e for e in got.coeffs if e)
-        return LaurentSeries({**got.coeffs, k: got.coeffs[k] * 2}, got.order)
+        if which == "every":
+            return got * 2
+        return doubled_at(got, (min if which == "lowest" else max)(e for e in got.coeffs if e))
 
     monkeypatch.setattr(LaurentSeries, "unit_power", doubled)
     with pytest.raises(ConventionError, match="curve-equation defect"):
@@ -237,13 +246,38 @@ def test_defect_check_fires_on_corrupted_recurrence_input(monkeypatch):
     honest = curves._unit_part
 
     def corrupted(curve, order):
+        # f_4 + 1, in the integer numerators over f_4's denominator
         unit = honest(curve, order)
-        unit.coeffs[4] = unit.coeffs[4] + MultiPoly.one()
+        c = unit.coeffs[4]
+        nums = dict(c.nums)
+        nums[EMPTY_MONOMIAL] = nums.get(EMPTY_MONOMIAL, 0) + c.den
+        unit.coeffs[4] = ScaledPoly(c.den, nums)
         return unit
 
     monkeypatch.setattr(curves, "_unit_part", corrupted)
     with pytest.raises(ConventionError, match="curve-equation defect"):
         local_expansion(G2, 14)
+
+
+def test_expansion_adds_and_multiplies_no_rational_polynomial(monkeypatch):
+    # the certified expansion (_certify), every y-power with its own check
+    # (_check_power) and the normalized differentials run on integer
+    # numerators; the same counter sees the rational oracle's arithmetic
+    calls = []
+
+    def counted(name, method):
+        return lambda *args: calls.append(name) or method(*args)
+
+    for name in ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MultiPoly, name, counted(name, getattr(MultiPoly, name)))
+    for curve in CERTIFIED_CURVES:
+        loc = local_expansion(curve, 30)
+        for b in range(-3, 4):
+            loc.y_power(b)
+        differentials(curve, loc)
+    assert calls == []
+    defects_below(G2, local_expansion(G2, 14), 14)
+    assert calls
 
 
 def test_du2_integral_has_hyperelliptic_parity():
@@ -276,10 +310,8 @@ def test_differentials_match_hand_written_oracle(curve):
     # x^a y^b dx / f_y from (n, s), scaled once, equals the hand-written
     # series products coefficient for coefficient, at the same orders
     loc = local_expansion(curve, 30)
-    got = differentials(curve, loc)
-    want = hand_written_differentials(curve, loc)
-    assert [d.order for d in got] == [d.order for d in want]
-    assert [d.coeffs for d in got] == [d.coeffs for d in want]
+    got = [RationalSeries.of(d) for d in differentials(curve, loc)]
+    assert got == hand_written_differentials(curve, RationalExpansion(loc))
 
 
 def test_winding_gap_structure_and_parity():
@@ -355,7 +387,8 @@ def test_omega_alg_matches_two_step_oracle(curve, size):
     # one grouped integer pass and one division by (xi^n - eta^n)^2 give the
     # entries of the bi-series divided by P^2 and then by (xi - eta)^2
     loc = local_expansion(curve, required_expansion_order(curve, size))
-    assert omega_alg(curve, size, loc).entries == omega_alg_two_step(curve, size, loc).entries
+    assert (omega_alg(curve, size, loc).entries
+            == omega_alg_two_step(curve, size, RationalExpansion(loc)).entries)
 
 
 def _power_corrupted(curve, b, index):
@@ -370,8 +403,7 @@ def _power_corrupted(curve, b, index):
                 return got
             if index is None:
                 return got * 2
-            k = got.valuation() + index
-            return LaurentSeries({**got.coeffs, k: got.coeffs[k] * 2}, got.order)
+            return doubled_at(got, got.valuation() + index)
     return Corrupted(curve, good.order, good.lead, good.unit)
 
 

@@ -869,6 +869,35 @@ def test_reduce_all_stored_derivatives_to_zero(g2_db):
             assert g2_db.reduce(ctx.diff(r.expr, i), w).is_zero(), (r.expr.text(), i)
 
 
+def test_reduce_below_the_held_closure_reuses_it(g2, g2_db, monkeypatch):
+    # rewriting never raises weight and a grown closure's lighter rules are
+    # final: the derivative checks above, at falling weights, start no fresh
+    # closure, and each normal form is the one a fresh database gives
+    ctx = g2_db.ctx
+    checks = [(ctx.diff(r.expr, i), r.weight + ctx.gaps[i - 1])
+              for r in g2_db.relations() for i in (1, 2) if r.weight + ctx.gaps[i - 1] <= 10]
+    assert any(w < v for (_, v), (_, w) in zip(checks, checks[1:]))
+
+    def database():
+        db = RelationDB(g2, ctx)
+        for w, relations in sorted(g2_db.layers.items()):
+            db.add_layer(w, relations)
+        return db
+
+    db = database()
+    fresh = []
+    with monkeypatch.context() as m:
+        m.setattr(RelationDB, "_fresh", lambda self: fresh.append(self) or RelationDB._fresh(self))
+        got = [db.reduce(expr, w) for expr, w in checks]
+    assert fresh == []
+    assert got == [database().reduce(expr, w) for expr, w in checks]
+    # an expression heavier than max_weight is reduced modulo the closure at
+    # max_weight, not the one held
+    heavy, w = max(checks, key=lambda check: check[1])
+    assert not db.reduce(heavy, w - 4).is_zero()
+    assert db.reduce(heavy, w - 4) == database().reduce(heavy, w - 4)
+
+
 def test_reduce_all_trigonal_derivatives_to_zero(trig_db):
     ctx = trig_db.ctx
     for r in trig_db.relations():

@@ -4,8 +4,8 @@ import pytest
 
 from kleinian.curves import curve_by_family, CYCLIC_TRIGONAL_34
 from kleinian.errors import ConfigError
-from kleinian.klein import XP, YP, jacobi_inversion_extract, klein_expand
-from kleinian.poly import MultiPoly
+from kleinian.klein import XP, YP, _reduce_point, jacobi_inversion_extract, klein_expand
+from kleinian.poly import MultiPoly, factors, monomial_div, monomial_weight
 from kleinian.taucalc import AbelianContext
 
 
@@ -39,3 +39,26 @@ def test_oracle_agreement_with_hook_engine(g2, g2_db):
         assert r.solved_monomial in stored
         assert stored[r.solved_monomial].expr == r.expr
         assert stored[r.solved_monomial].cls == r.cls
+
+
+def test_higher_klein_orders_vanish_modulo_the_hook_relations(g2, g2_db):
+    # beyond the orders the extraction reads, each Klein equation, with y_k
+    # and x_k^2 eliminated by the inversion problem, is linear in x_k; both
+    # parts, of weights t + 4 and t + 6, reduce to zero modulo the hook
+    # engine's relations (the expansion's integrals and Taylor terms enter
+    # only from xi^1 on)
+    ctx = AbelianContext(g2.gap_weights)
+    xk = MultiPoly.sym(XP)
+    jip2_rhs = xk * ctx.wp_poly((1, 1)) + ctx.wp_poly((1, 2))
+    jip2a_rhs = -(ctx.wp_poly((1, 1, 2)) + xk * ctx.wp_poly((1, 1, 1)))
+    for t, eq in klein_expand(g2, 4):
+        if t < 1:
+            continue
+        parts = {}
+        for m, c in _reduce_point(eq, jip2_rhs, jip2a_rhs).terms.items():
+            deg = dict(factors(m)).get(XP, 0)
+            parts.setdefault(deg, {})[monomial_div(m, XP.unit) if deg else m] = c
+        assert sorted(parts) == [0, 1], t
+        for deg, terms in parts.items():
+            assert {monomial_weight(m) for m in terms} == {t + 6 - 2 * deg}, (t, deg)
+            assert g2_db.reduce(MultiPoly(terms)).is_zero(), (t, deg)
