@@ -72,6 +72,13 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
+def _layer(weight: int, what: str, max_weight: int) -> int:
+    """A weight of the layers 4..max_weight, the only ones a document holds."""
+    if not 4 <= weight <= max_weight:
+        raise ConfigError("%s of weight %d outside the layers 4..%d" % (what, weight, max_weight))
+    return weight
+
+
 def _notes(value) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError("notes must be lists of strings, got %r" % (value,))
@@ -200,26 +207,31 @@ class RelationDocument:
             raise ConfigError("unrecognized document format %r" % data.get("format"))
         if data["method"] not in METHODS:
             raise ConfigError("unknown method %r" % (data["method"],))
-        params = {k: _parameter(k, v) for k, v in data["curve"]["parameters"].items()
-                  if v != "symbolic"}
-        curve = curve_by_family(data["curve"]["family"], params)
+        given = data["curve"]["parameters"]
+        curve = curve_by_family(data["curve"]["family"],
+                                {k: _parameter(k, v) for k, v in given.items() if v != "symbolic"})
+        stray = sorted(set(given) - {p.name for p in curve.parameters})
+        if stray:
+            raise ConfigError("parameter %r does not belong to family %s"
+                              % (stray[0], curve.family))
         ctx = AbelianContext(curve.gap_weights)
         max_weight = _integer(data["max_weight"], "max_weight", 0)
+        lists = ("relations", "classical_relations")
+        if not all(isinstance(data[key], list) for key in lists):
+            raise ConfigError("%s must be lists" % " and ".join(lists))
         relations, classical = (
             _solved_once([relation_from_json(r, curve, ctx) for r in data[key]], key)
-            for key in ("relations", "classical_relations"))
+            for key in lists)
         for r in relations + classical:
-            # a document holds only the layers its max_weight claims
-            if not 4 <= r.weight <= max_weight:
-                raise ConfigError("relation of weight %d outside the layers 4..%d"
-                                  % (r.weight, max_weight))
+            _layer(r.weight, "relation", max_weight)
         return cls(
             curve=curve,
             max_weight=max_weight,
             method=data["method"],
             relations=relations,
             classical=classical,
-            notes={int(w): _notes(msgs) for w, msgs in data.get("notes", {}).items()},
+            notes={_layer(_decimal(w, "notes weight"), "notes", max_weight): _notes(msgs)
+                   for w, msgs in data.get("notes", {}).items()},
         )
 
     def to_db(self) -> RelationDB:

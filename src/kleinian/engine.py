@@ -5,9 +5,10 @@ complete for all weights below W.  A layer generates one determinant
 identity per rank-2 partition of weight W and reduces it modulo the lower
 layers and their derivative closure as soon as it is built, so the layer
 holds reduced rows only.  Transpose pairs are folded for a hyperelliptic
-(n = 2) curve, where both members give the same row; otherwise their
-symmetric and antisymmetric combinations are formed from the two reduced
-rows, which is exact because reduction is linear (see below).  The layer
+(n = 2) curve, where both members give the same row; otherwise a pair
+gives the sum and the difference of its two reduced rows, which is exact
+because reduction is linear (see below), and each is summed at once from
+the sign-split character weights of one member (:func:`layer_rows`).  The layer
 then solves the surviving rows for the monomials that contain a p-symbol
 with three or more indices.  Solved rows are promoted to relations; rows
 that reduce to zero were already in the ideal and are dropped; rows left
@@ -38,8 +39,9 @@ keeps every memoized form lighter than that block: each normal form is
 computed once per weight (:class:`RelationDB`).  The same linearity lets
 a layer reduce each tau-derivative once: the Schur part
 (1/n!) sum_mu W_lambda(mu) tau_mu of every row is combined from the
-memoized NF(tau_mu), kept until the next layer is added, and one normal
-form of the assembled row then rewrites only its hook products.
+memoized NF(tau_mu), kept until the next layer is added, and only the
+row's hook products are still rewritten: by one normal form of the
+assembled row, or, for a transpose pair, of its two hook determinants.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from .poly import (
     scaled_products, scaled_sum,
 )
 from .rationals import Q
-from .taucalc import AbelianContext, TauModel
+from .schur import schur_weights
+from .taucalc import AbelianContext, TauModel, character_sum
 
 FOUR_INDEX = "FOUR_INDEX"
 QUAD_THREE_INDEX = "QUAD_THREE_INDEX"
@@ -477,21 +480,26 @@ def plucker_relation(lam: Partition, model: TauModel,
                      tau: Callable[[tuple[int, ...]], ScaledPoly] | None = None) -> ScaledPoly:
     """Row of the determinant identity attached to a rank-2 partition.
 
-    The value of s_lambda(D~) on the gauged tau ratio minus the 2x2
-    determinant of its single-hook values, all built from the model's
-    zeta-free time-derivatives; vanishes identically on the Jacobian and
-    is homogeneous of weight |lambda|.  Summed in integers over one
+    The value of s_lambda(D~) on the gauged tau ratio minus its
+    :func:`hook_determinant`, all built from the model's zeta-free
+    time-derivatives; vanishes identically on the Jacobian and is
+    homogeneous of weight |lambda|.  Summed in integers over one
     denominator.  tau stands for the derivatives in the Schur part (see
     :meth:`TauModel.schur_apply`): a layer passes their normal forms, and
     the row then has the normal form of the unreduced row.
     """
+    # the Schur part first: symbols take their packed slots in order of creation
+    return scaled_sum(((1, model.schur_apply(lam, tau)), (-1, hook_determinant(lam, model))))
+
+
+def hook_determinant(lam: Partition, model: TauModel) -> ScaledPoly:
+    """The 2x2 determinant det(s_(a_i|b_j)) of a rank-2 partition's
+    single-hook values, from the model's memoized hooks (not primitive)."""
     if lam.rank != 2:
         raise ValueError("partition %r has rank %d, need rank 2" % (lam.parts, lam.rank))
     (a1, a2), (b1, b2) = lam.frobenius()
     h = model.hook
-    return scaled_sum(((1, model.schur_apply(lam, tau)),
-                       (1, scaled_products(((-1, h(a1, b1), h(a2, b2)),
-                                            (1, h(a1, b2), h(a2, b1)))))))
+    return scaled_products(((1, h(a1, b1), h(a2, b2)), (-1, h(a1, b2), h(a2, b1))))
 
 
 @dataclass
@@ -708,35 +716,41 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
 
     One call (:meth:`RelationDB.layer_reduction`) grows the closure to
     the layer and gives its index, the memoized NF(tau_mu) and its
-    collision rows.  Each partition's Plucker row is reduced as soon as it
-    is built: the row is assembled from the NF(tau_mu) and the hook
-    determinant, and one normal form of that sum rewrites the hook products
-    and leaves the reduced tau terms as they are (NF is idempotent).
-    Transpose pairs are folded for n = 2, where both members give the same
-    row; otherwise the pair gives NF(a) + NF(b) and NF(a) - NF(b), which
-    equal NF(a + b) and NF(a - b) because the normal form is a linear map.
-    The collision rows follow, with no partition.  Every row is integer
-    numerators over one denominator.
+    collision rows.  A partition with a row of its own (each one for n = 2,
+    where both members of a transpose pair give the same row, and a
+    self-conjugate one) gives the normal form of its Plucker row, which
+    rewrites the hook products and leaves the NF(tau_mu) as they are.  A
+    transpose pair gives NF(a) +- NF(b), which is NF(a +- b) because the
+    normal form is a linear map.  As chi^lambda' = eps * chi^lambda, eps(mu)
+    = (-1)^(N - len(mu)) (Macdonald, I.7), the two rows are
+
+        (2/N!) sum_{eps(mu) = +-1} W_lambda(mu) NF(tau_mu)
+            - (NF(D_lambda) +- NF(D_lambda')),
+
+    D the :func:`hook_determinant`: the weights are those of lambda alone,
+    and only the determinants are reduced.  The collision rows follow,
+    with no partition.  Every row is integer numerators over one denominator.
     """
     # tau_mu = 0 whenever mu has a part divisible by n, since R_k = 0 and
     # q_kl = 0 for n | k, which WindingData and OmegaAlgTable certify when the
     # tables are built; for n = 2 only all-odd mu remain, and the sign
     # character is +1 on those, so W_lambda' = W_lambda and a transpose pair
     # gives one row
-    fold = model.curve.n == 2
+    n = model.curve.n
     index, tau, collision_rows = db.layer_reduction(weight, model)
-
-    def reduced(lam: Partition) -> ScaledPoly:
-        return index.normal_form(plucker_relation(lam, model, tau))
-
     rows: list[tuple[tuple[Partition, ...], ScaledPoly]] = []
     for rep, tr in transpose_classes(enumerate_rank2(weight)):
-        if fold or rep == tr:
-            built = [((rep,), reduced(rep))]
+        if n == 2 or rep == tr:
+            built = [((rep,), index.normal_form(plucker_relation(rep, model, tau)))]
         else:
-            a, b = reduced(rep), reduced(tr)
-            built = [((rep, tr), scaled_sum(((1, a), (1, b)))),
-                     ((rep, tr), scaled_sum(((1, a), (-1, b))))]
+            # the Schur parts before the hooks, in the order plucker_relation keeps
+            weights = schur_weights(rep, n)
+            halves = [(sign, character_sum({mu: 2 * w for mu, w in weights.items()
+                                            if (-1) ** (weight - len(mu)) == sign}, weight, tau))
+                      for sign in (1, -1)]
+            d_rep, d_tr = (index.normal_form(hook_determinant(lam, model)) for lam in (rep, tr))
+            built = [((rep, tr), scaled_sum(((1, half), (-1, d_rep), (-sign, d_tr))))
+                     for sign, half in halves]
         rows.extend((src, red) for src, red in built if red.nums)
     rows.extend(((), row) for row in collision_rows)
     return rows

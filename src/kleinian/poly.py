@@ -312,7 +312,9 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
-        other = _coerce(other)
+        other = other if isinstance(other, MultiPoly) else _coerce(other)
+        if other is NotImplemented:
+            return other
         if not other.terms:
             return self
         if not self.terms:
@@ -325,10 +327,12 @@ class MultiPoly:
         return MultiPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-_coerce(other))
+        other = other if isinstance(other, MultiPoly) else _coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, QType)):
@@ -336,7 +340,9 @@ class MultiPoly:
             if not c:
                 return MultiPoly.zero()
             return MultiPoly({m: v * c for m, v in self.terms.items()})
-        other = _coerce(other)
+        other = other if isinstance(other, MultiPoly) else _coerce(other)
+        if other is NotImplemented:
+            return other
         if not self.terms or not other.terms:
             return MultiPoly.zero()
         return MultiPoly(add_product({}, self.terms, other.terms))
@@ -465,12 +471,14 @@ class MultiPoly:
         return " ".join(parts)
 
 
-def _coerce(x) -> MultiPoly:
+def _coerce(x):
+    """x as a MultiPoly, or NotImplemented for an operand type the ring
+    operators do not know, so Python tries the other operand's method."""
     if isinstance(x, MultiPoly):
         return x
     if isinstance(x, (int, QType)):
         return MultiPoly.const(x)
-    raise TypeError("cannot coerce %r to MultiPoly" % (x,))
+    return NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ s_lambda(D~) tau/tau = (1/N!) sum_mu W_lambda(mu) tau_mu over the
 partitions mu of N = |lambda| with no part divisible by n, with the
 integer character weights of :mod:`kleinian.schur`, so no vanishing
 tau_mu is built, and its value is one integer combination of memoized
-derivatives over N! lcm(tau_mu.den); the hook values built from it are
+derivatives over N! lcm(tau_mu.den) (:func:`character_sum`, which takes
+any weight map: a relation layer sums a transpose pair's rows from one
+member's weights split by sign); the hook values built from it are
 memoized too, and the Plucker rows assembled from these values need
 rationals only once per row.  The sum takes its tau_mu from a source the
 caller may replace: a relation layer passes the normal forms NF(tau_mu)
@@ -216,14 +218,8 @@ class TauModel:
         time-derivative itself; a layer passes the normal forms NF(tau_mu),
         which gives NF of the sum, since the normal form is linear.
         """
-        tau = tau or self.tau_t_derivative
-        pairs = [(w, tau(mu)) for mu, w in schur_weights(lam, self.curve.n).items()]
-        den = lcm(*(tau.den for _, tau in pairs))
-        out: dict = {}
-        for w, tau in pairs:
-            f = w * (den // tau.den)
-            add_terms(out, ((m, n * f) for m, n in tau.nums.items()))
-        return ScaledPoly(factorial(lam.weight) * den, out).primitive()
+        return character_sum(schur_weights(lam, self.curve.n), lam.weight,
+                             tau or self.tau_t_derivative)
 
     def hook(self, m: int, n: int) -> ScaledPoly:
         """s_(m|n)(D~) tau / tau at t = 0 (no sign factor), memoized."""
@@ -231,3 +227,16 @@ class TauModel:
         if got is None:
             got = self._hooks[m, n] = self.schur_apply(hook_partition(m, n))
         return got
+
+
+def character_sum(weights: dict[tuple[int, ...], int], N: int,
+                  tau: Callable[[tuple[int, ...]], ScaledPoly]) -> ScaledPoly:
+    """(1/N!) sum_mu weights[mu] * tau(mu), summed in integers over N! times
+    the least common multiple of the tau(mu).den, made primitive."""
+    pairs = [(w, tau(mu)) for mu, w in weights.items()]
+    den = lcm(*(t.den for _, t in pairs))
+    out: dict = {}
+    for w, t in pairs:
+        f = w * (den // t.den)
+        add_terms(out, ((m, n * f) for m, n in t.nums.items()))
+    return ScaledPoly(factorial(N) * den, out).primitive()

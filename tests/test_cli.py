@@ -375,6 +375,13 @@ def _document_with_method(method):
     return json.dumps(doc)
 
 
+def _document_with_key(key, value):
+    """A genus-2 document with the given value under a top-level key."""
+    doc = json.loads(_document_naming("p1111"))
+    doc[key] = value
+    return json.dumps(doc)
+
+
 def _document_with_relation(key, value):
     """A genus-2 document whose relation has the given value under key."""
     doc = json.loads(_document_naming("p1111"))
@@ -391,6 +398,16 @@ def _document_with_relation(key, value):
     # parameter values are strings as q_str writes them, never JSON numbers
     pytest.param(_document_with_parameter(v), id="a4=%s" % json.dumps(v))
     for v in (0.1, 1.5, True)] + [
+    # a parameter the family does not have, symbolic or not
+    pytest.param(json.dumps({**json.loads(_document_naming("p1111")),
+                             "curve": {"family": "hyperelliptic_g2", "parameters": {"zz": v}}}),
+                 id="zz=%s" % v) for v in ("symbolic", "3")] + [
+    # the relation lists are lists, not maps
+    pytest.param(_document_with_key(key, {}), id="%s={}" % key)
+    for key in ("relations", "classical_relations")] + [
+    # notes are keyed by a layer weight 4..max_weight written as export writes it
+    pytest.param(_document_with_key("notes", {w: ["x"]}), id="notes[%r]" % w)
+    for w in (" 4", "04", " 6", "99", "3")] + [
     # a symbol named twice in one monomial, under two spellings or one
     pytest.param(_document_with_monomial(m), id="*".join(name for name, _ in m))
     for m in ([["p12", 1], ["p21", 1]], [["p11", 1], ["p11", 1]])] + [

@@ -9,7 +9,7 @@ from monomial_oracle import tuple_divides
 from schur_oracle import hook_schur, schur_poly
 from solve_oracle import linear_solve as oracle_solve
 from tau_oracle import is_zeta_free, zeta
-from kleinian import engine
+from kleinian import engine, taucalc
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex, Relation,
     RelationDB, _basic_relations, classify, column_of, derive_at_weight, derive_range,
@@ -434,6 +434,26 @@ def test_layer_rows_are_normal_forms_of_unreduced_rows(request, which):
         want = [(src, row) for src, row in want if not row.is_zero()]
         assert [(src, row.poly()) for src, row in layer_rows(w, db, model) if src] == want, w
         db.add_layer(w, derive_at_weight(w, db, model))
+
+
+def test_trigonal_layer_forms_weights_for_one_member_of_each_pair(trig, monkeypatch):
+    # a transpose pair's Schur parts are summed from its representative's
+    # weights, split by the sign of each class: through weight 10 the layers
+    # ask schur_weights once for each pair representative and each
+    # self-conjugate partition, and never for a pair's other member
+    asked = []
+
+    def spy(lam, n, weights=schur_weights):
+        asked.append(lam)
+        return weights(lam, n)
+
+    for module in (engine, taucalc):
+        monkeypatch.setattr(module, "schur_weights", spy)
+    derive_range(RelationDB(trig), TauModel.build(trig, 10), 10)
+    classes = [c for w in range(4, 11) for c in transpose_classes(enumerate_rank2(w))]
+    assert any(rep == tr for rep, tr in classes) and any(rep != tr for rep, tr in classes)
+    assert (sorted(lam.parts for lam in asked if lam.rank == 2)
+            == sorted(rep.parts for rep, _ in classes))
 
 
 @pytest.mark.parametrize("which", ["g2_model", "trig_model10"])

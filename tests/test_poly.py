@@ -79,6 +79,18 @@ def test_coeff_rejects_a_key_that_is_not_a_monomial():
         p.coeff(-P11.unit)
 
 
+def test_ring_operators_refuse_unknown_operands():
+    # an operand type MultiPoly does not know is left to the other operand
+    # (a LaurentSeries scalar product on the left is tested in test_series);
+    # with no method there either, Python raises TypeError
+    p = MultiPoly.sym(P11) + MultiPoly.const(1)
+    for op in (lambda: p + "x", lambda: "x" + p, lambda: p - "x", lambda: "x" - p,
+               lambda: p * None, lambda: None * p):
+        with pytest.raises(TypeError):
+            op()
+    assert p.__add__("x") is NotImplemented and p.__mul__("x") is NotImplemented
+
+
 def test_substitute_specializes_parameters():
     p = MultiPoly.sym(A4) * MultiPoly.sym(P11) + MultiPoly.sym(A3)
     out = p.substitute({A4: MultiPoly.const(Q(3, 2)), A3: MultiPoly.const(2)})

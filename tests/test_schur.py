@@ -9,7 +9,7 @@ from schur_oracle import (
     murnaghan_nakayama, schur_poly, time_symbol,
 )
 
-from kleinian.partitions import Partition, all_partitions, hook
+from kleinian.partitions import Partition, all_partitions, enumerate_rank2, hook
 from kleinian.poly import MultiPoly, Symbol, factors
 from kleinian.rationals import Q
 from kleinian.schur import class_size, schur_weights
@@ -251,3 +251,16 @@ def test_weights_modulo_n_are_the_full_weights_restricted():
                     if w and all(k % n for k in mu):
                         want[mu] = w
                 assert schur_weights(lam, n) == want, (n, lam)
+
+
+def test_transpose_weights_are_sign_twisted():
+    # chi^lambda' = eps * chi^lambda with eps(mu) = (-1)^(N - len(mu)) (the
+    # involution omega), on the same classes: a trigonal layer sums the Schur
+    # parts of a transpose pair from lambda's weights alone
+    for N in range(4, 15):
+        for lam in enumerate_rank2(N):
+            for n in (2, 3, 5, 99):
+                weights, twisted = schur_weights(lam, n), schur_weights(lam.transpose(), n)
+                assert weights.keys() == twisted.keys(), (lam, n)
+                for mu, w in weights.items():
+                    assert twisted[mu] == (-1) ** (N - len(mu)) * w, (lam, n, mu)

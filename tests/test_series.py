@@ -128,7 +128,7 @@ def test_integer_series_match_rational_oracle(ta, oa, tb, ob, c, k, data):
     # coefficient is stored primitive, with a positive denominator
     (a, ra), (b, rb) = pair(ta, oa), pair(tb, ob)
     results = [(a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb),
-               (a * c, ra * c), (a.shift(k), ra.shift(k)),
+               (a * c, ra * c), (c * a, c * ra), (a.shift(k), ra.shift(k)),
                (a * a, ra * ra), (a ** 2, ra ** 2), (a ** 3, ra ** 3)]
     cut = data.draw(st.integers(-6, oa)) if oa < 10 ** 9 else 4
     results.append((a.truncate(cut), ra.truncate(cut)))
