@@ -24,14 +24,19 @@ from .tables import ideal_checks, relation_table
 from .taucalc import AbelianContext, TauModel
 
 
+def _refuse_directory(path: str):
+    """An output path that names a directory is a ConfigError."""
+    if os.path.isdir(path):
+        raise ConfigError("cannot write %s: it is a directory" % path)
+
+
 def _check_writable(path: str):
     """Raise the ConfigError that _atomic_write would raise for path, before any work.
 
     The path must not be a directory, and a temporary file must be
     creatable beside it; the probe file is removed, and path is not touched.
     """
-    if os.path.isdir(path):
-        raise ConfigError("cannot write %s: it is a directory" % path)
+    _refuse_directory(path)
     try:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
@@ -42,7 +47,10 @@ def _check_writable(path: str):
 
 
 def _atomic_write(path: str, text: str):
-    """Write text to path through a temporary file; an unwritable path is a ConfigError."""
+    """Write text to path through a temporary file; a directory or an
+    unwritable path is a ConfigError, and a directory is refused before any
+    temporary file is made."""
+    _refuse_directory(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         os.makedirs(directory, exist_ok=True)

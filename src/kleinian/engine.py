@@ -2,13 +2,12 @@
 
 Layers are strictly sequential: the weight-W layer assumes a database
 complete for all weights below W.  A layer generates one determinant
-identity per rank-2 partition of weight W and reduces it modulo the lower
-layers and their derivative closure as soon as it is built, so the layer
-holds reduced rows only.  Transpose pairs are folded for a hyperelliptic
+identity per rank-2 partition of weight W, reduced modulo the lower
+layers and their derivative closure as it is built, so the layer holds
+reduced rows only.  Transpose pairs are folded for a hyperelliptic
 (n = 2) curve, where both members give the same row; otherwise a pair
-gives the sum and the difference of its two reduced rows, which is exact
-because reduction is linear (see below), and each is summed at once from
-the sign-split character weights of one member (:func:`layer_rows`).  The layer
+gives the sum and the difference of its two rows, each summed at once
+from the sign-split weights of one member (:func:`layer_rows`).  The layer
 then solves the surviving rows for the monomials that contain a p-symbol
 with three or more indices.  Solved rows are promoted to relations; rows
 that reduce to zero were already in the ideal and are dropped; rows left
@@ -37,11 +36,14 @@ raises weight, so each step inter-reduces only the weight block it adds,
 in one sweep that replaces each right-hand side by its normal form, and
 keeps every memoized form lighter than that block: each normal form is
 computed once per weight (:class:`RelationDB`).  The same linearity lets
-a layer reduce each tau-derivative once: the Schur part
-(1/n!) sum_mu W_lambda(mu) tau_mu of every row is combined from the
-memoized NF(tau_mu), kept until the next layer is added, and only the
-row's hook products are still rewritten: by one normal form of the
-assembled row, or, for a transpose pair, of its two hook determinants.
+a layer reduce each term of its rows once.  A row is
+
+    (1/N!) (sum_mu W_lambda(mu) tau_mu - sum_{mu <= nu} K_lambda(mu, nu) tau_mu tau_nu),
+
+its Schur part and its hook determinant in the class weights of
+:mod:`kleinian.schur`, so its normal form is the same integer combination
+of NF(tau_mu) and NF(tau_mu tau_nu), each memoized per layer and dropped
+with the layer's closure.  No hook product is expanded.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .poly import (
     scaled_products, scaled_sum,
 )
 from .rationals import Q
-from .schur import schur_weights
+from .schur import pair_weights, schur_weights
 from .taucalc import AbelianContext, TauModel, character_sum
 
 FOUR_INDEX = "FOUR_INDEX"
@@ -356,7 +358,7 @@ class RelationDB:
         self.layers[weight] = list(relations)
         if covered:
             self._fresh()
-        # the memos of NF(tau_mu) serve one layer
+        # the memos of NF(tau_mu) and NF(tau_mu tau_nu) serve one layer
         self._tau = {}
 
     def relations(self) -> list[Relation]:
@@ -375,24 +377,32 @@ class RelationDB:
         return index.normal_form(ScaledPoly.of(expr)).poly()
 
     def layer_reduction(self, weight: int, model: TauModel
-                        ) -> tuple[PivotIndex, Callable[[tuple[int, ...]], ScaledPoly],
+                        ) -> tuple[Callable[[tuple[tuple[int, ...], ...]], ScaledPoly],
                                    list[ScaledPoly]]:
-        """The pivot index of the closure below weight, mu -> NF(tau_mu)
-        under it, and the closure's nonzero collision rows of that weight.
+        """The normal form, under the closure below weight, of the product of
+        the time-derivatives over a tuple of classes, (mu,) -> NF(tau_mu) and
+        (mu, nu) -> NF(tau_mu tau_nu), and the closure's nonzero collision
+        rows of that weight.
 
-        Each NF(tau_mu) is computed on first use and kept until the closure
-        grows or a layer is added, so every row of the layer shares it.
+        Each product is of the derivatives themselves, not of their normal
+        forms: the greedy rewriting is not confluent, and NF(tau_mu tau_nu)
+        is the form the unreduced row's product has.  Each normal form is
+        computed on first use and kept until the closure grows or a layer is
+        added, so every row of the layer shares it.
         """
         index = self._grow(weight, False)
         memo = self._tau.setdefault(model, {})
+        d = model.tau_t_derivative
 
-        def tau(mu: tuple[int, ...]) -> ScaledPoly:
-            got = memo.get(mu)
+        def tau(classes: tuple[tuple[int, ...], ...]) -> ScaledPoly:
+            got = memo.get(classes)
             if got is None:
-                got = memo[mu] = index.normal_form(model.tau_t_derivative(mu))
+                value = (d(classes[0]) if len(classes) == 1
+                         else scaled_products(((1, d(classes[0]), d(classes[1])),)))
+                got = memo[classes] = index.normal_form(value)
             return got
 
-        return index, tau, self._collision_rows()
+        return tau, self._collision_rows()
 
     def _grow(self, max_weight: int, include_equal: bool) -> PivotIndex:
         """The closure at (max_weight, include_equal), grown from the one held."""
@@ -474,32 +484,6 @@ class RelationDB:
 
 # ---------------------------------------------------------------------------
 # rows and elimination
-
-
-def plucker_relation(lam: Partition, model: TauModel,
-                     tau: Callable[[tuple[int, ...]], ScaledPoly] | None = None) -> ScaledPoly:
-    """Row of the determinant identity attached to a rank-2 partition.
-
-    The value of s_lambda(D~) on the gauged tau ratio minus its
-    :func:`hook_determinant`, all built from the model's zeta-free
-    time-derivatives; vanishes identically on the Jacobian and is
-    homogeneous of weight |lambda|.  Summed in integers over one
-    denominator.  tau stands for the derivatives in the Schur part (see
-    :meth:`TauModel.schur_apply`): a layer passes their normal forms, and
-    the row then has the normal form of the unreduced row.
-    """
-    # the Schur part first: symbols take their packed slots in order of creation
-    return scaled_sum(((1, model.schur_apply(lam, tau)), (-1, hook_determinant(lam, model))))
-
-
-def hook_determinant(lam: Partition, model: TauModel) -> ScaledPoly:
-    """The 2x2 determinant det(s_(a_i|b_j)) of a rank-2 partition's
-    single-hook values, from the model's memoized hooks (not primitive)."""
-    if lam.rank != 2:
-        raise ValueError("partition %r has rank %d, need rank 2" % (lam.parts, lam.rank))
-    (a1, a2), (b1, b2) = lam.frobenius()
-    h = model.hook
-    return scaled_products(((1, h(a1, b1), h(a2, b2)), (-1, h(a1, b2), h(a2, b1))))
 
 
 @dataclass
@@ -714,44 +698,49 @@ def layer_rows(weight: int, db: RelationDB, model: TauModel
                ) -> list[tuple[tuple[Partition, ...], ScaledPoly]]:
     """The nonzero reduced rows of the layer at weight, with their partitions.
 
-    One call (:meth:`RelationDB.layer_reduction`) grows the closure to
-    the layer and gives its index, the memoized NF(tau_mu) and its
-    collision rows.  A partition with a row of its own (each one for n = 2,
-    where both members of a transpose pair give the same row, and a
-    self-conjugate one) gives the normal form of its Plucker row, which
-    rewrites the hook products and leaves the NF(tau_mu) as they are.  A
-    transpose pair gives NF(a) +- NF(b), which is NF(a +- b) because the
-    normal form is a linear map.  As chi^lambda' = eps * chi^lambda, eps(mu)
-    = (-1)^(N - len(mu)) (Macdonald, I.7), the two rows are
+    One call (:meth:`RelationDB.layer_reduction`) grows the closure to the
+    layer and gives the memoized normal forms of the time-derivatives and
+    of their pair products, and the closure's collision rows.  The row of
+    a rank-2 lambda, s_lambda(D~) tau/tau less its hook determinant, has
+    the normal form
 
-        (2/N!) sum_{eps(mu) = +-1} W_lambda(mu) NF(tau_mu)
-            - (NF(D_lambda) +- NF(D_lambda')),
+        (1/N!) (sum_mu W_lambda(mu) NF(tau_mu)
+                - sum_{mu <= nu} K_lambda(mu, nu) NF(tau_mu tau_nu)),
 
-    D the :func:`hook_determinant`: the weights are those of lambda alone,
-    and only the determinants are reduced.  The collision rows follow,
-    with no partition.  Every row is integer numerators over one denominator.
+    one integer character sum (:func:`~kleinian.taucalc.character_sum`)
+    over the weights of :func:`~kleinian.schur.schur_weights` and
+    :func:`~kleinian.schur.pair_weights`, since the normal form is linear.
+    A partition with a row of its own (each one for n = 2, where both
+    members of a transpose pair give the same row, and a self-conjugate
+    one) gives that row.  A transpose pair gives the sum and the
+    difference of its two rows.  As chi^lambda' = eps * chi^lambda, eps(mu)
+    = (-1)^(N - len(mu)) (Macdonald, I.7), W_lambda'(mu) = eps(mu)
+    W_lambda(mu) and K_lambda'(mu, nu) = eps(mu) eps(nu) K_lambda(mu, nu),
+    so the two rows take twice the terms of lambda's row whose classes have
+    eps = +1 and eps = -1 respectively.  The collision rows follow, with no
+    partition.  Every row is integer numerators over one denominator.
     """
     # tau_mu = 0 whenever mu has a part divisible by n, since R_k = 0 and
     # q_kl = 0 for n | k, which WindingData and OmegaAlgTable certify when the
     # tables are built; for n = 2 only all-odd mu remain, and the sign
-    # character is +1 on those, so W_lambda' = W_lambda and a transpose pair
-    # gives one row
+    # character is +1 on those, so a transpose pair gives one row
     n = model.curve.n
-    index, tau, collision_rows = db.layer_reduction(weight, model)
+    tau, collision_rows = db.layer_reduction(weight, model)
     rows: list[tuple[tuple[Partition, ...], ScaledPoly]] = []
     for rep, tr in transpose_classes(enumerate_rank2(weight)):
+        # the Schur part first: symbols take their packed slots in order of creation
+        terms = {(mu,): w for mu, w in schur_weights(rep, n).items()}
+        terms.update((pair, -k) for pair, k in pair_weights(rep, n).items())
         if n == 2 or rep == tr:
-            built = [((rep,), index.normal_form(plucker_relation(rep, model, tau)))]
+            built = [((rep,), terms)]
         else:
-            # the Schur parts before the hooks, in the order plucker_relation keeps
-            weights = schur_weights(rep, n)
-            halves = [(sign, character_sum({mu: 2 * w for mu, w in weights.items()
-                                            if (-1) ** (weight - len(mu)) == sign}, weight, tau))
-                      for sign in (1, -1)]
-            d_rep, d_tr = (index.normal_form(hook_determinant(lam, model)) for lam in (rep, tr))
-            built = [((rep, tr), scaled_sum(((1, half), (-1, d_rep), (-sign, d_tr))))
-                     for sign, half in halves]
-        rows.extend((src, red) for src, red in built if red.nums)
+            built = [((rep, tr), {c: 2 * w for c, w in terms.items()
+                                  if (-1) ** (weight - sum(map(len, c))) == sign})
+                     for sign in (1, -1)]
+        for src, weights in built:
+            row = character_sum(weights, weight, tau)
+            if row.nums:
+                rows.append((src, row))
     rows.extend(((), row) for row in collision_rows)
     return rows
 

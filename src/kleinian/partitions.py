@@ -70,11 +70,6 @@ class Partition:
         return arms, legs
 
 
-def hook(arm: int, leg: int) -> Partition:
-    """Single-hook partition (arm | leg) = (arm+1, 1^leg)."""
-    return Partition((arm + 1,) + (1,) * leg)
-
-
 def all_partitions(weight: int, modulus: int = 0,
                    max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """The partitions of weight, as weakly decreasing tuples, that have no

@@ -28,6 +28,16 @@ so Giambelli's formula s_lambda = det(s_(a_i|b_j)) over lambda's
 Frobenius coordinates (Macdonald, I.3) gives every rank from the hooks.
 The hook weights are memoized when first asked for.
 
+The same product, with its classes kept apart, gives a rank-2 lambda's
+hook determinant on the tau ratio as one sum over class pairs,
+
+    det(s_(a_i|b_j)(D~) tau / tau) = (1/N!) sum_{mu <= nu} K_lambda(mu, nu) tau_mu tau_nu,
+
+where K_lambda(mu, nu) sums C(N, |mu|) W_(a|b)(mu) W_(c|d)(nu), with the
+sign of the determinant, over the diagonal and anti-diagonal hook
+products (a|b)(c|d) and both orders of the pair (:func:`pair_weights`).
+Merging each pair into mu u nu gives back W_lambda.
+
 The weights are formed only on the classes mu with no part divisible by
 the curve's n.  On the curve, tau_mu vanishes on every other class: each
 cumulant carrying a time t_k with n | k is zero, because R_k = 0 and
@@ -48,6 +58,8 @@ from .partitions import Partition, all_partitions
 
 #: class-function weights mu -> W(mu), mu a weakly decreasing tuple
 Weights = dict[tuple[int, ...], int]
+#: class-pair weights (mu, nu) -> K(mu, nu), mu <= nu
+PairWeights = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 
 
 def class_size(mu: tuple[int, ...]) -> int:
@@ -109,6 +121,24 @@ def _giambelli(arms: tuple[int, ...], legs: tuple[int, ...], n: int) -> Weights:
         for mu, w in term.items():
             acc[mu] = acc.get(mu, 0) + sign * w
     return {mu: w for mu, w in acc.items() if w}
+
+
+def pair_weights(lam: Partition, n: int) -> PairWeights:
+    """K_lambda(mu, nu) of a rank-2 lambda's hook determinant, over the
+    unordered class pairs mu <= nu with no part divisible by n and K != 0:
+    Giambelli's product before its classes are merged (see the module).
+
+    Merging each pair into mu u nu gives back :func:`schur_weights`.
+    """
+    (a1, a2), (b1, b2) = lam.frobenius()
+    out: PairWeights = {}
+    for sign, (arm, leg), other in ((1, (a1, b1), (a2, b2)), (-1, (a1, b2), (a2, b1))):
+        scale = sign * comb(lam.weight, arm + leg + 1)
+        for mu, x in _hook_weights(arm, leg, n).items():
+            for nu, y in _hook_weights(*other, n).items():
+                key = (mu, nu) if mu <= nu else (nu, mu)
+                out[key] = out.get(key, 0) + scale * x * y
+    return {key: k for key, k in out.items() if k}
 
 
 def schur_weights(lam: Partition, n: int) -> Weights:

@@ -38,30 +38,24 @@ divisible by the curve's n vanishes.  A Schur operator acts as
 s_lambda(D~) tau/tau = (1/N!) sum_mu W_lambda(mu) tau_mu over the
 partitions mu of N = |lambda| with no part divisible by n, with the
 integer character weights of :mod:`kleinian.schur`, so no vanishing
-tau_mu is built, and its value is one integer combination of memoized
-derivatives over N! lcm(tau_mu.den) (:func:`character_sum`, which takes
-any weight map: a relation layer sums a transpose pair's rows from one
-member's weights split by sign); the hook values built from it are
-memoized too, and the Plucker rows assembled from these values need
-rationals only once per row.  The sum takes its tau_mu from a source the
-caller may replace: a relation layer passes the normal forms NF(tau_mu)
-modulo its closure, reduced once per layer, while the hooks always use
-the derivatives themselves.
+tau_mu is built.  The model keeps no Schur or hook values: a relation
+layer forms each Plucker row as one integer combination
+(:func:`character_sum`) of the normal forms of the derivatives tau_mu and
+of the products tau_mu tau_nu, with the weights of the Schur part and of
+the hook determinant, and needs rationals only once per row.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable
+from typing import Callable, Hashable
 from math import comb, factorial, lcm, prod
 
 from .curves import (CurveSpec, OmegaAlgTable, WindingData, local_expansion, omega_alg,
                      required_expansion_order, winding_vectors)
 from .errors import TruncationError
-from .partitions import Partition, hook as hook_partition
-from .poly import (EMPTY_MONOMIAL, MultiPoly, ScaledPoly, Symbol, add_terms, factors,
-                   scaled_products, wp_symbol)
-from .schur import schur_weights
+from .poly import (EMPTY_MONOMIAL, MultiPoly, ScaledPoly, Symbol, factors, scaled_products,
+                   wp_symbol)
 
 
 class AbelianContext:
@@ -128,7 +122,6 @@ class TauModel:
         self._moments: dict[tuple[int, ...], ScaledPoly] = {
             (): ScaledPoly(1, {EMPTY_MONOMIAL: 1})}
         self._scaled_winding: dict[int, list[tuple[int, ScaledPoly]]] = {}
-        self._hooks: dict[tuple[int, int], ScaledPoly] = {}
 
     @classmethod
     def build(cls, curve: CurveSpec, max_weight: int) -> "TauModel":
@@ -207,36 +200,17 @@ class TauModel:
             raise TruncationError("time index %d beyond model truncation" % key[-1])
         return self._moment(key)
 
-    # -- Schur-operator application ------------------------------------------
 
-    def schur_apply(self, lam: Partition,
-                    tau: Callable[[tuple[int, ...]], ScaledPoly] | None = None) -> ScaledPoly:
-        """s_lambda(D~) tau / tau at t = 0, as (1/N!) sum_mu W_lambda(mu) tau_mu,
-        N = |lambda|, over the mu with no part divisible by the curve's n.
-
-        tau maps mu to the value that stands for tau_mu, by default the
-        time-derivative itself; a layer passes the normal forms NF(tau_mu),
-        which gives NF of the sum, since the normal form is linear.
-        """
-        return character_sum(schur_weights(lam, self.curve.n), lam.weight,
-                             tau or self.tau_t_derivative)
-
-    def hook(self, m: int, n: int) -> ScaledPoly:
-        """s_(m|n)(D~) tau / tau at t = 0 (no sign factor), memoized."""
-        got = self._hooks.get((m, n))
-        if got is None:
-            got = self._hooks[m, n] = self.schur_apply(hook_partition(m, n))
-        return got
-
-
-def character_sum(weights: dict[tuple[int, ...], int], N: int,
-                  tau: Callable[[tuple[int, ...]], ScaledPoly]) -> ScaledPoly:
-    """(1/N!) sum_mu weights[mu] * tau(mu), summed in integers over N! times
-    the least common multiple of the tau(mu).den, made primitive."""
-    pairs = [(w, tau(mu)) for mu, w in weights.items()]
+def character_sum(weights: dict[Hashable, int], N: int,
+                  tau: Callable[[Hashable], ScaledPoly]) -> ScaledPoly:
+    """(1/N!) sum_c weights[c] * tau(c), summed in integers over N! times
+    the least common multiple of the tau(c).den, made primitive."""
+    pairs = [(w, tau(c)) for c, w in weights.items()]
     den = lcm(*(t.den for _, t in pairs))
     out: dict = {}
+    get = out.get
     for w, t in pairs:
         f = w * (den // t.den)
-        add_terms(out, ((m, n * f) for m, n in t.nums.items()))
-    return ScaledPoly(factorial(N) * den, out).primitive()
+        for m, n in t.nums.items():
+            out[m] = get(m, 0) + n * f
+    return ScaledPoly(factorial(N) * den, {m: n for m, n in out.items() if n}).primitive()

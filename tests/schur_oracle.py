@@ -87,6 +87,11 @@ def _det(entries: list[list[MultiPoly]]) -> MultiPoly:
     return minor(0, tuple(range(n)))
 
 
+def hook(arm: int, leg: int) -> Partition:
+    """Single-hook partition (arm | leg) = (arm+1, 1^leg)."""
+    return Partition((arm + 1,) + (1,) * leg)
+
+
 def hook_schur(arm: int, leg: int) -> MultiPoly:
     """s_(arm|leg) = sum_{k=0..leg} (-1)^k p_{arm+1+k} e_{leg-k}, memoized."""
     key = (arm, leg)

@@ -18,6 +18,8 @@ Grassmannian normalization A_(m|n) of the model's hooks.
 from itertools import product
 from math import comb, prod
 
+from plucker_oracle import hook_value
+
 from kleinian.poly import MultiPoly, ScaledPoly, Symbol, add_terms, factors
 
 
@@ -120,7 +122,7 @@ def a_hook(model, m: int, n: int) -> MultiPoly:
     A_(m|n)(u) = -A_(n|m)(-u); in the gauged model A_(0|0) = tau_(1) = 0
     (ungauged, it is +zeta_1).
     """
-    val = model.hook(m, n).poly()
+    val = hook_value(model, m, n).poly()
     return -val if n % 2 else val
 
 

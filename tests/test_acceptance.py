@@ -12,13 +12,14 @@ import pytest
 from jacobian_oracle import cross_differentiate, kummer_quartic, vanishes_on_jacobian
 from omega_tables import omega_table_values
 from schur_oracle import elementary_schur, jacobi_trudi, power_sum_poly, schur_poly, time_symbol
+from plucker_oracle import plucker_relation
 from tau_oracle import a_hook, is_zeta_free
 from kleinian import cli, tables
 from kleinian.cli import run_derive, verify_document
 from kleinian.curves import local_expansion, omega_alg, required_expansion_order
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUASILINEAR, QUARTIC_EVEN, RelationDB, classify,
-    derive_at_weight, plucker_relation,
+    derive_at_weight,
 )
 from kleinian.klein import jacobi_inversion_extract
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes

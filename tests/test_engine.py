@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from closure_oracle import closure as oracle_closure
 from jacobian_oracle import cross_differentiate, is_basic, kummer_quartic, vanishes_on_jacobian
 from monomial_oracle import tuple_divides
+from plucker_oracle import plucker_relation, schur_apply
 from schur_oracle import hook_schur, schur_poly
 from solve_oracle import linear_solve as oracle_solve
 from tau_oracle import is_zeta_free, zeta
-from kleinian import engine, taucalc
+from kleinian import engine
 from kleinian.engine import (
     FOUR_INDEX, QUAD_THREE_INDEX, QUARTIC_EVEN, QUASILINEAR, PivotIndex, Relation,
     RelationDB, _basic_relations, classify, column_of, derive_at_weight, derive_range,
-    layer_rows, linear_solve, plucker_relation,
+    layer_rows, linear_solve,
 )
 from kleinian.errors import InconsistentSystemError, ReductionError
 from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
@@ -22,7 +23,7 @@ from kleinian.poly import (
     monomial_mul, monomial_str, monomial_weight, param,
 )
 from kleinian.rationals import Q
-from kleinian.schur import schur_weights
+from kleinian.schur import pair_weights, schur_weights
 from kleinian.tables import relation_table
 from kleinian.taucalc import TauModel
 
@@ -299,9 +300,9 @@ def test_block_sweep_keeps_memoized_forms_fresh(request, which):
     model = request.getfixturevalue(which)
     db = RelationDB(model.curve)
     for w in range(4, 11):
-        assert_memo_matches_fresh_index(db.layer_reduction(w, model)[0])
+        assert_memo_matches_fresh_index(db._grow(w, False))
         rels = derive_at_weight(w, db, model)
-        assert_memo_matches_fresh_index(db.layer_reduction(w, model)[0])
+        assert_memo_matches_fresh_index(db._grow(w, False))
         db.add_layer(w, rels)
         index = db._grow(w, True)
         assert index.memo, w
@@ -373,7 +374,7 @@ def test_transpose_pairs_combine_after_reduction(trig, trig_model10):
     model = trig_model10
     db = derive_range(RelationDB(trig), model, 9)
     for w in range(8, 11):
-        index = db.layer_reduction(w, model)[0]
+        index = db._grow(w, False)
         fresh = PivotIndex()
         fresh.add(index.rhss)
         for rep, tr in transpose_classes(enumerate_rank2(w)):
@@ -403,7 +404,7 @@ def test_schur_apply_matches_rational_expansion(request, which):
     for w in range(1, 11):
         for lam in map(Partition, all_partitions(w)):
             if lam.rank <= 2:
-                got = model.schur_apply(lam).poly()
+                got = schur_apply(model, lam).poly()
                 assert got == reference_apply(model, schur_poly(lam)), lam.parts
 
 
@@ -437,23 +438,24 @@ def test_layer_rows_are_normal_forms_of_unreduced_rows(request, which):
 
 
 def test_trigonal_layer_forms_weights_for_one_member_of_each_pair(trig, monkeypatch):
-    # a transpose pair's Schur parts are summed from its representative's
-    # weights, split by the sign of each class: through weight 10 the layers
-    # ask schur_weights once for each pair representative and each
-    # self-conjugate partition, and never for a pair's other member
-    asked = []
+    # a transpose pair's rows are summed from its representative's Schur and
+    # pair weights, split by the sign of each class: through weight 10 the
+    # layers ask schur_weights and pair_weights once for each pair
+    # representative and each self-conjugate partition, and never for a
+    # pair's other member
+    asked = {"schur_weights": [], "pair_weights": []}
+    for name in asked:
+        def spy(lam, n, name=name, weights=getattr(engine, name)):
+            asked[name].append(lam)
+            return weights(lam, n)
 
-    def spy(lam, n, weights=schur_weights):
-        asked.append(lam)
-        return weights(lam, n)
-
-    for module in (engine, taucalc):
-        monkeypatch.setattr(module, "schur_weights", spy)
+        monkeypatch.setattr(engine, name, spy)
     derive_range(RelationDB(trig), TauModel.build(trig, 10), 10)
     classes = [c for w in range(4, 11) for c in transpose_classes(enumerate_rank2(w))]
     assert any(rep == tr for rep, tr in classes) and any(rep != tr for rep, tr in classes)
-    assert (sorted(lam.parts for lam in asked if lam.rank == 2)
-            == sorted(rep.parts for rep, _ in classes))
+    for name, lams in asked.items():
+        assert (sorted(lam.parts for lam in lams if lam.rank == 2)
+                == sorted(rep.parts for rep, _ in classes)), name
 
 
 @pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
@@ -496,11 +498,74 @@ def test_tau_normal_forms_are_dropped_with_the_layer_closure(g2, g2_model, monke
     normal_form = PivotIndex.normal_form
     monkeypatch.setattr(PivotIndex, "normal_form",
                         lambda index, expr: calls.append(expr) or normal_form(index, expr))
-    _, tau, _ = db.layer_reduction(8, g2_model)
+    tau, _ = db.layer_reduction(8, g2_model)
     del calls[:]  # a sweep, had the closure grown
     mu = next(iter(memo))
     assert tau(mu).poly() == memo[mu].poly()
     tau(mu)
+    assert len(calls) == 1
+    assert db._tau[g2_model] is not memo
+
+
+@pytest.mark.parametrize("which", ["g2_model", "trig_model10"])
+def test_each_pair_product_is_reduced_once_per_layer(request, which, monkeypatch):
+    # a layer reduces the product tau_mu tau_nu of each class pair it needs
+    # once, and it needs exactly the pairs of the hook determinants' weights
+    curve = request.getfixturevalue(which).curve
+    model, n = TauModel.build(curve, 10), curve.n
+    seen, made = [], []  # kept alive, so that identities stay unique
+    pair_of = {}
+    normal_form, products = PivotIndex.normal_form, engine.scaled_products
+
+    def spy(index, expr):
+        seen.append(expr)
+        return normal_form(index, expr)
+
+    def product_spy(triples):
+        (c, a, b), = triples
+        key_of = {id(v): k for k, v in model._moments.items()}
+        got = products(((c, a, b),))
+        made.append(got)
+        pair_of[id(got)] = (key_of[id(a)], key_of[id(b)])
+        return got
+
+    monkeypatch.setattr(PivotIndex, "normal_form", spy)
+    monkeypatch.setattr(engine, "scaled_products", product_spy)
+    db = RelationDB(model.curve)
+    for w in range(4, 11):
+        del seen[:], made[:]
+        pair_of.clear()
+        db.add_layer(w, derive_at_weight(w, db, model))
+        reduced = [pair_of[id(e)] for e in seen if id(e) in pair_of]
+        assert len(reduced) == len(pair_of) == len(set(reduced)), w
+        assert set(reduced) == {(tuple(sorted(mu)), tuple(sorted(nu)))
+                                for lam in enumerate_rank2(w)
+                                for mu, nu in pair_weights(lam, n)}, w
+
+
+def test_pair_normal_forms_are_dropped_with_the_layer_closure(g2, g2_model, monkeypatch):
+    # NF(tau_mu tau_nu) is the normal form of the product of the derivatives
+    # themselves, kept beside NF(tau_mu) and dropped with it
+    db = derive_range(RelationDB(g2), g2_model, 7)
+    rels = derive_at_weight(8, db, g2_model)
+    memo = db._tau[g2_model]
+    pairs = [c for c in memo if len(c) == 2]
+    assert pairs and len(pairs) < len(memo)
+    fresh = index_of(grown_closure(db, 8, include_equal=False)[0])
+    d = g2_model.tau_t_derivative
+    for mu, nu in pairs:
+        assert memo[mu, nu].poly() == nf(fresh, d(mu).poly() * d(nu).poly()), (mu, nu)
+    db.add_layer(8, rels)
+    assert not db._tau
+    calls = []
+    normal_form = PivotIndex.normal_form
+    monkeypatch.setattr(PivotIndex, "normal_form",
+                        lambda index, expr: calls.append(expr) or normal_form(index, expr))
+    tau, _ = db.layer_reduction(8, g2_model)
+    del calls[:]  # a sweep, had the closure grown
+    pair = pairs[-1]
+    assert tau(pair).poly() == memo[pair].poly()
+    tau(pair)
     assert len(calls) == 1
     assert db._tau[g2_model] is not memo
 

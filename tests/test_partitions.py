@@ -2,9 +2,9 @@
 
 import pytest
 
-from kleinian.partitions import (
-    Partition, all_partitions, enumerate_rank2, hook, transpose_classes,
-)
+from schur_oracle import hook
+
+from kleinian.partitions import Partition, all_partitions, enumerate_rank2, transpose_classes
 
 
 def test_frobenius_direct_counts():

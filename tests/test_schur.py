@@ -5,14 +5,14 @@ Murnaghan-Nakayama and the character table's own identities."""
 from math import factorial, prod
 
 from schur_oracle import (
-    elementary_schur, elementary_symmetric, giambelli_det, hook_schur, jacobi_trudi,
+    elementary_schur, elementary_symmetric, giambelli_det, hook, hook_schur, jacobi_trudi,
     murnaghan_nakayama, schur_poly, time_symbol,
 )
 
-from kleinian.partitions import Partition, all_partitions, enumerate_rank2, hook
+from kleinian.partitions import Partition, all_partitions, enumerate_rank2
 from kleinian.poly import MultiPoly, Symbol, factors
 from kleinian.rationals import Q
-from kleinian.schur import class_size, schur_weights
+from kleinian.schur import class_size, pair_weights, schur_weights
 
 T = [None] + [MultiPoly.sym(time_symbol(k)) for k in range(1, 9)]
 
@@ -255,8 +255,9 @@ def test_weights_modulo_n_are_the_full_weights_restricted():
 
 def test_transpose_weights_are_sign_twisted():
     # chi^lambda' = eps * chi^lambda with eps(mu) = (-1)^(N - len(mu)) (the
-    # involution omega), on the same classes: a trigonal layer sums the Schur
-    # parts of a transpose pair from lambda's weights alone
+    # involution omega), on the same classes, and so K_lambda'(mu, nu) =
+    # eps(mu) eps(nu) K_lambda(mu, nu): a trigonal layer sums the rows of a
+    # transpose pair from lambda's weights alone
     for N in range(4, 15):
         for lam in enumerate_rank2(N):
             for n in (2, 3, 5, 99):
@@ -264,3 +265,24 @@ def test_transpose_weights_are_sign_twisted():
                 assert weights.keys() == twisted.keys(), (lam, n)
                 for mu, w in weights.items():
                     assert twisted[mu] == (-1) ** (N - len(mu)) * w, (lam, n, mu)
+                pairs, twisted = pair_weights(lam, n), pair_weights(lam.transpose(), n)
+                assert pairs.keys() == twisted.keys(), (lam, n)
+                for (mu, nu), k in pairs.items():
+                    assert twisted[mu, nu] == (-1) ** (N - len(mu) - len(nu)) * k, (lam, n, mu)
+
+
+def test_pair_weights_merge_to_the_schur_weights():
+    # the hook determinant's class pairs, merged into mu u nu, are Giambelli's
+    # product: every rank-2 weight, on the classes with no part divisible by n
+    cases = 0
+    for N in range(4, 17):
+        for lam in enumerate_rank2(N):
+            for n in (2, 3, 5, 99):
+                merged = {}
+                for (mu, nu), k in pair_weights(lam, n).items():
+                    assert k and mu <= nu and all(p % n for p in mu + nu), (lam, n, mu, nu)
+                    key = tuple(sorted(mu + nu, reverse=True))
+                    merged[key] = merged.get(key, 0) + k
+                assert {c: w for c, w in merged.items() if w} == schur_weights(lam, n), (lam, n)
+                cases += 1
+    assert cases == 2352
